@@ -1,6 +1,7 @@
 """Command-line front end: generate, ingest, reduce, evaluate, benchmark.
 
-Exit codes: 0 success, 2 bad input or usage, 3 reduction stopped on the
+Exit codes: 0 success, 2 bad input, usage or parameters (such as a
+``--lambda`` too large for the Bregman kernels), 3 reduction stopped on the
 iteration cap instead of the tolerance.  Every command that writes files also
 writes a run manifest (``<output>.manifest.json``) next to its first output.
 """
@@ -19,6 +20,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .ibp import RegularizationOverflowError
 from .init_filtration import ScenarioMatrix, ffs_init, kmeans_init, random_init
 from .nested import nested_distance
 from .reduce import ReductionConfig, reduce_tree
@@ -131,7 +133,7 @@ def cmd_reduce(args):
     config = ReductionConfig(
         solver=args.solver, tol=args.tol, max_outer=args.max_iter,
         rho=args.rho, lam=getattr(args, "lambda"), workers=args.workers,
-        n_big=args.n_big, branch_big=args.branch_big, seed=args.seed)
+        n_big=args.n_big, branch_big=args.branch_big)
     final, report = reduce_tree(original, reduced0, config)
     seconds = time.perf_counter() - tick
 
@@ -156,8 +158,11 @@ def cmd_reduce(args):
     if outputs:
         _write_manifest(outputs[0], "reduce", args, [str(args.input)], outputs,
                         args.seed, seconds)
+    unconverged = sum(not rec["converged"] for rec in report.solver_log)
     print(f"final nd: {report.final_nd:.9g}  iterations: {report.iterations}  "
-          f"converged: {report.converged}", file=sys.stderr)
+          f"converged: {report.converged}  "
+          f"unconverged inner solves: {unconverged}/{len(report.solver_log)}",
+          file=sys.stderr)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
@@ -305,7 +310,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TreeFormatError, TreeValidationError, ValueError) as exc:
+    except (TreeFormatError, TreeValidationError, ValueError,
+            RegularizationOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

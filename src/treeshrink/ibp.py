@@ -7,6 +7,13 @@ of Gibbs kernels ``K^m``.  One sweep updates all ``v^m`` (measure-marginal
 projection), then the barycenter estimate ``p`` as the weighted geometric mean
 of ``K^m v^m``, then all ``u^m``; the sweep stops when ``p`` is a fixed point.
 
+All measures are held in one array padded to the widest support S_max
+(:meth:`BarycenterProblem.padded`): kernels of shape (M, R, S_max) and
+scalings ``u``, ``v`` of shapes (M, R) and (M, S_max).  Padded columns have
+zero mass, so their ``v`` entries are zero and they add nothing to ``K v``.
+One sweep is a fixed set of batched matrix-vector products and elementwise
+operations, O(M * R * S_max) work with no per-measure Python loop.
+
 Accuracy is governed by ``lam``: larger values track the exact barycenter more
 closely but sharpen the kernels.  Kernel exponents are computed on the
 range-normalized, per-measure-shifted costs, so the usable ``lam`` scale is
@@ -81,56 +88,55 @@ def ibp_solve(problem: BarycenterProblem, lam=DEFAULT_LAMBDA,
     # weights, so divide them back out); the weights enter once, as the
     # geometric-mean exponents.  Applying them in both places would steer the
     # fixed point toward squared-weight costs.
-    deltas = []
-    for dm, am in zip(problem.D, problem.alpha):
-        deltas.append(dm / am if am > 0 else np.zeros_like(dm))
-    scale = max(float(np.ptp(dm)) for dm in deltas)
+    q, cost, live = problem.padded()
+    live = live[:, None, :]
+    alpha = problem.alpha[:, None, None]
+    deltas = np.divide(cost, alpha, out=np.zeros_like(cost), where=alpha > 0)
+    # Shift and range are taken over each measure's real columns only; the
+    # padded kernel columns are set to 1 and meet zero scalings v.
+    d_min = np.where(live, deltas, np.inf).min(axis=(1, 2))
+    d_max = np.where(live, deltas, -np.inf).max(axis=(1, 2))
+    scale = float(np.max(d_max - d_min))
     if scale <= 0.0:
         scale = 1.0
-    kernels = []
-    for dm in deltas:
-        expo = lam * (dm - dm.min()) / scale
-        km = np.exp(-expo)
-        if not np.all(np.isfinite(km)) or np.any(km == 0.0):
-            raise RegularizationOverflowError(
-                lam, max(float(d.max()) for d in problem.D), float(expo.max()))
-        kernels.append(km)
+    expo = np.where(live, lam * (deltas - d_min[:, None, None]) / scale, 0.0)
+    kernels = np.exp(-expo)
+    if not np.all(np.isfinite(kernels)) or np.any(kernels == 0.0):
+        raise RegularizationOverflowError(lam, float(cost.max()), float(expo.max()))
+    kernels_t = kernels.transpose(0, 2, 1)
 
-    u = [np.ones(r) for _ in range(m_count)]
-    v = [np.ones(qm.shape[0]) for qm in problem.q]
+    u = np.ones((m_count, r))
     p = np.full(r, 1.0 / r)
 
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        kv = []
-        for m in range(m_count):
-            v[m] = problem.q[m] / np.maximum(kernels[m].T @ u[m], _FLOOR)
-            kv.append(kernels[m] @ v[m])
-        log_p = np.zeros(r)
-        for m in range(m_count):
-            if w[m] > 0:
-                log_p += w[m] * np.log(np.maximum(kv[m], _FLOOR))
-        p_new = np.exp(log_p)
+        v = q / np.maximum(_apply(kernels_t, u), _FLOOR)
+        kv = _apply(kernels, v)
+        # Zero-weight measures add 0 * finite log terms, i.e. are skipped.
+        p_new = np.exp(w @ np.log(np.maximum(kv, _FLOOR)))
         residual = float(np.max(np.abs(p_new - p)))
-        for m in range(m_count):
-            u[m] = p_new / np.maximum(kv[m], _FLOOR)
-            # Cycle consistency: with the fresh u, the current plans' column
-            # sums must reproduce q.  The estimate p alone can plateau (sharp
-            # kernels converge very slowly) long before the scalings agree,
-            # so a p-only test would stop on inconsistent plans.
-            col = v[m] * (kernels[m].T @ u[m])
-            residual = max(residual, float(np.max(np.abs(col - problem.q[m]))))
+        u = p_new / np.maximum(kv, _FLOOR)
+        # Cycle consistency: with the fresh u, the current plans' column
+        # sums must reproduce q.  The estimate p alone can plateau (sharp
+        # kernels converge very slowly) long before the scalings agree,
+        # so a p-only test would stop on inconsistent plans.
+        col = v * _apply(kernels_t, u)
+        residual = max(residual, float(np.max(np.abs(col - q))))
         p = p_new
         if residual <= tol_fixed_point:
             converged = True
             break
 
     # Closing v update: column sums of diag(u) K diag(v) match q exactly.
-    plans = []
-    for m in range(m_count):
-        v[m] = problem.q[m] / np.maximum(kernels[m].T @ u[m], _FLOOR)
-        plans.append(u[m][:, None] * kernels[m] * v[m][None, :])
+    v = q / np.maximum(_apply(kernels_t, u), _FLOOR)
+    plans = u[:, :, None] * kernels * v[:, None, :]
     p_report = p / p.sum()
-    objective = float(sum(np.sum(dm * pl) for dm, pl in zip(problem.D, plans)))
-    return IbpResult(objective, TransportPlanSet(plans, p_report), iterations, converged)
+    objective = float(np.sum(cost * plans))
+    return IbpResult(objective, TransportPlanSet(problem.unpad(plans), p_report),
+                     iterations, converged)
+
+
+def _apply(kernels, x):
+    """Per-measure matrix-vector products: (M, A, B) kernels times (M, B) -> (M, A)."""
+    return np.matmul(kernels, x[:, :, None])[:, :, 0]

@@ -2,15 +2,19 @@
 
 A Douglas-Rachford splitting applied to the coupled barycenter LP: each
 iteration averages the per-measure row marginals into a consensus vector and
-then, measure by measure and column by column, projects a shifted plan column
-exactly onto the scaled simplex carrying that column's marginal mass.  The
-governing iterates are shadow-sequence plans and may go negative between
-iterations; the reported plans are the latest projection outputs, so they are
-nonnegative with exact column sums by construction.
+then projects every shifted plan column exactly onto the scaled simplex
+carrying that column's marginal mass.  The governing iterates are
+shadow-sequence plans and may go negative between iterations; the reported
+plans are the latest projection outputs, so they are nonnegative with exact
+column sums by construction.
 
-The per-measure updates touch disjoint state once the consensus vector is
-fixed, so they can run in any order (or in parallel) without changing the
-result; the consensus reduction itself is evaluated in fixed measure order.
+All measures are held in one array padded to the widest support S_max
+(:meth:`BarycenterProblem.padded`): plans of shape (M, R, S_max), padded
+columns with zero mass and zero cost.  One iteration is a fixed set of array
+operations, one sort-based projection over the (R, M * S_max) column matrix
+among them, so its cost is O(M * R * S_max) (times log R for the sort) with
+no per-measure Python work.  Zero-mass columns project to zero and padded
+shadow columns are held at zero, so the padding adds nothing to any marginal.
 """
 
 from __future__ import annotations
@@ -62,8 +66,9 @@ def mam_solve(problem: BarycenterProblem, rho=None, max_iter=DEFAULT_MAX_ITER,
         and any measure's row marginal drops to ``tol_marginal``, or after
         ``max_iter`` iterations (the result is then flagged unconverged).
     init_plans : list of arrays, optional
-        Warm-start plans, one (R, S^m) array per measure; defaults to the
-        product of the uniform barycenter with each marginal.
+        Warm-start plans, one (R, S^m) array per measure (a wrong shape is a
+        ``ValueError``); defaults to the product of the uniform barycenter
+        with each marginal.
     """
     problem.validate()
     if rho is None:
@@ -73,37 +78,51 @@ def mam_solve(problem: BarycenterProblem, rho=None, max_iter=DEFAULT_MAX_ITER,
     r = problem.R
     sizes = problem.support_sizes()
     m_count = problem.M
+    q, cost, live = problem.padded()
+    s_max = q.shape[1]
+    size_col = np.asarray(sizes, dtype=np.float64)[:, None]
+    # 1 on real columns, 0 on padding: the padded shadow columns stay zero,
+    # so they add nothing to the row marginals.
+    live = live[:, None, :].astype(np.float64)
 
-    inv_sizes = 1.0 / np.asarray(sizes, dtype=np.float64)
+    inv_sizes = 1.0 / size_col[:, 0]
     a = inv_sizes / inv_sizes.sum()
 
     if init_plans is None:
-        shadow = [np.full((r, s), 1.0 / r) * qm[None, :]
-                  for s, qm in zip(sizes, problem.q)]
+        shadow = np.full((m_count, r, s_max), 1.0 / r) * q[:, None, :]
     else:
         if len(init_plans) != m_count:
             raise ValueError("need one warm-start plan per measure")
-        shadow = [np.array(pl, dtype=np.float64) for pl in init_plans]
-    shadow_marg = np.stack([pl.sum(axis=1) for pl in shadow])
+        shadow = np.zeros((m_count, r, s_max))
+        for m, (pl, s) in enumerate(zip(init_plans, sizes)):
+            pl = np.asarray(pl, dtype=np.float64)
+            if pl.shape != (r, s):
+                raise ValueError(f"measure {m}: warm-start plan shape {pl.shape} "
+                                 f"!= ({r}, {s})")
+            shadow[m, :, :s] = pl
+    shadow_marg = shadow.sum(axis=2)
+    step = cost / rho
+    tau = q.ravel()
 
     # The governing (shadow) iterates may go negative and their marginal
     # disagreement converges to a dual offset, not zero; feasibility and the
     # stopping test live on the projection outputs, whose column sums equal
     # the marginals exactly and whose row marginals reach consensus.
-    plans = [np.array(pl) for pl in shadow]
+    plans = shadow.copy()
     gaps = []
     converged = False
     iterations = 0
     p = a @ shadow_marg
     for iterations in range(1, max_iter + 1):
-        feas_marg = np.empty_like(shadow_marg)
-        for m in range(m_count):
-            shift = (p - shadow_marg[m]) / sizes[m]
-            y = shadow[m] + 2.0 * shift[:, None] - problem.D[m] / rho
-            plans[m] = project_columns_scaled_simplex(y, problem.q[m])
-            feas_marg[m] = plans[m].sum(axis=1)
-            shadow[m] = plans[m] - shift[:, None]
-            shadow_marg[m] = shadow[m].sum(axis=1)
+        shift = (p - shadow_marg) / size_col
+        y = shadow + 2.0 * shift[:, :, None] - step
+        # One projection over the (R, M * S_max) matrix of all columns.
+        plans = project_columns_scaled_simplex(
+            y.transpose(1, 0, 2).reshape(r, m_count * s_max), tau
+        ).reshape(r, m_count, s_max).transpose(1, 0, 2)
+        feas_marg = plans.sum(axis=2)
+        shadow = plans - shift[:, :, None] * live
+        shadow_marg = shadow.sum(axis=2)
         p = a @ shadow_marg
         p_feas = a @ feas_marg
         gap = float(np.max(np.abs(feas_marg - p_feas[None, :])))
@@ -112,8 +131,8 @@ def mam_solve(problem: BarycenterProblem, rho=None, max_iter=DEFAULT_MAX_ITER,
             converged = True
             break
 
-    p_final = a @ np.stack([pl.sum(axis=1) for pl in plans])
+    p_final = a @ plans.sum(axis=2)
     p_final = p_final / p_final.sum()
-    objective = float(sum(np.sum(dm * pl) for dm, pl in zip(problem.D, plans)))
-    return MamResult(objective, TransportPlanSet(plans, p_final),
+    objective = float(np.sum(cost * plans))
+    return MamResult(objective, TransportPlanSet(problem.unpad(plans), p_final),
                      iterations, converged, gaps)

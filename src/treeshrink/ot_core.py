@@ -60,6 +60,28 @@ class BarycenterProblem:
     def support_sizes(self) -> list:
         return [qm.shape[0] for qm in self.q]
 
+    def padded(self):
+        """Stack all measures into arrays padded to the widest support S_max.
+
+        Returns ``(q, D, live)`` of shapes (M, S_max), (M, R, S_max) and
+        (M, S_max); ``live`` is True on each measure's real columns.  Padded
+        columns carry zero mass and zero cost, so a solver that keeps their
+        plan columns at zero can run every measure in one array operation;
+        :meth:`unpad` trims the stacked plans back.
+        """
+        sizes = np.asarray(self.support_sizes())
+        live = np.arange(sizes.max())[None, :] < sizes[:, None]
+        q = np.zeros(live.shape)
+        d = np.zeros((self.M, self.R, live.shape[1]))
+        for m, (qm, dm) in enumerate(zip(self.q, self.D)):
+            q[m, :sizes[m]] = qm
+            d[m, :, :sizes[m]] = dm
+        return q, d, live
+
+    def unpad(self, plans) -> list:
+        """Split stacked (M, R, S_max) plans into one (R, S^m) array per measure."""
+        return [np.array(plans[m, :, :s]) for m, s in enumerate(self.support_sizes())]
+
     def validate(self) -> None:
         if not (len(self.D) == self.M == self.alpha.shape[0]) or self.M == 0:
             raise ValueError("q, D and alpha must list the same nonzero number of measures")
@@ -211,8 +233,8 @@ def project_columns_scaled_simplex(Y, tau):
     """Column-wise scaled-simplex projection: column s lands on mass tau[s].
 
     Vectorized batch form of :func:`project_scaled_simplex`, used by the
-    averaged-marginals inner update where one column per support point of a
-    measure is projected per iteration.
+    averaged-marginals inner update where every column of every measure is
+    projected in one call per iteration; zero-mass columns come back zero.
     """
     tau = np.asarray(tau, dtype=np.float64)
     if np.any(tau < 0):

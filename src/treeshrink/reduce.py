@@ -56,7 +56,6 @@ class ReductionConfig:
     n_big: int = 10             # auto policy: measure count above which to prefer mam
     branch_big: int = 150       # auto policy: support size above which to prefer mam
     workers: int = 1
-    seed: int | None = None
 
     def validate(self) -> None:
         if self.solver not in SOLVERS:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from treeshrink.cli import main
+from treeshrink.cli import _bench_tree, main
 from treeshrink.tree import ScenarioTree, generate_random
 
 
@@ -97,7 +97,7 @@ class TestReduce:
         assert all(nds[i + 1] <= nds[i] + 1e-9 for i in range(len(nds) - 1))
         assert (tmp_path / "small.json.manifest.json").exists()
 
-    def test_solver_auto_logs_choices(self, tmp_path):
+    def test_solver_auto_logs_choices(self, tmp_path, capsys):
         src = self.make_input(tmp_path)
         report = tmp_path / "rep.json"
         out = tmp_path / "small.json"
@@ -106,6 +106,39 @@ class TestReduce:
         doc = json.loads(report.read_text())
         assert doc["solver_log"]
         assert all(rec["solver"] in ("lp", "mam") for rec in doc["solver_log"])
+        # The summary counts unconverged inner solves out of all of them.
+        log = doc["solver_log"]
+        unconverged = sum(not rec["converged"] for rec in log)
+        summary = capsys.readouterr().err
+        assert summary.startswith("final nd: ")
+        assert f"unconverged inner solves: {unconverged}/{len(log)}" in summary
+
+    def test_unconverged_inner_solves_reported(self, tmp_path, capsys):
+        # On this bench tree two of the heavy-stage MAM solves stop on the
+        # 5000-iteration cap under the default rho, while the outer loop
+        # meets its (loose) tolerance.
+        src = tmp_path / "bench.json"
+        _bench_tree(2, 10, 1, 2).save(src)
+        report = tmp_path / "rep.json"
+        assert run(["reduce", "-i", str(src), "--solver", "mam", "--seed", "2",
+                    "--init-range=-10,10", "--tol", "1e9", "--max-iter", "1",
+                    "-o", str(tmp_path / "small.json"), "--report", str(report)]) == 0
+        log = json.loads(report.read_text())["solver_log"]
+        unconverged = sum(not rec["converged"] for rec in log)
+        assert unconverged > 0
+        summary = capsys.readouterr().err
+        assert "converged: True" in summary
+        assert f"unconverged inner solves: {unconverged}/{len(log)}" in summary
+
+    def test_huge_lambda_exit_2(self, tmp_path, capsys):
+        # exp(-lambda * normalized cost) underflows for lambda past ~745.
+        src = self.make_input(tmp_path)
+        code = run(["reduce", "-i", str(src), "--solver", "ibp", "--lambda", "2000",
+                    "-o", str(tmp_path / "z.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "lam=2000" in err
 
     def test_malformed_tree_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -5,10 +5,14 @@ from treeshrink.ibp import RegularizationOverflowError, ibp_solve
 from treeshrink.ot_core import BarycenterProblem, barycenter_lp
 
 
-def random_problem(rng, m=2, r=2, s=2):
-    alpha = rng.uniform(0.1, 1.0, m)
-    q = [rng.dirichlet(np.ones(s)) for _ in range(m)]
-    D = [alpha[i] * rng.uniform(0, 1, (r, s)) for i in range(m)]
+def random_problem(rng, m=2, r=2, s=2, zero_mass=False):
+    sizes = [s] * m if np.isscalar(s) else list(s)
+    alpha = rng.uniform(0.1, 1.0, len(sizes))
+    q = [rng.dirichlet(np.ones(n)) for n in sizes]
+    if zero_mass:
+        q[-1][0] = 0.0
+        q[-1] /= q[-1].sum()
+    D = [alpha[i] * rng.uniform(0, 1, (r, n)) for i, n in enumerate(sizes)]
     return BarycenterProblem(q=q, D=D, alpha=alpha)
 
 
@@ -53,12 +57,33 @@ class TestAgainstLP:
 
 class TestInvariants:
     def test_column_marginals_exact(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            prob = random_problem(rng, m=3, r=5, s=4)
-            res = ibp_solve(prob, lam=50.0)
-            for pl, qm in zip(res.plan_set.plans, prob.q):
-                assert pl.sum(axis=0) == pytest.approx(qm, abs=1e-12)
+        # Unequal supports exercise the padded layout; the widest measure of
+        # them gets one zero-mass entry.
+        for s, zero_mass in [(4, False), ((1, 3, 7), True)]:
+            rng = np.random.default_rng(2)
+            for _ in range(10):
+                prob = random_problem(rng, m=3, r=5, s=s, zero_mass=zero_mass)
+                res = ibp_solve(prob, lam=50.0)
+                for pl, qm in zip(res.plan_set.plans, prob.q):
+                    assert pl.shape == (prob.R, qm.shape[0])
+                    assert pl.sum(axis=0) == pytest.approx(qm, abs=1e-12)
+
+    def test_measure_order_invariance(self):
+        # Permuting measures of unequal supports permutes the plans but leaves
+        # the barycenter and objective unchanged.
+        rng = np.random.default_rng(7)
+        prob = random_problem(rng, r=4, s=(1, 3, 7), zero_mass=True)
+        perm = [2, 0, 1]
+        prob_perm = BarycenterProblem(q=[prob.q[i] for i in perm],
+                                      D=[prob.D[i] for i in perm],
+                                      alpha=prob.alpha[perm])
+        res = ibp_solve(prob, lam=50.0, max_iter=300, tol_fixed_point=0.0)
+        res_perm = ibp_solve(prob_perm, lam=50.0, max_iter=300, tol_fixed_point=0.0)
+        assert res_perm.objective == pytest.approx(res.objective, abs=1e-12)
+        assert res_perm.plan_set.p == pytest.approx(res.plan_set.p, abs=1e-12)
+        for i, j in enumerate(perm):
+            assert res_perm.plan_set.plans[i] == pytest.approx(
+                res.plan_set.plans[j], abs=1e-12)
 
     def test_barycenter_strictly_positive_and_normalized(self):
         rng = np.random.default_rng(3)

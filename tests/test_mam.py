@@ -5,10 +5,19 @@ from treeshrink.mam import mam_solve
 from treeshrink.ot_core import BarycenterProblem, barycenter_lp
 
 
-def random_problem(rng, m=3, r=4, s=4):
-    alpha = rng.uniform(0.1, 1.0, m)
-    q = [rng.dirichlet(np.ones(s)) for _ in range(m)]
-    D = [alpha[i] * rng.uniform(0, 1, (r, s)) for i in range(m)]
+# (support sizes, zero-mass entry): unequal supports exercise the padded
+# layout, and the widest of them gets one zero-mass entry.
+SIZE_CASES = [(4, False), ((1, 3, 7), True)]
+
+
+def random_problem(rng, m=3, r=4, s=4, zero_mass=False):
+    sizes = [s] * m if np.isscalar(s) else list(s)
+    alpha = rng.uniform(0.1, 1.0, len(sizes))
+    q = [rng.dirichlet(np.ones(n)) for n in sizes]
+    if zero_mass:
+        q[-1][0] = 0.0
+        q[-1] /= q[-1].sum()
+    D = [alpha[i] * rng.uniform(0, 1, (r, n)) for i, n in enumerate(sizes)]
     return BarycenterProblem(q=q, D=D, alpha=alpha)
 
 
@@ -35,13 +44,14 @@ class TestTrivialInstances:
 
 class TestAgainstLP:
     def test_objective_matches_lp(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            prob = random_problem(rng)
-            obj_lp, _ = barycenter_lp(prob)
-            res = mam_solve(prob, max_iter=20000)
-            assert res.converged
-            assert res.objective == pytest.approx(obj_lp, rel=1e-4)
+        for s, zero_mass in SIZE_CASES:
+            rng = np.random.default_rng(1)
+            for _ in range(5):
+                prob = random_problem(rng, s=s, zero_mass=zero_mass)
+                obj_lp, _ = barycenter_lp(prob)
+                res = mam_solve(prob, max_iter=20000)
+                assert res.converged
+                assert res.objective == pytest.approx(obj_lp, rel=1e-4)
 
     def test_never_below_optimum(self):
         rng = np.random.default_rng(2)
@@ -56,13 +66,15 @@ class TestInvariants:
     def test_exact_column_sums_at_every_iteration_budget(self):
         # Plans returned after any iteration count are projection outputs, so
         # their column sums reproduce the marginals exactly.
-        rng = np.random.default_rng(3)
-        prob = random_problem(rng)
-        for budget in (1, 2, 5, 20, 100):
-            res = mam_solve(prob, max_iter=budget, tol_marginal=0.0)
-            for pl, qm in zip(res.plan_set.plans, prob.q):
-                assert pl.sum(axis=0) == pytest.approx(qm, abs=1e-12)
-                assert np.all(pl >= 0)
+        for s, zero_mass in SIZE_CASES:
+            rng = np.random.default_rng(3)
+            prob = random_problem(rng, s=s, zero_mass=zero_mass)
+            for budget in (1, 2, 5, 20, 100):
+                res = mam_solve(prob, max_iter=budget, tol_marginal=0.0)
+                for pl, qm in zip(res.plan_set.plans, prob.q):
+                    assert pl.shape == (prob.R, qm.shape[0])
+                    assert pl.sum(axis=0) == pytest.approx(qm, abs=1e-12)
+                    assert np.all(pl >= 0)
 
     def test_gap_decreases_in_windowed_median(self):
         # Per-step the splitting is not monotone; the consensus gap must fall
@@ -79,19 +91,20 @@ class TestInvariants:
     def test_measure_order_invariance(self):
         # Permuting the measures permutes the plans but leaves the consensus
         # vector and objective unchanged.
-        rng = np.random.default_rng(5)
-        prob = random_problem(rng)
-        perm = [2, 0, 1]
-        prob_perm = BarycenterProblem(q=[prob.q[i] for i in perm],
-                                      D=[prob.D[i] for i in perm],
-                                      alpha=prob.alpha[perm])
-        res = mam_solve(prob, max_iter=300, tol_marginal=0.0)
-        res_perm = mam_solve(prob_perm, max_iter=300, tol_marginal=0.0)
-        assert res_perm.objective == pytest.approx(res.objective, abs=1e-12)
-        assert res_perm.plan_set.p == pytest.approx(res.plan_set.p, abs=1e-12)
-        for i, j in enumerate(perm):
-            assert res_perm.plan_set.plans[i] == pytest.approx(
-                res.plan_set.plans[j], abs=1e-12)
+        for s, zero_mass in SIZE_CASES:
+            rng = np.random.default_rng(5)
+            prob = random_problem(rng, s=s, zero_mass=zero_mass)
+            perm = [2, 0, 1]
+            prob_perm = BarycenterProblem(q=[prob.q[i] for i in perm],
+                                          D=[prob.D[i] for i in perm],
+                                          alpha=prob.alpha[perm])
+            res = mam_solve(prob, max_iter=300, tol_marginal=0.0)
+            res_perm = mam_solve(prob_perm, max_iter=300, tol_marginal=0.0)
+            assert res_perm.objective == pytest.approx(res.objective, abs=1e-12)
+            assert res_perm.plan_set.p == pytest.approx(res.plan_set.p, abs=1e-12)
+            for i, j in enumerate(perm):
+                assert res_perm.plan_set.plans[i] == pytest.approx(
+                    res.plan_set.plans[j], abs=1e-12)
 
     def test_unconverged_flagged(self):
         rng = np.random.default_rng(6)
@@ -116,6 +129,14 @@ class TestInvariants:
         first = mam_solve(prob, max_iter=20000)
         warm = mam_solve(prob, init_plans=first.plan_set.plans, max_iter=20000)
         assert warm.iterations <= first.iterations
+
+    def test_warm_start_shape_checked(self):
+        rng = np.random.default_rng(10)
+        prob = random_problem(rng, s=(1, 3, 7))
+        plans = mam_solve(prob, max_iter=5).plan_set.plans
+        plans[1] = plans[1].T
+        with pytest.raises(ValueError, match=r"measure 1: .*\(4, 3\)"):
+            mam_solve(prob, init_plans=plans)
 
     def test_invalid_rho_rejected(self):
         rng = np.random.default_rng(9)
