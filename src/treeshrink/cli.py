@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 bad input, usage or parameters (such as a
 ``--lambda`` too large for the Bregman kernels), 3 reduction stopped on the
-iteration cap instead of the tolerance.  Every command that writes files also
-writes a run manifest (``<output>.manifest.json``) next to its first output.
+outer iteration cap instead of the tolerance, or an inner solve stopped on
+its own iteration cap.  Every command that writes files also writes a run
+manifest (``<output>.manifest.json``) next to its first output.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import json
 import os
 import platform
+import re
 import sys
 import time
 
@@ -31,6 +33,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NOT_CONVERGED = 3
 
+# Flags whose LO,HI value may start with '-'.
+_RANGE_FLAGS = ("--range", "--init-range")
+
 
 def _parse_range(text):
     try:
@@ -40,6 +45,19 @@ def _parse_range(text):
     if not lo < hi:
         raise argparse.ArgumentTypeError("range must satisfy lo < hi")
     return lo, hi
+
+
+def _glue_range_values(argv):
+    """Rewrite ``--range -10,10`` as ``--range=-10,10``.
+
+    argparse takes a value that starts with '-' and is not a plain number
+    for an option, so a range below zero would otherwise need the '=' form.
+    """
+    argv = list(argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in _RANGE_FLAGS and re.match(r"-[\d.]", argv[i + 1]):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    return argv
 
 
 def _parse_int_list(text):
@@ -135,6 +153,8 @@ def cmd_reduce(args):
         rho=args.rho, lam=getattr(args, "lambda"), workers=args.workers,
         n_big=args.n_big, branch_big=args.branch_big)
     final, report = reduce_tree(original, reduced0, config)
+    # final_nd is the cost of the last plan; score the returned tree exactly.
+    certified_nd, _ = nested_distance(original, final, order=config.order)
     seconds = time.perf_counter() - tick
 
     outputs = []
@@ -145,8 +165,10 @@ def cmd_reduce(args):
             writer.writerows(report.trace_rows())
         outputs.append(str(args.trace))
     if args.report:
+        doc = report.to_json_dict()
+        doc["certified_nd"] = certified_nd
         with open(args.report, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=1)
+            json.dump(doc, fh, indent=1)
             fh.write("\n")
         outputs.append(str(args.report))
     if args.output is None:
@@ -159,11 +181,11 @@ def cmd_reduce(args):
         _write_manifest(outputs[0], "reduce", args, [str(args.input)], outputs,
                         args.seed, seconds)
     unconverged = sum(not rec["converged"] for rec in report.solver_log)
-    print(f"final nd: {report.final_nd:.9g}  iterations: {report.iterations}  "
-          f"converged: {report.converged}  "
+    print(f"final nd: {report.final_nd:.9g}  certified nd: {certified_nd:.9g}  "
+          f"iterations: {report.iterations}  converged: {report.converged}  "
           f"unconverged inner solves: {unconverged}/{len(report.solver_log)}",
           file=sys.stderr)
-    return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
+    return EXIT_OK if report.converged and not unconverged else EXIT_NOT_CONVERGED
 
 
 def cmd_nd(args):
@@ -260,7 +282,11 @@ def build_parser():
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("reduce", help="reduce a tree toward a smaller structure")
+    p = sub.add_parser("reduce", help="reduce a tree toward a smaller structure",
+                       epilog="exit codes: 0 converged; 2 bad input, usage or "
+                       "parameters; 3 the outer loop stopped on --max-iter "
+                       "before meeting --tol, or an inner solve stopped on its "
+                       "iteration cap (the output is still written)")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--target-branching", type=int, default=2)
     p.add_argument("--target-scenarios", type=int, default=None,
@@ -307,7 +333,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _glue_range_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (TreeFormatError, TreeValidationError, ValueError,

@@ -1,20 +1,32 @@
 """Exact process distance between two scenario trees.
 
-The distance is evaluated by the standard backward recursion: the leaf-stage
-table holds plain path costs, and each earlier stage solves, for every node
-pair (m, n), an exact transport problem between the two conditional child
-distributions with the next stage's table as costs.  The root entry of the
-stage-0 table is the distance raised to ``order``.
+The distance is evaluated by the standard backward recursion (Pflug &
+Pichler 2012): the leaf-stage table holds plain path costs, and each earlier
+stage needs, for every node pair (m, n), the optimal transport cost between
+the two conditional child distributions with the next stage's table as
+costs.  The root entry of the stage-0 table is the distance raised to
+``order``.
+
+A stage's pair problems are independent, so each stage is scored in two
+array passes over the trees' stage-block indices.  When m or n has a single
+child, the product plan is the only feasible coupling; all pairs take its
+value from one product ``Q_a @ table @ Q_b.T`` of the sparse conditional
+matrices.  The pairs where both sides branch then get their exact values
+from one call of the block-diagonal transport solver, which packs the
+stage's pair problems into HiGHS solves of at most a few hundred
+constraints: a single solve per stage on small trees.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ot_core import wasserstein_lp
+from .ot_core import block_entries, transport_lp
+# No longer called here; perfbench/spans.py still wraps the per-pair
+# transport layer under this module's name, where it now counts zero calls.
+from .ot_core import wasserstein_lp  # noqa: F401
 from .tree import ScenarioTree, path_cost_table
 
 
@@ -36,19 +48,36 @@ class CostTable:
         return float(self.tables[0][0, 0])
 
 
-def _stage_transport(args):
-    q_a, q_b, costs = args
-    value, _ = wasserstein_lp(q_a, q_b, costs)
-    return value
+def _branching_pairs(blocks_a, blocks_b, next_table):
+    """Exact transport values of all pairs whose nodes both have >= 2 children.
+
+    Returns ``(rows, cols, values)``: the pairs are ``rows x cols`` and
+    ``values`` has shape (len(rows), len(cols)).
+    """
+    rows = np.flatnonzero(blocks_a.sizes > 1)
+    cols = np.flatnonzero(blocks_b.sizes > 1)
+    values = np.empty((rows.shape[0], cols.shape[0]))
+    if values.size:
+        row_ptr, row_pos = blocks_a.select(np.repeat(rows, cols.shape[0]))
+        col_ptr, col_pos = blocks_b.select(np.tile(cols, rows.shape[0]))
+        _, i, j = block_entries(row_ptr, col_ptr)
+        cost = next_table[blocks_a.local[row_pos[i]], blocks_b.local[col_pos[j]]]
+        flat, _ = transport_lp(blocks_a.cond[row_pos], row_ptr,
+                               blocks_b.cond[col_pos], col_ptr, cost)
+        values[:] = flat.reshape(values.shape)
+    return rows, cols, values
 
 
-def nested_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, order=2, workers=1):
+def nested_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, order=2):
     """Exact process distance of the given order between two trees.
 
     Returns ``(nd, CostTable)`` where ``nd = tables[0][0, 0] ** (1/order)``.
-    The per-pair transport problems of one stage are independent; with
-    ``workers > 1`` they are dispatched to a thread pool and reassembled in
-    fixed pair order, so the result does not depend on the worker count.
+    Each stage t fills its table in two steps.  First the product plan
+    values ``Q_a @ tables[t+1] @ Q_b.T``, where ``Q`` is a tree's sparse
+    stage-t to stage-(t+1) conditional matrix; they are exact for every pair
+    in which one node has a single child.  Then the pairs where both nodes
+    branch are overwritten by their optimal transport values, all from one
+    call of :func:`~treeshrink.ot_core.transport_lp`.
     """
     if tree_a.T != tree_b.T or tree_a.d != tree_b.d:
         raise ValueError("trees must share stage count and quantizer dimension")
@@ -57,25 +86,15 @@ def nested_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, order=2, workers
     tables[big_t] = path_cost_table(tree_a, tree_b, order=order)
 
     for t in range(big_t - 1, -1, -1):
-        nodes_a = tree_a.stage_nodes(t)
-        nodes_b = tree_b.stage_nodes(t)
-        child_a = tree_a.stage_nodes(t + 1)
-        child_b = tree_b.stage_nodes(t + 1)
-        next_table = tables[t + 1]
-        jobs = []
-        for m in nodes_a:
-            rows = np.searchsorted(child_a, tree_a.children(m))
-            q_a = tree_a.conditional_children_probs(m)
-            for n in nodes_b:
-                cols = np.searchsorted(child_b, tree_b.children(n))
-                q_b = tree_b.conditional_children_probs(n)
-                jobs.append((q_a, q_b, next_table[np.ix_(rows, cols)]))
-        if workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                values = list(pool.map(_stage_transport, jobs))
-        else:
-            values = [_stage_transport(job) for job in jobs]
-        tables[t] = np.asarray(values).reshape(nodes_a.shape[0], nodes_b.shape[0])
+        blocks_a = tree_a.stage_blocks(t)
+        blocks_b = tree_b.stage_blocks(t)
+        if not (blocks_a.sizes.all() and blocks_b.sizes.all()):
+            raise ValueError(f"a stage-{t} node has no children, but leaves must "
+                             f"sit at stage {big_t}")
+        table = blocks_a.matrix() @ (blocks_b.matrix() @ tables[t + 1].T).T
+        rows, cols, values = _branching_pairs(blocks_a, blocks_b, tables[t + 1])
+        table[np.ix_(rows, cols)] = values
+        tables[t] = table
 
     table = CostTable(order, tables)
     return table.root_value ** (1.0 / order), table

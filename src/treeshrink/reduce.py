@@ -129,12 +129,6 @@ class ReductionReport:
         }
 
 
-def _stage_locals(tree, t):
-    """Per-node local child indices into the stage-(t+1) node array."""
-    nxt = tree.stage_nodes(t + 1)
-    return {int(m): np.searchsorted(nxt, tree.children(m)) for m in tree.stage_nodes(t)}
-
-
 def init_plan(original: ScenarioTree, reduced: ScenarioTree) -> ConditionalPlan:
     """Feasible starting coupling: spread each original conditional uniformly.
 
@@ -163,8 +157,8 @@ def _compose_unconditional(original, reduced, plan) -> None:
     big_t = original.T
     uncond = [np.ones((1, 1))]
     for t in range(big_t):
-        rows = _stage_locals(original, t)
-        cols = _stage_locals(reduced, t)
+        rows = original.stage_blocks(t)
+        cols = reduced.stage_blocks(t)
         nxt = np.zeros((original.stage_nodes(t + 1).shape[0],
                         reduced.stage_nodes(t + 1).shape[0]))
         cur = uncond[t]
@@ -172,7 +166,7 @@ def _compose_unconditional(original, reduced, plan) -> None:
             for nj, n in enumerate(reduced.stage_nodes(t)):
                 mass = cur[mi, nj]
                 if mass > 0.0:
-                    nxt[np.ix_(rows[int(m)], cols[int(n)])] = \
+                    nxt[np.ix_(rows.children(mi), cols.children(nj))] = \
                         plan.conditional[t][(int(m), int(n))] * mass
         uncond.append(nxt)
     plan.unconditional = uncond
@@ -183,14 +177,14 @@ def evaluate_plan(original, reduced, plan, leaf_costs) -> float:
     big_t = original.T
     values = leaf_costs
     for t in range(big_t - 1, -1, -1):
-        rows = _stage_locals(original, t)
-        cols = _stage_locals(reduced, t)
+        rows = original.stage_blocks(t)
+        cols = reduced.stage_blocks(t)
         nodes_a = original.stage_nodes(t)
         nodes_b = reduced.stage_nodes(t)
         out = np.zeros((nodes_a.shape[0], nodes_b.shape[0]))
         for mi, m in enumerate(nodes_a):
             for nj, n in enumerate(nodes_b):
-                sub = values[np.ix_(rows[int(m)], cols[int(n)])]
+                sub = values[np.ix_(rows.children(mi), cols.children(nj))]
                 out[mi, nj] = float(np.sum(plan.conditional[t][(int(m), int(n))] * sub))
         values = out
     return float(values[0, 0])
@@ -271,17 +265,17 @@ def probability_step(original, reduced, plan, leaf_costs, config: ReductionConfi
         tick = time.perf_counter()
         nodes_a = original.stage_nodes(t)
         nodes_b = reduced.stage_nodes(t)
-        rows = _stage_locals(original, t)
-        cols = _stage_locals(reduced, t)
+        rows = original.stage_blocks(t)
+        cols = reduced.stage_blocks(t)
         next_table = tables[t + 1]
         pi_t = plan.unconditional[t]
-        q_meas = [original.conditional_children_probs(m) for m in nodes_a]
-        subcosts = [[next_table[np.ix_(rows[int(m)], cols[int(n)])]
-                     for n in nodes_b] for m in nodes_a]
+        q_meas = [rows.probs(mi) for mi in range(nodes_a.shape[0])]
+        subcosts = [[next_table[np.ix_(rows.children(mi), cols.children(nj))]
+                     for nj in range(nodes_b.shape[0])] for mi in range(nodes_a.shape[0])]
 
         def solve_one(nj):
             n = int(nodes_b[nj])
-            r = cols[n].shape[0]
+            r = cols.children(nj).shape[0]
             entries = {}
             rec = None
             if r == 1:

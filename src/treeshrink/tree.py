@@ -2,18 +2,23 @@
 
 A tree is stored as flat per-node arrays (parent index, stage, quantizer
 vector, unconditional probability) plus a CSR children index derived at
-construction time.  Instances are frozen after construction: the arrays are
-marked read-only and any change goes through whole-tree replacement
-(``with_quantizer`` / ``with_prob``), which makes sharing across worker
-threads safe.
+construction time.  Per stage, :meth:`ScenarioTree.stage_blocks` gives the
+same children as blocks of the next stage's node order, with their
+conditional probabilities; the stagewise recursions of the nested distance
+and of the reduction read it.  Instances are frozen after construction: the
+arrays are marked read-only and any change goes through whole-tree
+replacement (``with_quantizer`` / ``with_prob``), which makes sharing across
+worker threads safe.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 # Mass-balance tolerances used by validate().
 PARENT_SUM_TOL = 1e-9
@@ -34,6 +39,48 @@ class TreeValidationError(ValueError):
 
 class ZeroProbabilityError(ZeroDivisionError):
     """Conditioning on an ancestor that carries zero probability mass."""
+
+
+def _concat_ranges(starts, lengths):
+    """Concatenation of ``arange(s, s + n)`` over the pairs of the two arrays."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(lengths.sum())
+
+
+@dataclass(frozen=True)
+class StageBlocks:
+    """Stage-t nodes as CSR blocks over the stage-(t+1) node order.
+
+    Block k belongs to the k-th node of ``stage_nodes(t)``: its children sit
+    at positions ``local[ptr[k]:ptr[k+1]]`` of ``stage_nodes(t+1)``, in
+    ascending-id order, with conditional probabilities
+    ``cond[ptr[k]:ptr[k+1]]`` (uniform for a node without mass, as in
+    :meth:`ScenarioTree.conditional_children_probs`).
+    """
+
+    ptr: np.ndarray
+    local: np.ndarray
+    cond: np.ndarray
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.ptr)
+
+    def children(self, k: int) -> np.ndarray:
+        return self.local[self.ptr[k]:self.ptr[k + 1]]
+
+    def probs(self, k: int) -> np.ndarray:
+        return self.cond[self.ptr[k]:self.ptr[k + 1]]
+
+    def select(self, blocks):
+        """CSR pointer and entry positions of the given blocks, in that order."""
+        sizes = self.sizes[blocks]
+        return np.concatenate(([0], np.cumsum(sizes))), _concat_ranges(self.ptr[blocks], sizes)
+
+    def matrix(self) -> sparse.csr_matrix:
+        """Sparse conditional matrix: entry (k, i) is P(stage-(t+1) node i | node k)."""
+        return sparse.csr_matrix((self.cond, self.local, self.ptr),
+                                 shape=(self.ptr.shape[0] - 1, self.local.shape[0]))
 
 
 class ScenarioTree:
@@ -84,6 +131,7 @@ class ScenarioTree:
 
         t_max = int(stage.max())
         self._stage_nodes = [np.flatnonzero(stage == t) for t in range(t_max + 1)]
+        self._stage_blocks = [None] * t_max
 
         for arr in (self.parent, self.stage, self.quantizer, self.prob,
                     self._child_ptr, self._child_idx):
@@ -112,6 +160,24 @@ class ScenarioTree:
 
     def stage_nodes(self, t: int) -> np.ndarray:
         return self._stage_nodes[t]
+
+    def stage_blocks(self, t: int) -> StageBlocks:
+        """Children of the stage-t nodes as one CSR block index (built once)."""
+        if self._stage_blocks[t] is None:
+            nodes = self._stage_nodes[t]
+            starts = self._child_ptr[nodes]
+            sizes = self._child_ptr[nodes + 1] - starts
+            ch = self._child_idx[_concat_ranges(starts, sizes)]
+            mass = np.repeat(self.prob[nodes], sizes)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cond = np.where(mass > 0.0, self.prob[ch] / mass,
+                                1.0 / np.repeat(sizes, sizes))
+            blocks = StageBlocks(np.concatenate(([0], np.cumsum(sizes))),
+                                 np.searchsorted(self._stage_nodes[t + 1], ch), cond)
+            for arr in (blocks.ptr, blocks.local, blocks.cond):
+                arr.flags.writeable = False
+            self._stage_blocks[t] = blocks
+        return self._stage_blocks[t]
 
     def leaves(self) -> np.ndarray:
         return self._stage_nodes[self.T]

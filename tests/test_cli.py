@@ -46,6 +46,19 @@ class TestGen:
         run(["gen", "--stages", "3", "--branching", "2", "--seed", "7", "-o", str(b)])
         assert a.read_text() == b.read_text()
 
+    @pytest.mark.parametrize("value", ["-10,-5", "-.5,2"])
+    def test_negative_range_space_and_equals_forms(self, tmp_path, value):
+        # argparse reads a bare '-10,-5' as an option unless the CLI glues it
+        # to its flag.
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        base = ["gen", "--stages", "3", "--branching", "2"]
+        assert run(base + ["--range", value, "-o", str(a)]) == 0
+        assert run(base + [f"--range={value}", "-o", str(b)]) == 0
+        assert a.read_text() == b.read_text()
+        lo, hi = (float(x) for x in value.split(","))
+        q = ScenarioTree.load(a).quantizer
+        assert lo <= q.min() and q.max() <= hi
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "t.json"
         run(["gen", "--stages", "2", "--branching", "2", "-o", str(out)])
@@ -116,19 +129,46 @@ class TestReduce:
     def test_unconverged_inner_solves_reported(self, tmp_path, capsys):
         # On this bench tree two of the heavy-stage MAM solves stop on the
         # 5000-iteration cap under the default rho, while the outer loop
-        # meets its (loose) tolerance.
+        # meets its (loose) tolerance: the run exits 3, not 0.
         src = tmp_path / "bench.json"
         _bench_tree(2, 10, 1, 2).save(src)
         report = tmp_path / "rep.json"
         assert run(["reduce", "-i", str(src), "--solver", "mam", "--seed", "2",
                     "--init-range=-10,10", "--tol", "1e9", "--max-iter", "1",
-                    "-o", str(tmp_path / "small.json"), "--report", str(report)]) == 0
-        log = json.loads(report.read_text())["solver_log"]
+                    "-o", str(tmp_path / "small.json"), "--report", str(report)]) == 3
+        doc = json.loads(report.read_text())
+        log = doc["solver_log"]
         unconverged = sum(not rec["converged"] for rec in log)
         assert unconverged > 0
         summary = capsys.readouterr().err
         assert "converged: True" in summary
         assert f"unconverged inner solves: {unconverged}/{len(log)}" in summary
+        # Both the plan cost and the exact distance of the output are shown.
+        assert doc["certified_nd"] > 0 and doc["final_nd"] > 0
+        assert f"final nd: {doc['final_nd']:.9g}  " in summary
+        assert f"certified nd: {doc['certified_nd']:.9g}  " in summary
+
+    def test_certified_nd_bounded_by_lp_plan_cost(self, tmp_path, capsys):
+        # Exact LP plans are feasible couplings of the returned tree, so
+        # their cost bounds its exact nested distance from above.
+        src = self.make_input(tmp_path)
+        report = tmp_path / "rep.json"
+        out = tmp_path / "small.json"
+        assert run(["reduce", "-i", str(src), "--solver", "lp", "--seed", "1",
+                    "-o", str(out), "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert 0 < doc["certified_nd"] <= doc["final_nd"] * (1 + 1e-9)
+        assert f"certified nd: {doc['certified_nd']:.9g}" in capsys.readouterr().err
+        run(["nd", "-a", str(src), "-b", str(out)])
+        assert float(capsys.readouterr().out) == pytest.approx(doc["certified_nd"], rel=1e-8)
+
+    def test_negative_init_range_space_and_equals_forms(self, tmp_path):
+        src = self.make_input(tmp_path)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        base = ["reduce", "-i", str(src), "--solver", "lp", "--max-iter", "1"]
+        assert run(base + ["--init-range", "-10,10", "-o", str(a)]) in (0, 3)
+        assert run(base + ["--init-range=-10,10", "-o", str(b)]) in (0, 3)
+        assert a.read_text() == b.read_text()
 
     def test_huge_lambda_exit_2(self, tmp_path, capsys):
         # exp(-lambda * normalized cost) underflows for lambda past ~745.

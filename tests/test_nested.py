@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from treeshrink import ot_core
 from treeshrink.nested import nested_distance
 from treeshrink.ot_core import wasserstein_lp
 from treeshrink.tree import ScenarioTree, generate_random, fan_tree, path_cost_table
@@ -105,17 +107,130 @@ class TestErrorsAndOptions:
         with pytest.raises(ValueError):
             nested_distance(a, b)
 
-    def test_workers_do_not_change_result(self):
-        a = generate_random(3, 3, seed=4)
-        b = generate_random(3, 2, seed=5)
-        nd1, t1 = nested_distance(a, b, workers=1)
-        nd4, t4 = nested_distance(a, b, workers=4)
-        assert nd1 == nd4
-        for x, y in zip(t1.tables, t4.tables):
-            assert np.array_equal(x, y)
+    def test_early_leaf_raises(self):
+        # Node 1 ends at stage 1 although the tree has leaves at stage 2.
+        early = ScenarioTree([-1, 0, 0, 2], [0, 1, 1, 2], [0.0, 1.0, 2.0, 3.0],
+                             [1.0, 0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="no children"):
+            nested_distance(early, generate_random(2, 2, seed=0))
 
     def test_root_value_property(self):
         a = generate_random(2, 2, seed=6)
         b = generate_random(2, 2, seed=7)
         nd, table = nested_distance(a, b)
         assert nd == pytest.approx(table.root_value ** 0.5)
+
+
+def reference_nd(tree_a, tree_b, order=2):
+    """The backward recursion with one transport LP per node pair."""
+    table = path_cost_table(tree_a, tree_b, order=order)
+    for t in range(tree_a.T - 1, -1, -1):
+        next_a, next_b = tree_a.stage_nodes(t + 1), tree_b.stage_nodes(t + 1)
+        table = np.array([[
+            wasserstein_lp(
+                tree_a.conditional_children_probs(m),
+                tree_b.conditional_children_probs(n),
+                table[np.ix_(np.searchsorted(next_a, tree_a.children(m)),
+                             np.searchsorted(next_b, tree_b.children(n)))])[0]
+            for n in tree_b.stage_nodes(t)] for m in tree_a.stage_nodes(t)])
+    return float(table[0, 0]) ** (1.0 / order)
+
+
+@st.composite
+def ragged_trees(draw, big_t, dim):
+    """Valid trees with 1-3 children per node and some zero-mass subtrees."""
+    parent, stage, prob = [-1], [0], [1.0]
+    frontier = [0]
+    for t in range(1, big_t + 1):
+        nxt = []
+        for node in frontier:
+            weights = np.array(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)),
+                               dtype=float)
+            if weights.sum() == 0:
+                weights[0] = 1.0
+            for w in weights / weights.sum():
+                parent.append(node)
+                stage.append(t)
+                prob.append(prob[node] * w)
+                nxt.append(len(parent) - 1)
+        frontier = nxt
+    values = draw(st.lists(st.integers(-20, 20), min_size=len(parent) * dim,
+                           max_size=len(parent) * dim))
+    quantizer = np.array(values, dtype=float).reshape(len(parent), dim) / 4
+    return ScenarioTree(parent, stage, quantizer, prob)
+
+
+@st.composite
+def tree_pairs(draw):
+    big_t = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 2))
+    return draw(ragged_trees(big_t, dim)), draw(ragged_trees(big_t, dim))
+
+
+def relabel(tree, perm):
+    """The same tree with node i renamed perm[i]."""
+    n = tree.n_nodes
+    parent = np.full(n, -1)
+    nonroot = tree.parent >= 0
+    parent[perm[nonroot]] = perm[tree.parent[nonroot]]
+    stage, quantizer, prob = (np.empty_like(x) for x in (tree.stage, tree.quantizer, tree.prob))
+    stage[perm], quantizer[perm], prob[perm] = tree.stage, tree.quantizer, tree.prob
+    return ScenarioTree(parent, stage, quantizer, prob)
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(tree_pairs())
+    def test_matches_per_pair_reference(self, pair):
+        a, b = pair
+        assert a.validate() == [] and b.validate() == []
+        nd, _ = nested_distance(a, b)
+        assert nd == pytest.approx(reference_nd(a, b), rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree_pairs())
+    def test_symmetric(self, pair):
+        a, b = pair
+        nd_ab, t_ab = nested_distance(a, b)
+        nd_ba, t_ba = nested_distance(b, a)
+        assert nd_ab == pytest.approx(nd_ba, rel=1e-9, abs=1e-9)
+        for x, y in zip(t_ab.tables, t_ba.tables):
+            assert np.allclose(x, y.T, rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree_pairs())
+    def test_zero_on_identical_trees(self, pair):
+        a, _ = pair
+        _, table = nested_distance(a, a)
+        assert table.root_value == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree_pairs(), st.randoms(use_true_random=False))
+    def test_invariant_to_relabelling(self, pair, rnd):
+        a, b = pair
+        perm_a = np.array(rnd.sample(range(a.n_nodes), a.n_nodes))
+        perm_b = np.array(rnd.sample(range(b.n_nodes), b.n_nodes))
+        nd, _ = nested_distance(a, b)
+        nd_relabelled, _ = nested_distance(relabel(a, perm_a), relabel(b, perm_b))
+        assert nd_relabelled == pytest.approx(nd, rel=1e-9, abs=1e-9)
+
+
+def test_at_most_one_lp_per_stage(monkeypatch):
+    calls = []
+    real = ot_core.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ot_core, "linprog", counting)
+    # Every stage pairs branching nodes, in fewer LP rows than one solve
+    # takes: one solve each.
+    a = generate_random(3, 3, dim=2, seed=8)
+    b = generate_random(3, 2, dim=2, seed=9)
+    nested_distance(a, b)
+    assert len(calls) == 3
+    # Single-child nodes on one side leave nothing to solve.
+    calls.clear()
+    nested_distance(a, generate_random(3, 1, dim=2, seed=10))
+    assert calls == []

@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from treeshrink.ot_core import (BarycenterProblem, barycenter_lp,
+from treeshrink import ot_core
+from treeshrink.ot_core import (BarycenterProblem, barycenter_lp, block_entries,
                                 project_columns_scaled_simplex,
-                                project_scaled_simplex, wasserstein_lp)
+                                project_scaled_simplex, transport_lp,
+                                wasserstein_lp)
 
 
 def brute_force_transport_2x2(q, q_other, D):
@@ -94,6 +96,58 @@ class TestWassersteinLP:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             wasserstein_lp([0.5, 0.5], [1.0], np.zeros((3, 1)))
+
+
+class TestTransportBlocks:
+    def random_blocks(self, rng, sizes):
+        row_mass = np.concatenate([rng.dirichlet(np.ones(r)) for r, _ in sizes])
+        col_mass = np.concatenate([rng.dirichlet(np.ones(s)) for _, s in sizes])
+        row_ptr = np.concatenate(([0], np.cumsum([r for r, _ in sizes])))
+        col_ptr = np.concatenate(([0], np.cumsum([s for _, s in sizes])))
+        cost = rng.uniform(0, 10, sum(r * s for r, s in sizes))
+        return row_mass, row_ptr, col_mass, col_ptr, cost
+
+    def test_block_entries_row_major(self):
+        block, row, col = block_entries(np.array([0, 2, 3]), np.array([0, 2, 5]))
+        assert block.tolist() == [0, 0, 0, 0, 1, 1, 1]
+        assert row.tolist() == [0, 0, 1, 1, 2, 2, 2]
+        assert col.tolist() == [0, 1, 0, 1, 2, 3, 4]
+
+    def test_blocks_match_separate_problems_and_split_by_rows(self, monkeypatch):
+        # One block (15 + 10 rows) exceeds the 20-row limit and gets an LP of
+        # its own; the others are packed into LPs of at most 20 rows.
+        rng = np.random.default_rng(11)
+        sizes = [(2, 3), (4, 2), (15, 10), (1, 3), (5, 5), (3, 3), (2, 2)]
+        row_mass, row_ptr, col_mass, col_ptr, cost = self.random_blocks(rng, sizes)
+        calls = []
+        real = ot_core.linprog
+
+        def counting(c, **kwargs):
+            calls.append(kwargs["A_eq"].shape[0])
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(ot_core, "_LP_MAX_ROWS", 20)
+        monkeypatch.setattr(ot_core, "linprog", counting)
+        values, x = transport_lp(row_mass, row_ptr, col_mass, col_ptr, cost)
+        assert calls == [11, 25, 20, 4]
+        monkeypatch.undo()
+        off = 0
+        for k, (r, s) in enumerate(sizes):
+            d = cost[off:off + r * s].reshape(r, s)
+            plan = x[off:off + r * s].reshape(r, s)
+            ref, _ = wasserstein_lp(row_mass[row_ptr[k]:row_ptr[k + 1]],
+                                    col_mass[col_ptr[k]:col_ptr[k + 1]], d)
+            assert values[k] == pytest.approx(ref, rel=1e-9, abs=1e-12)
+            assert plan.sum(axis=1) == pytest.approx(row_mass[row_ptr[k]:row_ptr[k + 1]], abs=1e-9)
+            assert plan.sum(axis=0) == pytest.approx(col_mass[col_ptr[k]:col_ptr[k + 1]], abs=1e-9)
+            off += r * s
+
+    def test_mass_mismatch_in_any_block_raises(self):
+        rng = np.random.default_rng(12)
+        row_mass, row_ptr, col_mass, col_ptr, cost = self.random_blocks(rng, [(2, 2), (3, 2)])
+        col_mass[-1] += 1e-6
+        with pytest.raises(ValueError, match="different total mass"):
+            transport_lp(row_mass, row_ptr, col_mass, col_ptr, cost)
 
 
 def random_problem(rng, m_max=4, r_max=6, s_max=6, weighted_costs=True):
