@@ -14,9 +14,8 @@ from .mam import MamResult, mam_solve
 from .nested import CostTable, nested_distance
 from .ot_core import (BarycenterProblem, TransportPlanSet, barycenter_lp,
                       project_scaled_simplex, wasserstein_lp)
-from .reduce import (ConditionalPlan, ReductionConfig, ReductionReport,
-                     choose_solver, init_plan, probability_step,
-                     quantizer_step, reduce_tree)
+from .reduce import (ReductionConfig, ReductionReport, choose_solver,
+                     init_plan, probability_step, quantizer_step, reduce_tree)
 from .tree import (ScenarioTree, TreeFormatError, TreeValidationError,
                    ZeroProbabilityError, fan_tree, generate_random, load_csv,
                    path_cost, path_cost_table)
@@ -24,8 +23,8 @@ from .tree import (ScenarioTree, TreeFormatError, TreeValidationError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarycenterProblem", "ConditionalPlan", "CostTable", "IbpResult",
-    "MamResult", "ReductionConfig", "ReductionReport",
+    "BarycenterProblem", "CostTable", "IbpResult", "MamResult",
+    "ReductionConfig", "ReductionReport",
     "RegularizationOverflowError", "ScenarioMatrix", "ScenarioTree",
     "TransportPlanSet", "TreeFormatError", "TreeValidationError",
     "ZeroProbabilityError", "barycenter_lp", "choose_solver", "fan_tree",

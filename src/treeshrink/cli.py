@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import platform
 import re
 import sys
@@ -150,7 +149,7 @@ def cmd_reduce(args):
     reduced0 = _initial_reduced(args, original)
     config = ReductionConfig(
         solver=args.solver, tol=args.tol, max_outer=args.max_iter,
-        rho=args.rho, lam=getattr(args, "lambda"), workers=args.workers,
+        rho=args.rho, lam=getattr(args, "lambda"),
         n_big=args.n_big, branch_big=args.branch_big)
     final, report = reduce_tree(original, reduced0, config)
     # final_nd is the cost of the last plan; score the returned tree exactly.
@@ -238,8 +237,7 @@ def cmd_bench(args):
                                        value_range=(-10.0, 10.0), seed=args.seed)
                 config = ReductionConfig(solver=solver, tol=1e-12,
                                          max_outer=args.iters,
-                                         rho=args.rho, lam=getattr(args, "lambda"),
-                                         workers=args.workers)
+                                         rho=args.rho, lam=getattr(args, "lambda"))
                 _, report = reduce_tree(original, reduced0, config)
                 stage_t = 2  # the n-subtree stage carries the heavy barycenters
                 secs = float(np.mean([s[stage_t] for s in report.stage_seconds]))
@@ -300,8 +298,6 @@ def build_parser():
     p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--n-big", type=int, default=10)
     p.add_argument("--branch-big", type=int, default=150)
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("TREESHRINK_WORKERS", "1")))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--trace", default=None, help="per-iteration CSV trace")
@@ -324,8 +320,6 @@ def build_parser():
     p.add_argument("--iters", type=int, default=3)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--lambda", type=float, default=100.0)
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("TREESHRINK_WORKERS", "1")))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_bench)

@@ -53,9 +53,23 @@ class ScenarioMatrix:
         return cls(tree.path_values(), tree.prob[tree.leaves()])
 
 
+# Doubles per temporary of the row-blocked pairwise distances.
+_BLOCK_ENTRIES = 1 << 19
+
+
 def _squared_distances(flat_paths) -> np.ndarray:
-    diff = flat_paths[:, None, :] - flat_paths[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    """(S, S) squared Euclidean distances, in row blocks of bounded size.
+
+    Each entry is summed over the path coordinates exactly as in one
+    (S, S, d) broadcast, without that temporary.
+    """
+    s_count, width = flat_paths.shape
+    out = np.empty((s_count, s_count))
+    step = max(1, _BLOCK_ENTRIES // max(s_count * width, 1))
+    for lo in range(0, s_count, step):
+        diff = flat_paths[lo:lo + step, None, :] - flat_paths[None, :, :]
+        out[lo:lo + step] = np.sum(diff * diff, axis=2)
+    return out
 
 
 def kmeans_init(scenarios: ScenarioMatrix, k: int, seed=0, max_iter=300,
@@ -109,6 +123,11 @@ def kmeans_init(scenarios: ScenarioMatrix, k: int, seed=0, max_iter=300,
     return fan_tree(paths, masses)
 
 
+# Scores within this relative distance of the best are summed again one by
+# one, far above the rounding gap between the two ways of summing.
+_TIE_RTOL = 1e-9
+
+
 def ffs_init(scenarios: ScenarioMatrix, k: int, order=2) -> ScenarioTree:
     """Greedy forward scenario selection with probability redistribution.
 
@@ -118,36 +137,40 @@ def ffs_init(scenarios: ScenarioMatrix, k: int, order=2) -> ScenarioTree:
     After k picks, every unselected scenario's probability moves to its
     nearest selected one, and the selected paths form the returned fan tree.
     Ties break toward the lowest scenario index.
+
+    A pick scores every candidate at once, as one matrix-vector product of
+    the capped costs ``min(best, cost[u])`` with the weights of the
+    not-selected scenarios (a candidate's own term is zero).  The product's
+    rounding can differ between equal rows, so the few candidates within a
+    relative 1e-9 of the best are scored again, each as one sum over the
+    not-selected scenarios in index order.  Duplicated scenarios then score
+    exactly equal, and the lowest index among the equal best wins.
     """
     if not 1 <= k <= scenarios.S:
         raise ValueError("need 1 <= k <= number of scenarios")
-    sq = _squared_distances(scenarios.flat())
-    cost = sq if order == 2 else np.sqrt(sq) ** order
+    cost = _squared_distances(scenarios.flat())
+    if order != 2:
+        cost = np.sqrt(cost) ** order
     w = scenarios.prob
-    s_count = scenarios.S
 
-    selected = []
-    best_dist = np.full(s_count, np.inf)
-    remaining = np.ones(s_count, dtype=bool)
+    best_dist = np.full(scenarios.S, np.inf)
+    remaining = np.ones(scenarios.S, dtype=bool)
+    capped = np.empty_like(cost)
     for _ in range(k):
-        candidates = np.flatnonzero(remaining)
-        scores = np.empty(candidates.shape[0])
-        for idx, u in enumerate(candidates):
-            d_after = np.minimum(best_dist, cost[u])
-            mask = remaining.copy()
-            mask[u] = False
-            scores[idx] = float(np.sum(w[mask] * d_after[mask]))
-        u_star = int(candidates[int(np.argmin(scores))])
-        selected.append(u_star)
+        scores = np.minimum(best_dist, cost, out=capped) @ (w * remaining)
+        scores[~remaining] = np.inf
+        near = np.flatnonzero(scores <= scores.min() * (1.0 + _TIE_RTOL))
+        u_star = int(near[0])
+        if near.size > 1:
+            exact = [np.sum((w * capped[u])[remaining]) for u in near]
+            u_star = int(near[int(np.argmin(exact))])
         remaining[u_star] = False
         best_dist = np.minimum(best_dist, cost[u_star])
 
-    selected = np.array(sorted(selected))
-    new_w = w.copy()
-    new_w[~np.isin(np.arange(s_count), selected)] = 0.0
-    for j in np.flatnonzero(remaining):
-        nearest = selected[int(np.argmin(cost[j, selected]))]
-        new_w[nearest] += w[j]
+    selected = np.flatnonzero(~remaining)
+    rest = np.flatnonzero(remaining)
+    new_w = np.where(remaining, 0.0, w)
+    np.add.at(new_w, selected[np.argmin(cost[np.ix_(rest, selected)], axis=1)], w[rest])
     return fan_tree(scenarios.paths[selected], new_w[selected])
 
 

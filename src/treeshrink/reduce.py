@@ -18,16 +18,26 @@ carefully chosen starting quantizers (K-means or greedy-selection starts)
 with stage-wide averages.  From the second iteration on the two steps
 alternate in the order above.
 
+The coupling is stored once, as dense stage joints: ``joints[t]`` is the
+(N_a(t) x N_b(t)) joint distribution of the stage-t nodes of the original
+tree (rows) and of the reduced tree (columns), both in stage-node order,
+with ``joints[0] = [[1.0]]``.  The conditional plan of a parent pair (m, n)
+is the joint's (children(m), children(n)) block over the parent mass
+``joints[t][m, n]``.  Every function below is a few array passes over the
+trees' stage-block indices (:meth:`ScenarioTree.stage_blocks`): a stage's
+conditionals are one dense array ``C_t`` shaped like ``joints[t+1]``, and
+``joints[t+1] = C_t * joints[t][parent_a][:, parent_b]`` with ``parent_a``
+and ``parent_b`` the parent position of every stage-(t+1) node.
+
 Reduced-node probabilities are irrelevant during the loop; they are extracted
-once at the end from the final unconditional plan's leaf marginals and summed
+once at the end from the final leaf joint's reduced-side marginals and summed
 upward.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +65,6 @@ class ReductionConfig:
     ibp_tol: float = 1e-8
     n_big: int = 10             # auto policy: measure count above which to prefer mam
     branch_big: int = 150       # auto policy: support size above which to prefer mam
-    workers: int = 1
 
     def validate(self) -> None:
         if self.solver not in SOLVERS:
@@ -64,27 +73,8 @@ class ReductionConfig:
             raise ValueError("tol must be positive")
         if self.order != 2:
             raise ValueError("only order 2 is supported (closed-form quantizer update)")
-        if self.max_outer < 1 or self.workers < 1:
-            raise ValueError("max_outer and workers must be at least 1")
-
-
-@dataclass
-class ConditionalPlan:
-    """Stagewise transport coupling between two trees.
-
-    ``conditional[t]`` maps a parent pair ``(m, n)`` of stage-t nodes to the
-    plan over their children, stored as an (|m+|, |n+|) array whose total mass
-    is 1 and whose row sums reproduce the original conditionals P(i|m).
-    ``unconditional[t]`` is the dense stage-t joint built from the root down
-    via pi(i, j) = pi(i, j | m, n) * pi(m, n), starting at pi(0, 0) = 1.
-    """
-
-    conditional: list
-    unconditional: list
-
-    def mass_check(self) -> float:
-        """Largest deviation of any stage's joint from total mass 1."""
-        return max(abs(float(u.sum()) - 1.0) for u in self.unconditional)
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
 
 
 @dataclass
@@ -129,80 +119,51 @@ class ReductionReport:
         }
 
 
-def init_plan(original: ScenarioTree, reduced: ScenarioTree) -> ConditionalPlan:
+def _compose(original, reduced, conditionals) -> list:
+    """Stage joints from the stage conditionals ``C_t``, from pi(0, 0) = 1 down."""
+    joints = [np.ones((1, 1))]
+    for t, cond in enumerate(conditionals):
+        rows = original.stage_blocks(t).parents()
+        cols = reduced.stage_blocks(t).parents()
+        joints.append(cond * joints[t][rows][:, cols])
+    return joints
+
+
+def init_plan(original: ScenarioTree, reduced: ScenarioTree) -> list:
     """Feasible starting coupling: spread each original conditional uniformly.
 
-    For every stage-matched parent pair, the conditional plan gives child pair
-    (i, j) the mass P(i|m) / |n+|; the unconditional stage joints follow by
-    composition from pi(0, 0) = 1.
+    Every stage-matched parent pair (m, n) gives child pair (i, j) the
+    conditional mass P(i|m) / |n+|, so ``C_t`` is the outer division of the
+    original conditionals by the reduced parents' child counts.  Returns the
+    stage joints.
     """
     if original.T != reduced.T:
         raise ValueError("trees must share the stage count")
-    big_t = original.T
-    conditional = []
-    for t in range(big_t):
-        block = {}
-        for m in original.stage_nodes(t):
-            q = original.conditional_children_probs(m)
-            for n in reduced.stage_nodes(t):
-                r = reduced.n_children(n)
-                block[(int(m), int(n))] = np.repeat(q[:, None], r, axis=1) / r
-        conditional.append(block)
-    plan = ConditionalPlan(conditional, [])
-    _compose_unconditional(original, reduced, plan)
-    return plan
+    conditionals = []
+    for t in range(original.T):
+        rows, cols = original.stage_blocks(t), reduced.stage_blocks(t)
+        width = cols.by_child(np.repeat(cols.sizes, cols.sizes))
+        conditionals.append(rows.by_child(rows.cond)[:, None] / width[None, :])
+    return _compose(original, reduced, conditionals)
 
 
-def _compose_unconditional(original, reduced, plan) -> None:
-    big_t = original.T
-    uncond = [np.ones((1, 1))]
-    for t in range(big_t):
-        rows = original.stage_blocks(t)
-        cols = reduced.stage_blocks(t)
-        nxt = np.zeros((original.stage_nodes(t + 1).shape[0],
-                        reduced.stage_nodes(t + 1).shape[0]))
-        cur = uncond[t]
-        for mi, m in enumerate(original.stage_nodes(t)):
-            for nj, n in enumerate(reduced.stage_nodes(t)):
-                mass = cur[mi, nj]
-                if mass > 0.0:
-                    nxt[np.ix_(rows.children(mi), cols.children(nj))] = \
-                        plan.conditional[t][(int(m), int(n))] * mass
-        uncond.append(nxt)
-    plan.unconditional = uncond
+def evaluate_plan(joints, leaf_costs) -> float:
+    """Root cost of a fixed coupling: the leaf joint's total path cost."""
+    return float(np.sum(joints[-1] * leaf_costs))
 
 
-def evaluate_plan(original, reduced, plan, leaf_costs) -> float:
-    """Root cost of a fixed coupling: backward aggregation without optimization."""
-    big_t = original.T
-    values = leaf_costs
-    for t in range(big_t - 1, -1, -1):
-        rows = original.stage_blocks(t)
-        cols = reduced.stage_blocks(t)
-        nodes_a = original.stage_nodes(t)
-        nodes_b = reduced.stage_nodes(t)
-        out = np.zeros((nodes_a.shape[0], nodes_b.shape[0]))
-        for mi, m in enumerate(nodes_a):
-            for nj, n in enumerate(nodes_b):
-                sub = values[np.ix_(rows.children(mi), cols.children(nj))]
-                out[mi, nj] = float(np.sum(plan.conditional[t][(int(m), int(n))] * sub))
-        values = out
-    return float(values[0, 0])
-
-
-def quantizer_step(original: ScenarioTree, reduced: ScenarioTree,
-                   plan: ConditionalPlan) -> ScenarioTree:
+def quantizer_step(original: ScenarioTree, reduced: ScenarioTree, joints) -> ScenarioTree:
     """Move every reduced quantizer to its transport-weighted stage mean.
 
     Stage by stage (root included), node n receives the mean of the original
-    stage values weighted by the unconditional plan column pi(., n); columns
+    stage values weighted by the joint's column ``joints[t][:, n]``; columns
     without mass keep their current value.  Returns a new reduced tree, the
     original is untouched.  Exact minimizer of the coupled cost in the
     order-2 (stage-decomposed squared Euclidean) case.
     """
     new_q = np.array(reduced.quantizer)
     for t in range(reduced.T + 1):
-        w = plan.unconditional[t]
+        w = joints[t]
         col_mass = w.sum(axis=0)
         live = col_mass > 0.0
         if not np.any(live):
@@ -240,122 +201,105 @@ def _solve_node(problem, solver, config, warm_plans):
     raise ValueError(f"unknown solver {solver!r}")
 
 
-def probability_step(original, reduced, plan, leaf_costs, config: ReductionConfig):
-    """Re-optimize all conditional plans for the current quantizers.
+def probability_step(original, reduced, joints, leaf_costs, config: ReductionConfig):
+    """Re-optimize the coupling for the current quantizers.
 
-    Walks stages backward; for each reduced node n the conditional plans
-    toward every original node m of that stage come from one barycenter
-    problem with weights alpha_m = pi(m, n) taken from the incoming coupling.
-    Measures with zero weight are left out of the problem and receive the
-    product plan q^m x p of the solved barycenter; a reduced node whose whole
-    weight column is zero keeps the uniform product plan.  Nodes with a single
-    child are fully constrained and bypass the solvers.
+    Walks stages backward.  At stage t, the conditional plans of all parent
+    pairs (m, n) form one dense array ``C_t`` shaped like ``joints[t+1]``:
 
-    Returns ``(new ConditionalPlan, stage tables, solver records, stage
-    seconds)``; the new plan's unconditional joints are already composed.
+    * ``C_t = outer(cond_a, p_bar)`` first, where ``cond_a`` holds every
+      original stage-(t+1) node's conditional probability and ``p_bar``
+      stacks, per reduced node n: 1 for a single child (the plans are
+      forced), the uniform vector when the weight column ``joints[t][:, n]``
+      is zero, and otherwise the barycenter solved for n;
+    * a reduced node with at least two children and positive weight solves
+      one barycenter problem over the original nodes m with weight
+      alpha_m = joints[t][m, n] > 0; its plans overwrite those (m, n) blocks
+      of ``C_t``.  Measures of zero weight keep the product plan
+      q^m x p_bar.  The averaged-marginals solver starts from the incoming
+      conditionals, ``joints[t+1]``'s (m, n) block over alpha_m.
+
+    The stage-t table is the blockwise sum of ``C_t * tables[t+1]``: one
+    sparse product with the 0/1 block indicators on each side.  The new
+    joints are composed from the root down once every stage is done.
+
+    Returns ``(new joints, stage tables, solver records, stage seconds)``.
     """
     big_t = original.T
     tables = [None] * (big_t + 1)
     tables[big_t] = leaf_costs
-    conditional = [None] * big_t
+    conditionals = [None] * big_t
     records = []
     stage_secs = [0.0] * (big_t + 1)
 
     for t in range(big_t - 1, -1, -1):
         tick = time.perf_counter()
-        nodes_a = original.stage_nodes(t)
-        nodes_b = reduced.stage_nodes(t)
         rows = original.stage_blocks(t)
         cols = reduced.stage_blocks(t)
         next_table = tables[t + 1]
-        pi_t = plan.unconditional[t]
-        q_meas = [rows.probs(mi) for mi in range(nodes_a.shape[0])]
-        subcosts = [[next_table[np.ix_(rows.children(mi), cols.children(nj))]
-                     for nj in range(nodes_b.shape[0])] for mi in range(nodes_a.shape[0])]
+        # p_bar and the solved blocks are in stage-(t+1) node order.
+        p_bar = np.ones(cols.local.shape[0])
+        solved = []
+        for n in np.flatnonzero(cols.sizes > 1):
+            children = cols.children(n)
+            alpha = joints[t][:, n]
+            active = np.flatnonzero(alpha > 0.0)
+            if active.size == 0:
+                p_bar[children] = 1.0 / children.shape[0]
+                continue
+            alpha = alpha[active]
+            ptr, pos = rows.select(active)
+            sizes = np.diff(ptr)
+            block = np.ix_(rows.local[pos], children)
+            mass = np.repeat(alpha, sizes)[:, None]
+            weighted = mass * next_table[block]
+            problem = BarycenterProblem(
+                q=np.split(rows.cond[pos], ptr[1:-1]),
+                D=[d.T for d in np.split(weighted, ptr[1:-1])],
+                alpha=alpha,
+            )
+            solver = config.solver
+            if solver == "auto":
+                solver = choose_solver(active.size, int(sizes.max()), config)
+            warm = None
+            if solver == "mam":
+                prior = joints[t + 1][block] / mass
+                warm = [c.T for c in np.split(prior, ptr[1:-1])]
+            start = time.perf_counter()
+            plan_set, inner, ok = _solve_node(problem, solver, config, warm)
+            records.append({"stage": t, "node": int(reduced.stage_nodes(t)[n]),
+                            "solver": solver, "measures": int(active.size),
+                            "max_support": int(sizes.max()),
+                            "iterations": inner, "converged": bool(ok),
+                            "seconds": time.perf_counter() - start})
+            p = np.maximum(plan_set.p, 0.0)
+            p_bar[children] = p / p.sum()
+            solved.append((block, np.maximum(np.concatenate(
+                [plan.T for plan in plan_set.plans]), 0.0)))
 
-        def solve_one(nj):
-            n = int(nodes_b[nj])
-            r = cols.children(nj).shape[0]
-            entries = {}
-            rec = None
-            if r == 1:
-                # Single reduced child: plans are forced to the conditionals.
-                for mi, m in enumerate(nodes_a):
-                    entries[(int(m), n)] = q_meas[mi][:, None].copy()
-            else:
-                alpha = pi_t[:, nj]
-                active = np.flatnonzero(alpha > 0.0)
-                if active.size == 0:
-                    p_bar = np.full(r, 1.0 / r)
-                else:
-                    problem = BarycenterProblem(
-                        q=[q_meas[mi] for mi in active],
-                        D=[alpha[mi] * subcosts[mi][nj].T for mi in active],
-                        alpha=alpha[active],
-                    )
-                    solver = config.solver
-                    if solver == "auto":
-                        solver = choose_solver(active.size,
-                                               max(q_meas[mi].shape[0] for mi in active),
-                                               config)
-                    warm = None
-                    if solver == "mam":
-                        warm = [plan.conditional[t][(int(nodes_a[mi]), n)].T
-                                for mi in active]
-                    start = time.perf_counter()
-                    plan_set, inner, ok = _solve_node(problem, solver, config, warm)
-                    rec = {"stage": t, "node": n, "solver": solver,
-                           "measures": int(active.size),
-                           "max_support": int(max(q_meas[mi].shape[0] for mi in active)),
-                           "iterations": inner, "converged": bool(ok),
-                           "seconds": time.perf_counter() - start}
-                    p_bar = np.maximum(plan_set.p, 0.0)
-                    p_bar = p_bar / p_bar.sum()
-                    for k, mi in enumerate(active):
-                        entries[(int(nodes_a[mi]), n)] = np.maximum(plan_set.plans[k].T, 0.0)
-                for mi, m in enumerate(nodes_a):
-                    if (int(m), n) not in entries:
-                        entries[(int(m), n)] = q_meas[mi][:, None] * p_bar[None, :]
-            column = np.array([
-                float(np.sum(entries[(int(m), n)] * subcosts[mi][nj]))
-                for mi, m in enumerate(nodes_a)])
-            return entries, column, rec
-
-        if config.workers > 1 and nodes_b.shape[0] > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(solve_one, range(nodes_b.shape[0])))
-        else:
-            results = [solve_one(nj) for nj in range(nodes_b.shape[0])]
-
-        block = {}
-        table = np.zeros((nodes_a.shape[0], nodes_b.shape[0]))
-        for nj, (entries, column, rec) in enumerate(results):
-            block.update(entries)
-            table[:, nj] = column
-            if rec is not None:
-                records.append(rec)
-        conditional[t] = block
-        tables[t] = table
+        cond = rows.by_child(rows.cond)[:, None] * p_bar[None, :]
+        for block, plans in solved:
+            cond[block] = plans
+        tables[t] = rows.indicator() @ (cols.indicator() @ (cond * next_table).T).T
+        conditionals[t] = cond
         stage_secs[t] = time.perf_counter() - tick
 
-    new_plan = ConditionalPlan(conditional, [])
-    _compose_unconditional(original, reduced, new_plan)
-    return new_plan, tables, records, stage_secs
+    return _compose(original, reduced, conditionals), tables, records, stage_secs
 
 
-def extract_probabilities(reduced: ScenarioTree, plan: ConditionalPlan) -> ScenarioTree:
+def extract_probabilities(reduced: ScenarioTree, joints) -> ScenarioTree:
     """Read the reduced tree's probabilities off the final coupling.
 
     Leaf probabilities are the reduced-side marginals of the leaf-stage joint
-    (renormalized against float drift, which stays below 1e-12); internal
-    probabilities are children sums.
+    (renormalized against float drift, which stays below 1e-12); each
+    earlier stage sums its children, one sparse product per stage.
     """
-    leaf_mass = plan.unconditional[reduced.T].sum(axis=0)
+    leaf_mass = joints[reduced.T].sum(axis=0)
     prob = np.zeros(reduced.n_nodes)
     prob[reduced.stage_nodes(reduced.T)] = leaf_mass / leaf_mass.sum()
     for t in range(reduced.T - 1, -1, -1):
-        for n in reduced.stage_nodes(t):
-            prob[n] = float(np.sum(prob[reduced.children(n)]))
+        prob[reduced.stage_nodes(t)] = (reduced.stage_blocks(t).indicator()
+                                        @ prob[reduced.stage_nodes(t + 1)])
     return reduced.with_prob(prob)
 
 
@@ -380,18 +324,18 @@ def reduce_tree(original: ScenarioTree, reduced0: ScenarioTree,
             raise TreeValidationError([f"{name} tree: {v}" for v in violations])
 
     report = ReductionReport(order=config.order)
-    plan = init_plan(original, reduced0)
+    joints = init_plan(original, reduced0)
     reduced = reduced0
     leaf_costs = path_cost_table(original, reduced, order=config.order)
-    report.deltas.append(evaluate_plan(original, reduced, plan, leaf_costs))
+    report.deltas.append(evaluate_plan(joints, leaf_costs))
 
     for k in range(1, config.max_outer + 1):
         tick = time.perf_counter()
         if k > 1:
-            reduced = quantizer_step(original, reduced, plan)
+            reduced = quantizer_step(original, reduced, joints)
             leaf_costs = path_cost_table(original, reduced, order=config.order)
-        plan, tables, records, stage_secs = probability_step(
-            original, reduced, plan, leaf_costs, config)
+        joints, tables, records, stage_secs = probability_step(
+            original, reduced, joints, leaf_costs, config)
         for rec in records:
             rec["iteration"] = k
         report.solver_log.extend(records)
@@ -403,7 +347,7 @@ def reduce_tree(original: ScenarioTree, reduced0: ScenarioTree,
             report.converged = True
             break
 
-    final = extract_probabilities(reduced, plan)
+    final = extract_probabilities(reduced, joints)
     violations = final.validate()
     if violations:
         raise RuntimeError("reduction produced an invalid tree: " + "; ".join(violations))

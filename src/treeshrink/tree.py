@@ -7,8 +7,8 @@ same children as blocks of the next stage's node order, with their
 conditional probabilities; the stagewise recursions of the nested distance
 and of the reduction read it.  Instances are frozen after construction: the
 arrays are marked read-only and any change goes through whole-tree
-replacement (``with_quantizer`` / ``with_prob``), which makes sharing across
-worker threads safe.
+replacement (``with_quantizer`` / ``with_prob``), so cached per-stage
+indices never go stale.
 """
 
 from __future__ import annotations
@@ -77,10 +77,29 @@ class StageBlocks:
         sizes = self.sizes[blocks]
         return np.concatenate(([0], np.cumsum(sizes))), _concat_ranges(self.ptr[blocks], sizes)
 
-    def matrix(self) -> sparse.csr_matrix:
-        """Sparse conditional matrix: entry (k, i) is P(stage-(t+1) node i | node k)."""
-        return sparse.csr_matrix((self.cond, self.local, self.ptr),
+    def by_child(self, values) -> np.ndarray:
+        """Per-entry ``values`` rearranged into stage-(t+1) node order."""
+        out = np.empty_like(values)
+        out[self.local] = values
+        return out
+
+    def parents(self) -> np.ndarray:
+        """Block of every stage-(t+1) node, in stage-(t+1) node order."""
+        return self.by_child(np.repeat(np.arange(self.sizes.shape[0]), self.sizes))
+
+    def matrix(self, values=None) -> sparse.csr_matrix:
+        """Sparse block matrix with one entry (k, i) per child i of block k.
+
+        The entries hold ``values`` (one per entry, in block order), by
+        default the conditional probabilities P(stage-(t+1) node i | node k).
+        """
+        data = self.cond if values is None else values
+        return sparse.csr_matrix((data, self.local, self.ptr),
                                  shape=(self.ptr.shape[0] - 1, self.local.shape[0]))
+
+    def indicator(self) -> sparse.csr_matrix:
+        """0/1 block matrix: sums stage-(t+1) values over each block."""
+        return self.matrix(np.ones(self.local.shape[0]))
 
 
 class ScenarioTree:

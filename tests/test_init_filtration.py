@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,49 @@ def matrix_from_values(values, probs=None, t_levels=2):
         paths[:, t, 0] = values
     probs = np.full(s, 1.0 / s) if probs is None else np.asarray(probs, float)
     return ScenarioMatrix(paths, probs)
+
+
+def ffs_reference(scenarios, k, order=2):
+    """Greedy forward selection scored one candidate at a time.
+
+    Each candidate's score is the sum over the not-selected scenarios, in
+    index order, of probability times capped cost.  The candidate's own term
+    is zero; keeping it in the sum gives duplicated scenarios bit-for-bit
+    equal scores, so the lowest index wins among them.  Nearest-selected
+    redistribution, one scenario at a time.
+    """
+    x = scenarios.flat()
+    diff = x[:, None, :] - x[None, :, :]
+    sq = np.sum(diff * diff, axis=2)
+    cost = sq if order == 2 else np.sqrt(sq) ** order
+    w = scenarios.prob
+    s_count = scenarios.S
+    selected = []
+    best_dist = np.full(s_count, np.inf)
+    remaining = np.ones(s_count, dtype=bool)
+    for _ in range(k):
+        candidates = np.flatnonzero(remaining)
+        scores = np.empty(candidates.shape[0])
+        for idx, u in enumerate(candidates):
+            d_after = np.minimum(best_dist, cost[u])
+            scores[idx] = float(np.sum(w[remaining] * d_after[remaining]))
+        u_star = int(candidates[int(np.argmin(scores))])
+        selected.append(u_star)
+        remaining[u_star] = False
+        best_dist = np.minimum(best_dist, cost[u_star])
+    selected = np.array(sorted(selected))
+    new_w = w.copy()
+    new_w[~np.isin(np.arange(s_count), selected)] = 0.0
+    for j in np.flatnonzero(remaining):
+        nearest = selected[int(np.argmin(cost[j, selected]))]
+        new_w[nearest] += w[j]
+    return fan_tree(scenarios.paths[selected], new_w[selected])
+
+
+def assert_same_tree(a, b):
+    assert np.array_equal(a.parent, b.parent)
+    assert np.array_equal(a.quantizer, b.quantizer)
+    assert np.array_equal(a.prob, b.prob)
 
 
 class TestKmeans:
@@ -144,6 +188,94 @@ class TestFfs:
         t = ffs_init(sm, 4)
         assert t.validate() == []
         assert t.prob[t.leaves()].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFfsAgainstReference:
+    """ffs_init returns bit for bit the tree of the one-candidate loop."""
+
+    @staticmethod
+    def instance(seed, s_count, stages=3, dim=2):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(s_count, stages, dim)), rng.dirichlet(np.ones(s_count))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_scenarios(self, seed, order):
+        paths, prob = self.instance(seed, 40)
+        sm = ScenarioMatrix(paths, prob)
+        for k in (1, 7, 25):
+            assert_same_tree(ffs_init(sm, k, order=order),
+                             ffs_reference(sm, k, order=order))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_duplicated_scenarios_tie_to_lowest_index(self, order):
+        paths, prob = self.instance(7, 30)
+        paths[[4, 11, 23]] = paths[2]
+        paths[[17, 29]] = paths[9]
+        sm = ScenarioMatrix(paths, prob)
+        for k in range(1, 31):
+            assert_same_tree(ffs_init(sm, k, order=order),
+                             ffs_reference(sm, k, order=order))
+
+    def test_exact_duplicates_pick_lowest_index(self):
+        # Scenarios 0 and 2 coincide; whichever is picked, 1 and 3 are equal
+        # scores for the second pick as well.
+        paths = np.array([[0.0, 1.0], [0.0, 5.0], [0.0, 1.0], [0.0, 5.0]])
+        sm = ScenarioMatrix(paths, [0.25, 0.25, 0.25, 0.25])
+        t = ffs_init(sm, 2)
+        assert t.quantizer[t.leaves(), 0] == pytest.approx([1.0, 5.0])
+        assert t.prob[t.leaves()] == pytest.approx([0.5, 0.5])
+        assert_same_tree(t, ffs_reference(sm, 2))
+
+    @pytest.mark.parametrize("seed", [3, 10, 11])
+    def test_many_duplicates_pick_lowest_index(self, seed):
+        # Six copies of one scenario among 40: every copy scores the same,
+        # so a selected copy must be the lowest-index one still available.
+        # Branches follow scenario order, so mapping each branch to the
+        # lowest index with its path must keep that order.
+        rng = np.random.default_rng(seed)
+        paths, prob = rng.normal(size=(40, 3, 2)), rng.dirichlet(np.ones(40))
+        copies = rng.choice(40, 6, replace=False)
+        paths[copies[1:]] = paths[copies[0]]
+        sm = ScenarioMatrix(paths, prob)
+        tail = paths[:, 1:, :].reshape(40, -1)
+        for k in (5, 10, 20):
+            t = ffs_init(sm, k)
+            chains = t.path_values()[:, 1:, :].reshape(k, -1)
+            lowest = [int(np.flatnonzero(np.all(tail == row, axis=1))[0]) for row in chains]
+            assert lowest == sorted(set(lowest))
+            assert_same_tree(t, ffs_reference(sm, k))
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_zero_probability_scenarios(self, order):
+        paths, prob = self.instance(11, 36)
+        prob[::3] = 0.0
+        prob /= prob.sum()
+        sm = ScenarioMatrix(paths, prob)
+        for k in (1, 5, 24, 30, 36):
+            assert_same_tree(ffs_init(sm, k, order=order),
+                             ffs_reference(sm, k, order=order))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_k_equals_s(self, order):
+        paths, prob = self.instance(13, 20)
+        prob[5] = 0.0
+        paths[8] = paths[3]
+        sm = ScenarioMatrix(paths, prob / prob.sum())
+        assert_same_tree(ffs_init(sm, 20, order=order),
+                         ffs_reference(sm, 20, order=order))
+
+    def test_peak_memory_below_pairwise_temporary(self):
+        # A (600, 600, 40) float temporary alone would take 115 MB.
+        paths, prob = self.instance(17, 600, stages=10, dim=4)
+        sm = ScenarioMatrix(paths, prob)
+        tracemalloc.start()
+        try:
+            ffs_init(sm, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestRandomInit:

@@ -1,11 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from treeshrink import reduce as reduce_module
 from treeshrink.init_filtration import random_init
 from treeshrink.nested import nested_distance
 from treeshrink.ot_core import wasserstein_lp
-from treeshrink.reduce import (ConditionalPlan, ReductionConfig, choose_solver,
-                               evaluate_plan, extract_probabilities, init_plan,
+from treeshrink.reduce import (ReductionConfig, choose_solver, evaluate_plan,
+                               extract_probabilities, init_plan,
                                probability_step, quantizer_step, reduce_tree)
 from treeshrink.tree import ScenarioTree, generate_random, path_cost_table
 
@@ -35,54 +40,68 @@ def separated_tree():
     return two_level_tree([0.0, 10.0], [[0.0, 1.0], [10.0, 11.0]])
 
 
+def joint_block(joints, orig, red, t, m, n):
+    """Stage-(t+1) joint block of the children of nodes m and n, and its mass."""
+    rows = np.searchsorted(orig.stage_nodes(t + 1), orig.children(m))
+    cols = np.searchsorted(red.stage_nodes(t + 1), red.children(n))
+    mi = int(np.searchsorted(orig.stage_nodes(t), m))
+    nj = int(np.searchsorted(red.stage_nodes(t), n))
+    return joints[t + 1][np.ix_(rows, cols)], joints[t][mi, nj]
+
+
+def conditional_block(joints, orig, red, t, m, n):
+    """Conditional plan of the parent pair (m, n): its joint block over the mass."""
+    block, mass = joint_block(joints, orig, red, t, m, n)
+    assert mass > 0.0
+    return block / mass
+
+
 class TestInitPlan:
     def test_uniform_spread(self):
         orig = two_level_tree([0.0, 1.0], [[0.0, 1.0], [2.0, 3.0]])
         red = two_level_tree([0.0, 1.0], [[0.0, 1.0], [2.0, 3.0]])
-        plan = init_plan(orig, red)
+        joints = init_plan(orig, red)
         # conditional entries P(i|m)/|n+| = 0.5/2
-        for key, mat in plan.conditional[1].items():
-            assert mat == pytest.approx(np.full((2, 2), 0.25))
-        assert plan.unconditional[0][0, 0] == 1.0
-        assert plan.mass_check() < 1e-12
+        for m in orig.stage_nodes(1):
+            for n in red.stage_nodes(1):
+                mat = conditional_block(joints, orig, red, 1, m, n)
+                assert mat == pytest.approx(np.full((2, 2), 0.25))
+        assert joints[0][0, 0] == 1.0
+        assert max(abs(float(j.sum()) - 1.0) for j in joints) < 1e-12
 
     def test_unary_reduced(self):
         orig = two_level_tree([0.0], [[0.0, 2.0]])
         red = two_level_tree([0.5], [[1.0]])
-        plan = init_plan(orig, red)
-        mat = plan.conditional[1][(1, 1)]
+        joints = init_plan(orig, red)
+        mat = conditional_block(joints, orig, red, 1, 1, 1)
         assert mat.ravel() == pytest.approx([0.5, 0.5])
 
     def test_three_by_two(self):
         orig = two_level_tree([0.0], [[0.0, 1.0, 2.0]])
         red = two_level_tree([0.0], [[0.0, 1.0]])
-        plan = init_plan(orig, red)
-        assert plan.conditional[1][(1, 1)] == pytest.approx(np.full((3, 2), 1 / 6))
+        joints = init_plan(orig, red)
+        assert conditional_block(joints, orig, red, 1, 1, 1) == \
+            pytest.approx(np.full((3, 2), 1 / 6))
 
     def test_composition_invariant(self):
         orig = generate_random(3, 3, seed=0)
         red = random_init([2, 2, 2], seed=1)
-        plan = init_plan(orig, red)
+        joints = init_plan(orig, red)
         for t in range(orig.T):
-            o_nodes = orig.stage_nodes(t)
-            r_nodes = red.stage_nodes(t)
-            o_next = orig.stage_nodes(t + 1)
-            r_next = red.stage_nodes(t + 1)
-            for mi, m in enumerate(o_nodes):
-                rows = np.searchsorted(o_next, orig.children(m))
-                for nj, n in enumerate(r_nodes):
-                    cols = np.searchsorted(r_next, red.children(n))
-                    expected = plan.conditional[t][(int(m), int(n))] * \
-                        plan.unconditional[t][mi, nj]
-                    assert np.allclose(
-                        plan.unconditional[t + 1][np.ix_(rows, cols)], expected)
+            for m in orig.stage_nodes(t):
+                q = orig.conditional_children_probs(m)
+                for n in red.stage_nodes(t):
+                    r = red.n_children(n)
+                    block, mass = joint_block(joints, orig, red, t, m, n)
+                    expected = np.repeat(q[:, None], r, axis=1) / r * mass
+                    assert np.allclose(block, expected)
 
 
 class TestQuantizerStep:
     def make_plan(self, orig, red, stage1_weights):
-        plan = init_plan(orig, red)
-        plan.unconditional[1] = np.asarray(stage1_weights, dtype=float)
-        return plan
+        joints = init_plan(orig, red)
+        joints[1] = np.asarray(stage1_weights, dtype=float)
+        return joints
 
     def test_concentrated_weight_copies_value(self):
         orig = two_level_tree([3.0, 7.0], [[3.0], [7.0]])
@@ -121,17 +140,18 @@ class TestQuantizerStep:
 
 
 class TestProbabilityStep:
-    def run_step(self, orig, red, solver="lp", plan=None):
-        plan = plan or init_plan(orig, red)
+    def run_step(self, orig, red, solver="lp", joints=None):
+        joints = joints or init_plan(orig, red)
         leaf = path_cost_table(orig, red)
         config = ReductionConfig(solver=solver)
-        return probability_step(orig, red, plan, leaf, config)
+        return probability_step(orig, red, joints, leaf, config)
 
     def test_unary_reduced_forced(self):
         orig = two_level_tree([0.0], [[0.0, 2.0]])
         red = two_level_tree([0.0], [[1.0]])
-        plan, tables, records, _ = self.run_step(orig, red)
-        assert plan.conditional[1][(1, 1)].ravel() == pytest.approx([0.5, 0.5])
+        joints, tables, records, _ = self.run_step(orig, red)
+        assert conditional_block(joints, orig, red, 1, 1, 1).ravel() == \
+            pytest.approx([0.5, 0.5])
         # delta(m, n) = sum_i P(i|m) * leaf cost
         assert tables[1][0, 0] == pytest.approx(0.5 * 1.0 + 0.5 * 1.0)
         assert records == []  # fully constrained, no solver involved
@@ -144,24 +164,40 @@ class TestProbabilityStep:
         for _ in range(5):
             orig = two_level_tree([0.0], [list(rng.uniform(-5, 5, 4))])
             red = two_level_tree([0.0], [list(rng.uniform(-5, 5, 3))])
-            plan, tables, _, _ = self.run_step(orig, red)
+            joints, tables, _, _ = self.run_step(orig, red)
             leaf = path_cost_table(orig, red)
             q = orig.conditional_children_probs(1)
             oracle = float(np.sum(q * leaf.min(axis=1)))
             assert tables[0][0, 0] == pytest.approx(oracle, abs=1e-9)
             # and the per-pair value agrees with a transport solve toward p
-            p = plan.conditional[1][(1, 1)].sum(axis=0)
+            p = conditional_block(joints, orig, red, 1, 1, 1).sum(axis=0)
             cost, _ = wasserstein_lp(q, p, leaf)
             assert tables[0][0, 0] == pytest.approx(cost, abs=1e-9)
 
     def test_identity_concentrated_plan_zero_diag(self):
         orig = separated_tree()
         red = separated_tree()
-        plan = init_plan(orig, red)
-        plan.unconditional[1] = np.eye(2) * 0.5
-        _, tables, _, _ = self.run_step(orig, red, plan=plan)
+        joints = init_plan(orig, red)
+        joints[1] = np.eye(2) * 0.5
+        _, tables, _, _ = self.run_step(orig, red, joints=joints)
         assert tables[1][0, 0] == pytest.approx(0.0, abs=1e-12)
         assert tables[1][1, 1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_zero_weight_measure_gets_product_with_barycenter(self):
+        # Stage 1 weights put no mass on (mid 1, mid 0), so reduced node 1's
+        # problem has mid 0 as its only measure; mid 1 gets q x p instead.
+        orig = ScenarioTree([-1, 0, 0, 1, 1, 2, 2], [0, 1, 1, 2, 2, 2, 2],
+                            [[0.0], [0.0], [10.0], [0.0], [1.0], [10.0], [11.0]],
+                            [1.0, 0.5, 0.5, 0.4, 0.1, 0.25, 0.25])
+        red = separated_tree()
+        joints = init_plan(orig, red)
+        joints[1] = np.eye(2) * 0.5
+        new_joints, tables, _, _ = self.run_step(orig, red, joints=joints)
+        p = conditional_block(new_joints, orig, red, 1, 1, 1).sum(axis=0)
+        assert p == pytest.approx([0.8, 0.2])
+        leaf = path_cost_table(orig, red)
+        q = orig.conditional_children_probs(2)
+        assert tables[1][1, 0] == pytest.approx(q @ leaf[2:, :2] @ p, abs=1e-12)
 
     @pytest.mark.parametrize("solver,tol", [("lp", 1e-9), ("mam", 1e-6), ("ibp", 1e-6)])
     def test_plans_reproduce_original_conditionals(self, solver, tol):
@@ -169,20 +205,25 @@ class TestProbabilityStep:
         for seed in range(3):
             orig = generate_random(3, 3, dim=1, seed=seed)
             red = random_init([2, 2, 2], seed=seed + 50)
-            plan, tables, _, _ = self.run_step(orig, red, solver=solver)
+            joints, tables, _, _ = self.run_step(orig, red, solver=solver)
             for t in range(orig.T):
                 for m in orig.stage_nodes(t):
                     q = orig.conditional_children_probs(m)
                     for n in red.stage_nodes(t):
-                        mat = plan.conditional[t][(int(m), int(n))]
+                        # A pair without mass stores no plan: its block is zero.
+                        block, mass = joint_block(joints, orig, red, t, m, n)
+                        assert np.all(block >= -1e-15)
+                        if mass == 0.0:
+                            assert not block.any()
+                            continue
+                        mat = block / mass
                         assert np.max(np.abs(mat.sum(axis=1) - q)) < tol
-                        assert np.all(mat >= -1e-15)
 
     def test_recomposed_joint_is_distribution(self):
         orig = generate_random(3, 4, seed=2)
         red = random_init([2, 2, 2], seed=3)
-        plan, _, _, _ = self.run_step(orig, red)
-        leaf_joint = plan.unconditional[orig.T]
+        joints, _, _, _ = self.run_step(orig, red)
+        leaf_joint = joints[orig.T]
         assert np.all(leaf_joint >= -1e-15)
         assert leaf_joint.sum() == pytest.approx(1.0, abs=1e-9)
         # original-side marginal reproduces leaf probabilities
@@ -248,13 +289,6 @@ class TestReduceTree:
         with pytest.raises(Exception):
             reduce_tree(orig, bad, ReductionConfig())
 
-    def test_worker_count_bit_identical_for_lp(self):
-        orig = generate_random(3, 3, seed=8)
-        red = random_init([2, 2, 2], seed=9)
-        _, rep1 = reduce_tree(orig, red, ReductionConfig(solver="lp", workers=1))
-        _, rep3 = reduce_tree(orig, red, ReductionConfig(solver="lp", workers=3))
-        assert rep1.deltas == rep3.deltas
-
     def test_non_convergence_flag_and_best_iterate(self):
         orig = generate_random(3, 4, seed=10)
         red = random_init([2, 2, 2], seed=11)
@@ -278,19 +312,82 @@ class TestReduceTree:
     def test_evaluate_plan_upper_bounds_first_step(self):
         orig = generate_random(2, 3, seed=14)
         red = random_init([2, 2], seed=15)
-        plan = init_plan(orig, red)
+        joints = init_plan(orig, red)
         leaf = path_cost_table(orig, red)
-        value = evaluate_plan(orig, red, plan, leaf)
-        _, tables, _, _ = probability_step(orig, red, plan, leaf,
+        value = evaluate_plan(joints, leaf)
+        _, tables, _, _ = probability_step(orig, red, joints, leaf,
                                            ReductionConfig(solver="lp"))
         assert tables[0][0, 0] <= value + 1e-9
 
     def test_extract_probabilities_marginal(self):
         orig = generate_random(2, 3, seed=16)
         red = random_init([2, 2], seed=17)
-        plan, _, _, _ = probability_step(
+        joints, _, _, _ = probability_step(
             orig, red, init_plan(orig, red), path_cost_table(orig, red),
             ReductionConfig(solver="lp"))
-        out = extract_probabilities(red, plan)
-        leaf_mass = plan.unconditional[red.T].sum(axis=0)
+        out = extract_probabilities(red, joints)
+        leaf_mass = joints[red.T].sum(axis=0)
         assert out.prob[out.leaves()] == pytest.approx(leaf_mass / leaf_mass.sum())
+
+
+@st.composite
+def ragged_tree(draw, stages, dim):
+    """Valid tree with 1-3 children per node and some zero-mass branches."""
+    parent, stage, prob = [-1], [0], [1.0]
+    level = [0]
+    for t in range(1, stages + 1):
+        nxt = []
+        for node in level:
+            raw = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+            if sum(raw) == 0:
+                raw[0] = 1
+            for weight in raw:
+                parent.append(node)
+                stage.append(t)
+                prob.append(prob[node] * weight / sum(raw))
+                nxt.append(len(parent) - 1)
+        level = nxt
+    values = st.integers(-4, 4).map(float)
+    quant = draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                          min_size=len(parent), max_size=len(parent)))
+    return ScenarioTree(parent, stage, quant, prob)
+
+
+@st.composite
+def reduction_instance(draw):
+    stages, dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    return draw(ragged_tree(stages, dim)), draw(ragged_tree(stages, dim))
+
+
+class TestJointProperties:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(reduction_instance())
+    def test_lp_reduction_invariants(self, trees):
+        orig, red = trees
+        seen = []
+
+        def record_step(*args, **kwargs):
+            out = probability_step(*args, **kwargs)
+            seen.append(out[0])
+            return out
+
+        def record_final(reduced, joints):
+            seen.append(joints)
+            return extract_probabilities(reduced, joints)
+
+        with mock.patch.object(reduce_module, "probability_step", record_step), \
+                mock.patch.object(reduce_module, "extract_probabilities", record_final):
+            final, report = reduce_tree(
+                orig, red, ReductionConfig(solver="lp", tol=1e-12, max_outer=4))
+
+        for joints in seen:
+            for t, joint in enumerate(joints):
+                stage_prob = orig.prob[orig.stage_nodes(t)]
+                assert np.max(np.abs(joint.sum(axis=1) - stage_prob)) <= 1e-12
+        leaf_mass = seen[-1][orig.T].sum(axis=0)
+        assert np.max(np.abs(leaf_mass - final.prob[final.leaves()])) <= 1e-12
+        deltas = report.deltas
+        assert all(deltas[i + 1] <= deltas[i] + 1e-9 for i in range(len(deltas) - 1))
+        nd, _ = nested_distance(orig, final)
+        assert nd <= report.final_nd * (1 + 1e-9)
