@@ -289,7 +289,12 @@ def build_parser():
     p.add_argument("--target-branching", type=int, default=2)
     p.add_argument("--target-scenarios", type=int, default=None,
                    help="branch count for kmeans/ffs fan initializations")
-    p.add_argument("--solver", choices=["lp", "mam", "ibp", "auto"], default="auto")
+    p.add_argument("--solver", choices=["lp", "mam", "ibp", "auto"], default="auto",
+                   help="barycenter solver: exact (closed form at two children, "
+                   "else a HiGHS LP), averaged marginals, Bregman projections, "
+                   "or auto: exact at nodes with two children, elsewhere "
+                   "averaged marginals above --n-big measures or --branch-big "
+                   "support points, else exact (default)")
     p.add_argument("--tol", type=float, default=0.1)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--lambda", type=float, default=100.0)

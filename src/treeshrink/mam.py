@@ -11,9 +11,9 @@ column sums by construction.
 All measures are held in one array padded to the widest support S_max
 (:meth:`BarycenterProblem.padded`): plans of shape (M, R, S_max), padded
 columns with zero mass and zero cost.  One iteration is a fixed set of array
-operations, one sort-based projection over the (R, M * S_max) column matrix
-among them, so its cost is O(M * R * S_max) (times log R for the sort) with
-no per-measure Python work.  Zero-mass columns project to zero and padded
+operations, one projection over the (R, M * S_max) column matrix among
+them (sort-based, or closed form at R = 2), so its cost is O(M * R * S_max)
+(times log R for the sort) with no per-measure Python work.  Zero-mass columns project to zero and padded
 shadow columns are held at zero, so the padding adds nothing to any marginal.
 """
 

@@ -10,7 +10,8 @@ alternates two steps until the root cost stops improving:
   child probabilities and plans are re-optimized as one fixed-support
   barycenter problem over the original nodes of that stage, solved by an
   exact LP, by averaged marginals, by Bregman projections, or by a
-  structure-aware automatic choice between LP and averaged marginals.
+  structure-aware automatic choice between LP and averaged marginals (always
+  the exact path for a node with two children, where it is closed form).
 
 The first iteration runs the probability step only: the initial plan is a
 feasibility seed, and running the mean update on it would overwrite any
@@ -201,6 +202,13 @@ def _solve_node(problem, solver, config, warm_plans):
     raise ValueError(f"unknown solver {solver!r}")
 
 
+def _split_rows(values, ptr) -> list:
+    """Row blocks ``values[ptr[k]:ptr[k+1]]`` as views (``np.split`` costs
+    several times more per block)."""
+    bounds = ptr.tolist()
+    return [values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def probability_step(original, reduced, joints, leaf_costs, config: ReductionConfig):
     """Re-optimize the coupling for the current quantizers.
 
@@ -254,17 +262,19 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
             mass = np.repeat(alpha, sizes)[:, None]
             weighted = mass * next_table[block]
             problem = BarycenterProblem(
-                q=np.split(rows.cond[pos], ptr[1:-1]),
-                D=[d.T for d in np.split(weighted, ptr[1:-1])],
+                q=_split_rows(rows.cond[pos], ptr),
+                D=[d.T for d in _split_rows(weighted, ptr)],
                 alpha=alpha,
             )
             solver = config.solver
             if solver == "auto":
-                solver = choose_solver(active.size, int(sizes.max()), config)
+                # With two children the exact path is closed form.
+                solver = ("lp" if children.shape[0] == 2
+                          else choose_solver(active.size, int(sizes.max()), config))
             warm = None
             if solver == "mam":
                 prior = joints[t + 1][block] / mass
-                warm = [c.T for c in np.split(prior, ptr[1:-1])]
+                warm = [c.T for c in _split_rows(prior, ptr)]
             start = time.perf_counter()
             plan_set, inner, ok = _solve_node(problem, solver, config, warm)
             records.append({"stage": t, "node": int(reduced.stage_nodes(t)[n]),

@@ -1,8 +1,15 @@
+import resource
+import time
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
-from treeshrink import ot_core
+from treeshrink import nested, ot_core
+from treeshrink.init_filtration import random_init
 from treeshrink.nested import nested_distance
 from treeshrink.ot_core import wasserstein_lp
 from treeshrink.tree import ScenarioTree, generate_random, fan_tree, path_cost_table
@@ -121,17 +128,27 @@ class TestErrorsAndOptions:
         assert nd == pytest.approx(table.root_value ** 0.5)
 
 
+def highs_transport(q, q_other, D):
+    """Optimal transport cost by one direct HiGHS solve."""
+    r, s = D.shape
+    a_eq = np.vstack([np.kron(np.eye(r), np.ones(s)), np.kron(np.ones(r), np.eye(s))])
+    res = linprog(D.ravel(), A_eq=a_eq, b_eq=np.concatenate([q, q_other]),
+                  bounds=(0, None), method="highs-ds")
+    assert res.success
+    return res.fun
+
+
 def reference_nd(tree_a, tree_b, order=2):
-    """The backward recursion with one transport LP per node pair."""
+    """The backward recursion with one HiGHS transport LP per node pair."""
     table = path_cost_table(tree_a, tree_b, order=order)
     for t in range(tree_a.T - 1, -1, -1):
         next_a, next_b = tree_a.stage_nodes(t + 1), tree_b.stage_nodes(t + 1)
         table = np.array([[
-            wasserstein_lp(
+            highs_transport(
                 tree_a.conditional_children_probs(m),
                 tree_b.conditional_children_probs(n),
                 table[np.ix_(np.searchsorted(next_a, tree_a.children(m)),
-                             np.searchsorted(next_b, tree_b.children(n)))])[0]
+                             np.searchsorted(next_b, tree_b.children(n)))])
             for n in tree_b.stage_nodes(t)] for m in tree_a.stage_nodes(t)])
     return float(table[0, 0]) ** (1.0 / order)
 
@@ -214,6 +231,29 @@ class TestProperties:
         nd_relabelled, _ = nested_distance(relabel(a, perm_a), relabel(b, perm_b))
         assert nd_relabelled == pytest.approx(nd, rel=1e-9, abs=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(tree_pairs())
+    def test_two_atom_path_matches_forced_lp(self, pair):
+        # Pairs where a node has two children take the greedy; scored with
+        # every branching pair sent to HiGHS instead, each stage table agrees.
+        a, b = pair
+        nd, table = nested_distance(a, b)
+        with mock.patch.object(nested, "transport_lp", ot_core._packed_lps):
+            nd_lp, table_lp = nested_distance(a, b)
+        assert nd == pytest.approx(nd_lp, rel=1e-9, abs=1e-9)
+        for x, y in zip(table.tables, table_lp.tables):
+            assert np.allclose(x, y, rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(tree_pairs())
+    def test_pair_chunks_do_not_change_tables(self, pair):
+        a, b = pair
+        _, table = nested_distance(a, b)
+        with mock.patch.object(nested, "_PAIR_MAX_ENTRIES", 7):
+            _, chunked = nested_distance(a, b)
+        for x, y in zip(table.tables, chunked.tables):
+            assert np.array_equal(x, y)
+
 
 def test_at_most_one_lp_per_stage(monkeypatch):
     calls = []
@@ -224,13 +264,51 @@ def test_at_most_one_lp_per_stage(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ot_core, "linprog", counting)
-    # Every stage pairs branching nodes, in fewer LP rows than one solve
-    # takes: one solve each.
+    # Every stage pairs branching nodes with three children each, in fewer LP
+    # rows than one solve takes: one solve each.
     a = generate_random(3, 3, dim=2, seed=8)
-    b = generate_random(3, 2, dim=2, seed=9)
+    b = generate_random(3, 3, dim=2, seed=9)
     nested_distance(a, b)
     assert len(calls) == 3
-    # Single-child nodes on one side leave nothing to solve.
+    # Single-child nodes on one side leave nothing to solve, and neither do
+    # two-child nodes, which take the greedy.
     calls.clear()
     nested_distance(a, generate_random(3, 1, dim=2, seed=10))
+    nested_distance(a, generate_random(3, 2, dim=2, seed=9))
     assert calls == []
+
+
+def test_pair_chunks_bound_memory(monkeypatch):
+    # Scoring a 3906-node tree against a binary one: the last stage has
+    # 10^4 branching pairs and 10^5 plan entries.  In one chunk the pair pass
+    # sets the peak (13.2 MB traced); in chunks of 2^12 entries the path-cost
+    # table does (3.5 MB: its 0.8 MB result and temporaries).
+    a = generate_random(5, 5, seed=1)
+    b = random_init([2] * 5, seed=1)
+
+    def peak(entries):
+        monkeypatch.setattr(nested, "_PAIR_MAX_ENTRIES", entries)
+        tracemalloc.start()
+        nd, _ = nested_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return nd, peak
+
+    nd_whole, peak_whole = peak(1 << 20)
+    nd_chunked, peak_chunked = peak(1 << 12)
+    assert nd_chunked == nd_whole
+    assert peak_whole > 10e6
+    assert peak_chunked < 5e6
+
+
+@pytest.mark.slow
+def test_paper_scale_binary_scoring():
+    # The paper's 8-stage tree, 97,656 nodes, against a binary tree of 255.
+    a = generate_random(7, 5, seed=1)
+    b = random_init([2] * 7, seed=1)
+    tick = time.perf_counter()
+    nd, _ = nested_distance(a, b)
+    seconds = time.perf_counter() - tick
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"\npaper scale: nd {nd:.6f} in {seconds:.2f} s, peak RSS {peak_mb:.0f} MB")
+    assert np.isfinite(nd) and nd > 0.0

@@ -2,12 +2,71 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from treeshrink import ot_core
 from treeshrink.ot_core import (BarycenterProblem, barycenter_lp, block_entries,
                                 project_columns_scaled_simplex,
                                 project_scaled_simplex, transport_lp,
                                 wasserstein_lp)
+
+
+def highs_transport(q, q_other, D):
+    """Optimal transport by one direct HiGHS solve: the reference of the greedy."""
+    r, s = D.shape
+    a_eq = np.vstack([np.kron(np.eye(r), np.ones(s)), np.kron(np.ones(r), np.eye(s))])
+    res = linprog(D.ravel(), A_eq=a_eq, b_eq=np.concatenate([q, q_other]),
+                  bounds=(0, None), method="highs-ds")
+    assert res.success
+    return res.fun
+
+
+def highs_barycenter(q, D):
+    """Barycenter LP by one direct HiGHS solve over (p, plans), dense."""
+    r = D[0].shape[0]
+    n = r + sum(d.size for d in D)
+    rows, rhs, off = [], [], r
+    for qm, dm in zip(q, D):
+        s = qm.shape[0]
+        for j in range(s):  # column sums: q^m
+            row = np.zeros(n)
+            row[off + j:off + r * s:s] = 1.0
+            rows.append(row)
+            rhs.append(qm[j])
+        for i in range(r):  # row sums: p
+            row = np.zeros(n)
+            row[off + i * s:off + (i + 1) * s] = 1.0
+            row[i] = -1.0
+            rows.append(row)
+            rhs.append(0.0)
+        off += r * s
+    rows.append(np.concatenate([np.ones(r), np.zeros(n - r)]))
+    rhs.append(1.0)
+    res = linprog(np.concatenate([np.zeros(r)] + [d.ravel() for d in D]),
+                  A_eq=np.array(rows), b_eq=np.array(rhs), bounds=(0, None),
+                  method="highs-ds")
+    assert res.success
+    return res.fun
+
+
+def enumerate_two_column_vertices(a, target, d2):
+    """Brute-force optimum of a two-column transport by vertex enumeration.
+
+    A vertex sends every row but at most one wholly to one column; ``d2`` is
+    the (n, 2) cost.  Returns the least cost over all feasible vertices.
+    """
+    n = a.shape[0]
+    best = np.inf
+    for split in range(n):
+        others = [i for i in range(n) if i != split]
+        for full in itertools.product([0, 1], repeat=n - 1):
+            x = np.zeros(n)
+            x[others] = np.array(full) * a[others]
+            x[split] = target - x[others].sum()
+            if -1e-12 <= x[split] <= a[split] + 1e-12:
+                best = min(best, float(d2[:, 0] @ x + d2[:, 1] @ (a - x)))
+    return best
 
 
 def brute_force_transport_2x2(q, q_other, D):
@@ -129,14 +188,16 @@ class TestTransportBlocks:
         monkeypatch.setattr(ot_core, "_LP_MAX_ROWS", 20)
         monkeypatch.setattr(ot_core, "linprog", counting)
         values, x = transport_lp(row_mass, row_ptr, col_mass, col_ptr, cost)
-        assert calls == [11, 25, 20, 4]
+        # The blocks with two rows or columns, (2, 3), (4, 2) and (2, 2), take
+        # the greedy; the rest are packed as (15, 10) and (1, 3) + (5, 5) + (3, 3).
+        assert calls == [25, 20]
         monkeypatch.undo()
         off = 0
         for k, (r, s) in enumerate(sizes):
             d = cost[off:off + r * s].reshape(r, s)
             plan = x[off:off + r * s].reshape(r, s)
-            ref, _ = wasserstein_lp(row_mass[row_ptr[k]:row_ptr[k + 1]],
-                                    col_mass[col_ptr[k]:col_ptr[k + 1]], d)
+            ref = highs_transport(row_mass[row_ptr[k]:row_ptr[k + 1]],
+                                  col_mass[col_ptr[k]:col_ptr[k + 1]], d)
             assert values[k] == pytest.approx(ref, rel=1e-9, abs=1e-12)
             assert plan.sum(axis=1) == pytest.approx(row_mass[row_ptr[k]:row_ptr[k + 1]], abs=1e-9)
             assert plan.sum(axis=0) == pytest.approx(col_mass[col_ptr[k]:col_ptr[k + 1]], abs=1e-9)
@@ -276,3 +337,194 @@ class TestProjection:
         for s in range(8):
             assert out[:, s] == pytest.approx(
                 project_scaled_simplex(Y[:, s], tau[s]), abs=1e-12)
+
+
+class TestValidate:
+    def problem(self, r=2):
+        q = [np.array([0.5, 0.5]), np.array([1.0]), np.array([0.2, 0.3, 0.5])]
+        return BarycenterProblem(q=q, D=[np.ones((r, qm.shape[0])) for qm in q],
+                                 alpha=np.ones(3))
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_valid_problem_passes(self, r):
+        self.problem(r).validate()
+
+    def test_cost_shape_names_first_measure(self):
+        prob = self.problem()
+        prob.D[1] = np.ones((2, 2))
+        prob.D[2] = np.ones((3, 3))
+        with pytest.raises(ValueError, match=r"measure 1: cost shape \(2, 2\) != \(2, 1\)"):
+            prob.validate()
+
+    def test_marginal_names_first_measure(self):
+        prob = self.problem()
+        prob.q[2] = np.array([0.2, 0.3, 0.4])
+        with pytest.raises(ValueError, match="measure 2: marginal"):
+            prob.validate()
+        prob.q[1] = np.array([-1e-9])
+        with pytest.raises(ValueError, match="measure 1: marginal"):
+            prob.validate()
+        prob = self.problem()
+        prob.q[0] = np.array([1.0 + 1e-10, -1e-10])
+        with pytest.raises(ValueError, match="measure 0: marginal"):
+            prob.validate()
+
+    def test_negative_cost_names_first_measure(self):
+        prob = self.problem(3)
+        prob.D[2][1, 2] = -1.0
+        prob.D[1][0, 0] = -1e-15
+        with pytest.raises(ValueError, match="measure 1: negative transport costs"):
+            prob.validate()
+
+
+def weights(draw, n):
+    """A probability vector of length n from small integer weights, zeros included."""
+    w = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+    if w.sum() == 0:
+        w[draw(st.integers(0, n - 1))] = 1.0
+    return w / w.sum()
+
+
+costs = st.one_of(st.integers(0, 8).map(lambda v: v / 4.0),
+                  st.floats(0.0, 10.0, allow_subnormal=False))
+
+
+@st.composite
+def two_atom_problem_sets(draw):
+    """1-4 transport problems, each with two atoms on one side and 1-5 on the other.
+
+    Returns ``(problems, args)``: per problem ``(a, b, cost, wide)`` with the
+    other side's masses ``a``, the two-atom side's ``b``, an (n, 2) cost and
+    whether the two atoms are the rows; ``args`` are the arguments of
+    :func:`transport_lp`.
+    """
+    problems = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 5))
+        cost = np.array(draw(st.lists(costs, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+        # A 2 x 2 problem has its two atoms in the columns, as the solver sees it.
+        wide = draw(st.booleans()) and n != 2
+        problems.append((weights(draw, n), weights(draw, 2), cost, wide))
+    rows = [b if wide else a for a, b, _, wide in problems]
+    cols = [a if wide else b for a, b, _, wide in problems]
+    ptr = lambda parts: np.concatenate(([0], np.cumsum([p.shape[0] for p in parts])))
+    flat = np.concatenate([(c.T if wide else c).ravel() for _, _, c, wide in problems])
+    return problems, (np.concatenate(rows), ptr(rows), np.concatenate(cols), ptr(cols), flat)
+
+
+class TestTwoAtomTransport:
+    @staticmethod
+    def solve(problems, args):
+        """The value and the (n, 2) plan of every problem."""
+        values, x = transport_lp(*args)
+        out, off = [], 0
+        for (a, _, _, wide), value in zip(problems, values):
+            n = a.shape[0]
+            plan = x[off:off + 2 * n]
+            out.append((value, plan.reshape(2, n).T if wide else plan.reshape(n, 2)))
+            off += 2 * n
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_atom_problem_sets())
+    def test_plans_feasible_and_certified(self, case):
+        problems, args = case
+        for (a, b, cost, _), (value, plan) in zip(problems, self.solve(*case)):
+            assert np.all(plan >= 0.0)
+            assert np.max(np.abs(plan.sum(axis=1) - a)) <= 1e-15
+            assert np.max(np.abs(plan.sum(axis=0) - b)) <= 1e-15
+            assert value == pytest.approx(np.sum(cost * plan), rel=1e-15, abs=1e-15)
+            # Threshold certificate: every atom that sends anything to the
+            # first column is at most as dear (in d) as any atom that is not full.
+            d = cost[:, 0] - cost[:, 1]
+            sends, not_full = plan[:, 0] > 0.0, plan[:, 0] < a
+            if sends.any() and not_full.any():
+                assert d[sends].max() <= d[not_full].min()
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_atom_problem_sets())
+    def test_values_match_vertex_enumeration_and_highs(self, case):
+        problems, _ = case
+        for (a, b, cost, wide), (value, _) in zip(problems, self.solve(*case)):
+            exact = enumerate_two_column_vertices(a, b[0], cost)
+            assert value == pytest.approx(exact, rel=1e-12, abs=1e-12)
+            ref = highs_transport(b, a, cost.T) if wide else highs_transport(a, b, cost)
+            assert value == pytest.approx(ref, rel=1e-8, abs=1e-12)
+
+    def test_no_lp_for_two_atom_sides(self, monkeypatch):
+        monkeypatch.setattr(ot_core, "linprog", None)
+        cost, plan = wasserstein_lp([0.5, 0.5], [0.2, 0.3, 0.5],
+                                    np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]]))
+        assert cost == pytest.approx(0.3)
+        assert plan == pytest.approx(np.array([[0.2, 0.3, 0.0], [0.0, 0.0, 0.5]]))
+
+
+@st.composite
+def two_point_barycenters(draw):
+    """Barycenter problems with R = 2: 1-3 measures of 1-4 atoms, weights in D."""
+    m_count = draw(st.integers(1, 3))
+    q = [weights(draw, draw(st.integers(1, 4))) for _ in range(m_count)]
+    alpha = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                   min_size=m_count, max_size=m_count)))
+    if not alpha.any():
+        alpha[0] = 1.0
+    D = [a * np.array(draw(st.lists(costs, min_size=2 * qm.shape[0],
+                                    max_size=2 * qm.shape[0]))).reshape(2, -1)
+         for a, qm in zip(alpha, q)]
+    return BarycenterProblem(q=q, D=D, alpha=alpha)
+
+
+class TestTwoPointBarycenter:
+    @settings(max_examples=150, deadline=None)
+    @given(two_point_barycenters())
+    def test_plans_feasible(self, prob):
+        obj, ps = barycenter_lp(prob)
+        assert np.all(ps.p >= 0.0) and abs(ps.p.sum() - 1.0) <= 1e-15
+        assert all(np.all(plan >= 0.0) for plan in ps.plans)
+        assert ps.column_marginal_error(prob) <= 1e-15
+        assert ps.row_marginal_error() <= 1e-15
+        assert obj == pytest.approx(sum(np.sum(d * pl) for d, pl in zip(prob.D, ps.plans)),
+                                    rel=1e-15, abs=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_point_barycenters())
+    def test_matches_breakpoint_enumeration_and_highs(self, prob):
+        # The summed cost is piecewise linear in p_1 with breaks at subset
+        # sums of each marginal, so its minimum is at one of them.
+        obj, _ = barycenter_lp(prob)
+        candidates = {min(float(sum(c)), 1.0) for qm in prob.q
+                      for k in range(qm.shape[0] + 1)
+                      for c in itertools.combinations(qm, k)}
+        exact = min(sum(enumerate_two_column_vertices(qm, p1, dm.T)
+                        for qm, dm in zip(prob.q, prob.D)) for p1 in candidates)
+        assert obj == pytest.approx(exact, rel=1e-12, abs=1e-12)
+        assert obj == pytest.approx(highs_barycenter(prob.q, prob.D), rel=1e-8, abs=1e-12)
+
+    def test_no_lp(self, monkeypatch):
+        monkeypatch.setattr(ot_core, "linprog", None)
+        prob = BarycenterProblem(q=[np.array([0.5, 0.5]), np.array([1.0])],
+                                 D=[np.array([[0.0, 4.0], [4.0, 0.0]]), np.array([[0.0], [1.0]])],
+                                 alpha=np.ones(2))
+        obj, ps = barycenter_lp(prob)
+        # The summed slope in p_1 is -4 - 1 up to 0.5 and 4 - 1 beyond.
+        assert obj == pytest.approx(0.5)
+        assert ps.p == pytest.approx([0.5, 0.5])
+
+
+class TestTwoRowProjection:
+    def test_closed_form_matches_sort(self):
+        rng = np.random.default_rng(13)
+        Y = rng.uniform(-2, 2, (2, 80))
+        tau = rng.uniform(0, 1, 80)
+        tau[::7] = 0.0
+        out = project_columns_scaled_simplex(Y, tau)
+        assert np.all(out >= 0.0)
+        assert np.max(np.abs(out.sum(axis=0) - tau)) <= 1e-15
+        assert np.all(out[:, tau == 0.0] == 0.0)
+        for s in range(80):
+            assert out[:, s] == pytest.approx(project_scaled_simplex(Y[:, s], tau[s]),
+                                              abs=1e-15)
+
+    def test_negative_mass_rejected(self):
+        with pytest.raises(ValueError):
+            project_columns_scaled_simplex(np.zeros((2, 3)), np.array([0.5, -0.1, 0.6]))

@@ -250,6 +250,17 @@ class TestChooseSolver:
         assert choose_solver(1, 6, config) == "mam"
         assert choose_solver(1, 2, config) == "lp"
 
+    def test_auto_is_exact_at_two_children(self):
+        # choose_solver would pick MAM for every stage-1 node here (4 measures
+        # > n_big); a node with two children takes the closed-form exact path.
+        orig = generate_random(2, 4, seed=3)
+        config = ReductionConfig(solver="auto", n_big=1, max_outer=1, tol=1e-12,
+                                 mam_max_iter=50)
+        for width, expected in ((2, "lp"), (3, "mam")):
+            _, report = reduce_tree(orig, random_init([width, width], seed=4), config)
+            assert {rec["solver"] for rec in report.solver_log if rec["stage"] == 1} \
+                == {expected}
+
 
 class TestReduceTree:
     def test_identical_copy_reaches_zero_and_stops(self):
