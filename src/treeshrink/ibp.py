@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ot_core import BarycenterProblem, TransportPlanSet
+from .ot_core import BarycenterBatch, BarycenterProblem, BatchSolution, TransportPlanSet
 
 DEFAULT_LAMBDA = 100.0
 DEFAULT_MAX_ITER = 10000
@@ -61,12 +61,22 @@ class IbpResult:
 
 def ibp_solve(problem: BarycenterProblem, lam=DEFAULT_LAMBDA,
               max_iter=DEFAULT_MAX_ITER, tol_fixed_point=DEFAULT_FIXED_POINT_TOL) -> IbpResult:
-    """Approximate a barycenter and its plans by Bregman projections.
+    """Approximate one barycenter and its plans: :func:`ibp_batch` for a batch of one."""
+    sol = ibp_batch(problem, lam=lam, max_iter=max_iter, tol_fixed_point=tol_fixed_point)
+    return IbpResult(float(sol.objective[0]),
+                     TransportPlanSet(problem.split(sol.plans), sol.p[0]),
+                     int(sol.iterations[0]), bool(sol.converged[0]))
 
-    Weights are renormalized onto the simplex for the geometric-mean step
-    (their scale is already inside the cost matrices and does not change the
-    minimizer); zero-weight measures keep their scaling updates, so their
-    marginal constraints hold, but are skipped in the geometric mean.
+
+def ibp_batch(batch: BarycenterBatch, lam=DEFAULT_LAMBDA, max_iter=DEFAULT_MAX_ITER,
+              tol_fixed_point=DEFAULT_FIXED_POINT_TOL) -> BatchSolution:
+    """Approximate every barycenter of a batch and its plans by Bregman projections.
+
+    Weights are renormalized onto the simplex of each problem for the
+    geometric-mean step (their scale is already inside the cost matrices
+    and does not change the minimizer); zero-weight measures keep their
+    scaling updates, so their marginal constraints hold, but are skipped in
+    the geometric mean.
 
     Returned plans reproduce the measure marginals column-wise exactly (the
     sweep ends on a fresh ``v`` update); their row marginals agree with the
@@ -74,69 +84,77 @@ def ibp_solve(problem: BarycenterProblem, lam=DEFAULT_LAMBDA,
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    problem.validate()
-    r = problem.R
-    m_count = problem.M
-
-    total_alpha = float(problem.alpha.sum())
-    if total_alpha > 0:
-        w = problem.alpha / total_alpha
-    else:
-        w = np.full(m_count, 1.0 / m_count)
+    batch.validate()
+    q, cost, live, alpha = batch.padded()
+    w = alpha / alpha.sum(axis=1, keepdims=True)
 
     # Kernels come from the unweighted ground costs (cost matrices carry the
     # weights, so divide them back out); the weights enter once, as the
     # geometric-mean exponents.  Applying them in both places would steer the
     # fixed point toward squared-weight costs.
-    q, cost, live = problem.padded()
-    live = live[:, None, :]
-    alpha = problem.alpha[:, None, None]
+    live = live[:, :, None, :]
+    alpha = alpha[:, :, None, None]
     deltas = np.divide(cost, alpha, out=np.zeros_like(cost), where=alpha > 0)
-    # Shift and range are taken over each measure's real columns only; the
-    # padded kernel columns are set to 1 and meet zero scalings v.
-    d_min = np.where(live, deltas, np.inf).min(axis=(1, 2))
-    d_max = np.where(live, deltas, -np.inf).max(axis=(1, 2))
-    scale = float(np.max(d_max - d_min))
-    if scale <= 0.0:
-        scale = 1.0
-    expo = np.where(live, lam * (deltas - d_min[:, None, None]) / scale, 0.0)
+    # Shift and range are taken over each measure's real columns only (a
+    # padded measure has none); the padded kernel columns are set to 1 and
+    # meet zero scalings v.
+    d_min = np.where(live, deltas, np.inf).min(axis=(2, 3))
+    d_max = np.where(live, deltas, -np.inf).max(axis=(2, 3))
+    d_min[np.isinf(d_min)] = 0.0
+    scale = np.max(d_max - d_min, axis=1)
+    scale[scale <= 0.0] = 1.0
+    expo = np.where(live, lam * (deltas - d_min[:, :, None, None])
+                    / scale[:, None, None, None], 0.0)
     kernels = np.exp(-expo)
-    if not np.all(np.isfinite(kernels)) or np.any(kernels == 0.0):
-        raise RegularizationOverflowError(lam, float(cost.max()), float(expo.max()))
-    kernels_t = kernels.transpose(0, 2, 1)
+    bad = ~np.all(np.isfinite(kernels) & (kernels > 0.0), axis=(1, 2, 3))
+    if bad.any():
+        k = np.argmax(bad)
+        raise RegularizationOverflowError(lam, float(cost[k].max()), float(expo[k].max()))
 
-    u = np.ones((m_count, r))
-    p = np.full(r, 1.0 / r)
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        v = q / np.maximum(_apply(kernels_t, u), _FLOOR)
-        kv = _apply(kernels, v)
+    # Problems still iterating are the rows ``todo`` of the working arrays;
+    # one that stops leaves them, so its state stays as it stopped.
+    todo = np.arange(batch.P)
+    u_end = np.ones(q.shape[:2] + (batch.R,))
+    p_end = np.empty((batch.P, batch.R))
+    iterations = np.full(batch.P, max_iter)
+    converged = np.zeros(batch.P, dtype=bool)
+    kern, q_k, w_k, u = kernels, q, w[:, None, :], u_end
+    p = np.full((batch.P, batch.R), 1.0 / batch.R)
+    for it in range(1, max_iter + 1):
+        kern_t = kern.transpose(0, 1, 3, 2)
+        v = q_k / np.maximum(_apply(kern_t, u), _FLOOR)
+        kv = np.maximum(_apply(kern, v), _FLOOR)
         # Zero-weight measures add 0 * finite log terms, i.e. are skipped.
-        p_new = np.exp(w @ np.log(np.maximum(kv, _FLOOR)))
-        residual = float(np.max(np.abs(p_new - p)))
-        u = p_new / np.maximum(kv, _FLOOR)
+        p_new = np.exp(np.matmul(w_k, np.log(kv))[:, 0])
+        residual = np.abs(p_new - p).max(axis=1)
+        u = p_new[:, None, :] / kv
         # Cycle consistency: with the fresh u, the current plans' column
         # sums must reproduce q.  The estimate p alone can plateau (sharp
         # kernels converge very slowly) long before the scalings agree,
         # so a p-only test would stop on inconsistent plans.
-        col = v * _apply(kernels_t, u)
-        residual = max(residual, float(np.max(np.abs(col - q))))
+        col = v * _apply(kern_t, u)
+        residual = np.maximum(residual, np.abs(col - q_k).max(axis=(1, 2)))
         p = p_new
-        if residual <= tol_fixed_point:
-            converged = True
-            break
+        stop = residual <= tol_fixed_point
+        if stop.any():
+            done = todo[stop]
+            iterations[done], converged[done] = it, True
+            u_end[done], p_end[done] = u[stop], p[stop]
+            keep = ~stop
+            todo, kern, q_k, w_k, u, p = todo[keep], kern[keep], q_k[keep], w_k[keep], u[keep], p[keep]
+            if todo.size == 0:
+                break
+    u_end[todo], p_end[todo] = u, p
 
     # Closing v update: column sums of diag(u) K diag(v) match q exactly.
-    v = q / np.maximum(_apply(kernels_t, u), _FLOOR)
-    plans = u[:, :, None] * kernels * v[:, None, :]
-    p_report = p / p.sum()
-    objective = float(np.sum(cost * plans))
-    return IbpResult(objective, TransportPlanSet(problem.unpad(plans), p_report),
-                     iterations, converged)
+    v = q / np.maximum(_apply(kernels.transpose(0, 1, 3, 2), u_end), _FLOOR)
+    plans = u_end[..., None] * kernels * v[:, :, None, :]
+    plans = batch.unpad(plans)
+    return BatchSolution(batch.problem_sums(batch.cost * plans),
+                         p_end / p_end.sum(axis=1, keepdims=True),
+                         plans, iterations, converged)
 
 
 def _apply(kernels, x):
-    """Per-measure matrix-vector products: (M, A, B) kernels times (M, B) -> (M, A)."""
-    return np.matmul(kernels, x[:, :, None])[:, :, 0]
+    """Per-measure matrix-vector products: (..., A, B) kernels times (..., B) -> (..., A)."""
+    return np.matmul(kernels, x[..., None])[..., 0]

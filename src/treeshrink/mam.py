@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ot_core import BarycenterProblem, TransportPlanSet, project_columns_scaled_simplex
+from .ot_core import (BarycenterBatch, BarycenterProblem, BatchSolution, TransportPlanSet,
+                      project_columns_scaled_simplex)
 
 DEFAULT_MAX_ITER = 5000
 DEFAULT_MARGINAL_TOL = 1e-6
@@ -38,101 +39,140 @@ class MamResult:
     marginal_gaps: list = field(default_factory=list, repr=False)
 
 
-def default_rho(problem: BarycenterProblem) -> float:
-    """Proximal parameter default: mean of all cost entries over 50.
+def default_rho(problem: BarycenterBatch) -> np.ndarray:
+    """Proximal parameter default of every problem: mean of its cost entries over 50.
 
     The parameter only affects convergence speed, so a cheap scale heuristic
     is enough; zero-cost problems fall back to 1.
     """
-    total = sum(float(dm.sum()) for dm in problem.D)
-    count = sum(dm.size for dm in problem.D)
-    mean = total / max(count, 1)
-    return mean / 50.0 if mean > 0 else 1.0
+    count = problem.R * np.diff(problem.atom_ptr[problem.measure_ptr])
+    mean = problem.problem_sums(problem.cost) / count
+    return np.where(mean > 0, mean / 50.0, 1.0)
 
 
 def mam_solve(problem: BarycenterProblem, rho=None, max_iter=DEFAULT_MAX_ITER,
               tol_marginal=DEFAULT_MARGINAL_TOL, init_plans=None) -> MamResult:
-    """Solve a barycenter problem by averaged-marginal splitting.
+    """Solve one barycenter problem: :func:`mam_batch` for a batch of one.
+
+    ``init_plans``, if given, lists one (R, S^m) warm-start plan per measure
+    (a wrong shape is a ``ValueError``).
+    """
+    if init_plans is not None:
+        if len(init_plans) != problem.M:
+            raise ValueError("need one warm-start plan per measure")
+        init_plans = [np.asarray(pl, dtype=np.float64) for pl in init_plans]
+        for m, (pl, s) in enumerate(zip(init_plans, problem.support_sizes())):
+            if pl.shape != (problem.R, s):
+                raise ValueError(f"measure {m}: warm-start plan shape {pl.shape} "
+                                 f"!= ({problem.R}, {s})")
+        init_plans = np.concatenate(init_plans, axis=1)
+    sol, gaps = mam_batch(problem, rho=rho, max_iter=max_iter, tol_marginal=tol_marginal,
+                          init_plans=init_plans)
+    return MamResult(float(sol.objective[0]), TransportPlanSet(problem.split(sol.plans), sol.p[0]),
+                     int(sol.iterations[0]), bool(sol.converged[0]), gaps[0])
+
+
+def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
+              tol_marginal=DEFAULT_MARGINAL_TOL, init_plans=None):
+    """Solve every barycenter problem of a batch by averaged-marginal splitting.
 
     Parameters
     ----------
-    problem : BarycenterProblem
+    batch : BarycenterBatch
         Weights are carried inside the cost matrices; zero-weight measures
         (all-zero cost) stay in the consensus and still constrain feasibility.
     rho : float, optional
-        Proximal parameter > 0; defaults to :func:`default_rho`.
+        Proximal parameter > 0 of every problem; defaults to each problem's
+        :func:`default_rho`.
     max_iter, tol_marginal :
-        Stop when the largest infinity-norm gap between the consensus vector
-        and any measure's row marginal drops to ``tol_marginal``, or after
-        ``max_iter`` iterations (the result is then flagged unconverged).
-    init_plans : list of arrays, optional
-        Warm-start plans, one (R, S^m) array per measure (a wrong shape is a
-        ``ValueError``); defaults to the product of the uniform barycenter
-        with each marginal.
+        A problem stops when the largest infinity-norm gap between its
+        consensus vector and any of its measures' row marginals drops to
+        ``tol_marginal``, or after ``max_iter`` iterations (it is then
+        flagged unconverged).
+    init_plans : array, optional
+        Warm-start plans laid out like the batch's costs, (R, A); defaults
+        to the product of the uniform barycenter with each marginal.
+
+    Returns ``(BatchSolution, gaps)``, with each problem's list of per-iteration gaps.
     """
-    problem.validate()
-    if rho is None:
-        rho = default_rho(problem)
-    if rho <= 0:
+    batch.validate()
+    rho = default_rho(batch) if rho is None else np.full(batch.P, float(rho))
+    if np.any(rho <= 0):
         raise ValueError("rho must be positive")
-    r = problem.R
-    sizes = problem.support_sizes()
-    m_count = problem.M
-    q, cost, live = problem.padded()
-    s_max = q.shape[1]
-    size_col = np.asarray(sizes, dtype=np.float64)[:, None]
+    r = batch.R
+    q, cost, live, _ = batch.padded()
+    sizes = live.sum(axis=2)
+    # Padded measures get size 1 (their shift meets zero columns) and no
+    # say in the consensus.
+    inv_sizes = np.where(sizes > 0, 1.0 / np.maximum(sizes, 1), 0.0)
+    a = (inv_sizes / inv_sizes.sum(axis=1, keepdims=True))[:, None, :]
+    size_col = np.maximum(sizes, 1).astype(np.float64)[:, :, None]
+    real = sizes > 0
     # 1 on real columns, 0 on padding: the padded shadow columns stay zero,
     # so they add nothing to the row marginals.
-    live = live[:, None, :].astype(np.float64)
-
-    inv_sizes = 1.0 / size_col[:, 0]
-    a = inv_sizes / inv_sizes.sum()
+    live = live[:, :, None, :].astype(np.float64)
 
     if init_plans is None:
-        shadow = np.full((m_count, r, s_max), 1.0 / r) * q[:, None, :]
+        shadow = np.full(cost.shape, 1.0 / r) * q[:, :, None, :]
     else:
-        if len(init_plans) != m_count:
-            raise ValueError("need one warm-start plan per measure")
-        shadow = np.zeros((m_count, r, s_max))
-        for m, (pl, s) in enumerate(zip(init_plans, sizes)):
-            pl = np.asarray(pl, dtype=np.float64)
-            if pl.shape != (r, s):
-                raise ValueError(f"measure {m}: warm-start plan shape {pl.shape} "
-                                 f"!= ({r}, {s})")
-            shadow[m, :, :s] = pl
-    shadow_marg = shadow.sum(axis=2)
-    step = cost / rho
-    tau = q.ravel()
+        init_plans = np.asarray(init_plans, dtype=np.float64)
+        if init_plans.shape != batch.cost.shape:
+            raise ValueError(f"warm-start plans shape {init_plans.shape} != {batch.cost.shape}")
+        shadow = batch.pad_plans(init_plans)
+    shadow_marg = shadow.sum(axis=3)
+    step = cost / rho[:, None, None, None]
 
     # The governing (shadow) iterates may go negative and their marginal
     # disagreement converges to a dual offset, not zero; feasibility and the
     # stopping test live on the projection outputs, whose column sums equal
-    # the marginals exactly and whose row marginals reach consensus.
-    plans = shadow.copy()
-    gaps = []
-    converged = False
-    iterations = 0
-    p = a @ shadow_marg
-    for iterations in range(1, max_iter + 1):
-        shift = (p - shadow_marg) / size_col
-        y = shadow + 2.0 * shift[:, :, None] - step
-        # One projection over the (R, M * S_max) matrix of all columns.
+    # the marginals exactly and whose row marginals reach consensus.  Problems
+    # still iterating are the rows ``todo`` of the working arrays; one that
+    # stops leaves them, so its plans stay as they stopped.
+    plans_end = shadow.copy()
+    todo = np.arange(batch.P)
+    iterations = np.full(batch.P, max_iter)
+    converged = np.zeros(batch.P, dtype=bool)
+    gaps, gap_owner = [], []
+    # The per-problem arrays of the problems still iterating.
+    work = (shadow, shadow_marg, step, q.reshape(batch.P, -1), live, a, size_col, real[..., None])
+    p = np.matmul(a, shadow_marg)
+    for it in range(1, max_iter + 1):
+        shadow, shadow_marg, step, tau, live_k, a_k, size_k, real_k = work
+        shift = (p - shadow_marg) / size_k
+        y = shadow + 2.0 * shift[..., None] - step
+        # One projection over the (R, P * M * S_max) matrix of all columns.
+        n, m_max, _, s_max = y.shape
         plans = project_columns_scaled_simplex(
-            y.transpose(1, 0, 2).reshape(r, m_count * s_max), tau
-        ).reshape(r, m_count, s_max).transpose(1, 0, 2)
-        feas_marg = plans.sum(axis=2)
-        shadow = plans - shift[:, :, None] * live
-        shadow_marg = shadow.sum(axis=2)
-        p = a @ shadow_marg
-        p_feas = a @ feas_marg
-        gap = float(np.max(np.abs(feas_marg - p_feas[None, :])))
+            y.transpose(2, 0, 1, 3).reshape(r, -1), tau.ravel()
+        ).reshape(r, n, m_max, s_max).transpose(1, 2, 0, 3)
+        feas_marg = plans.sum(axis=3)
+        shadow = plans - shift[..., None] * live_k
+        shadow_marg = shadow.sum(axis=3)
+        p = np.matmul(a_k, shadow_marg)
+        p_feas = np.matmul(a_k, feas_marg)
+        gap = np.max(np.abs(feas_marg - p_feas), axis=(1, 2), where=real_k, initial=0.0)
         gaps.append(gap)
-        if gap <= tol_marginal:
-            converged = True
-            break
+        gap_owner.append(todo)
+        work = (shadow, shadow_marg, step, tau, live_k, a_k, size_k, real_k)
+        stop = gap <= tol_marginal
+        if stop.any():
+            done = todo[stop]
+            plans_end[done] = plans[stop]
+            iterations[done], converged[done] = it, True
+            keep = ~stop
+            todo, p, plans = todo[keep], p[keep], plans[keep]
+            work = tuple(x[keep] for x in work)
+            if todo.size == 0:
+                break
+    if max_iter > 0:
+        plans_end[todo] = plans
 
-    p_final = a @ plans.sum(axis=2)
-    p_final = p_final / p_final.sum()
-    objective = float(np.sum(cost * plans))
-    return MamResult(objective, TransportPlanSet(problem.unpad(plans), p_final),
-                     iterations, converged, gaps)
+    p_final = np.matmul(a, plans_end.sum(axis=3))[:, 0]
+    p_final = p_final / p_final.sum(axis=1, keepdims=True)
+    plans = batch.unpad(plans_end)
+    solution = BatchSolution(batch.problem_sums(batch.cost * plans), p_final, plans,
+                             iterations, converged)
+    # Each problem's gaps, in iteration order.
+    owner = np.concatenate([[]] + gap_owner).astype(int)
+    history = np.concatenate([[]] + gaps)[np.argsort(owner, kind="stable")]
+    return solution, [g.tolist() for g in np.split(history, np.cumsum(iterations)[:-1])]

@@ -20,7 +20,7 @@ pure; callers may run any number of instances concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -47,86 +47,168 @@ _DUST = 4 * np.finfo(np.float64).eps
 
 
 @dataclass
-class BarycenterProblem:
-    """Fixed-support barycenter instance.
+class BarycenterBatch:
+    """P fixed-support barycenter problems on R support points, concatenated.
+
+    Problem k owns the measures ``measure_ptr[k]:measure_ptr[k+1]``; measure m
+    owns the atoms ``atom_ptr[m]:atom_ptr[m+1]``.  The solvers run on the
+    whole batch at once, and :meth:`split` cuts their (R, A) plans back into
+    one (R, S^m) block per measure.
 
     Attributes
     ----------
-    q : list of arrays
-        Marginal of each measure m, length S^m, entries >= 0 summing to 1.
-    D : list of arrays
-        Cost matrix of each measure, shape (R, S^m), weight already applied
-        (row index runs over the barycenter support of size R).
-    alpha : array
-        Raw nonnegative weights, one per measure, not all zero.  The cost
-        matrices carry them already; solvers that need normalized weights
-        (the geometric mean of the Bregman solver) renormalize internally.
+    mass : array, shape (A,)
+        Marginal of every measure, concatenated; each sums to 1 with entries
+        >= 0.
+    cost : array, shape (R, A)
+        Cost of every atom against every barycenter support point, the
+        measure's weight already applied.
+    alpha : array, shape (M,)
+        Raw nonnegative weight of every measure, not all zero within a
+        problem.  The costs carry them already; solvers that need
+        normalized weights (the geometric mean of the Bregman solver)
+        renormalize per problem.
+    atom_ptr, measure_ptr : int arrays, shapes (M + 1,) and (P + 1,)
     """
 
-    q: list
-    D: list
+    mass: np.ndarray
+    cost: np.ndarray
     alpha: np.ndarray
-
-    def __post_init__(self):
-        self.q = [np.asarray(qm, dtype=np.float64) for qm in self.q]
-        self.D = [np.asarray(dm, dtype=np.float64) for dm in self.D]
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-
-    @property
-    def M(self) -> int:
-        return len(self.q)
+    atom_ptr: np.ndarray
+    measure_ptr: np.ndarray
 
     @property
     def R(self) -> int:
-        return self.D[0].shape[0]
+        return self.cost.shape[0]
+
+    @property
+    def M(self) -> int:
+        return self.alpha.shape[0]
+
+    @property
+    def P(self) -> int:
+        return self.measure_ptr.shape[0] - 1
 
     def support_sizes(self) -> list:
-        return [qm.shape[0] for qm in self.q]
+        return np.diff(self.atom_ptr).tolist()
+
+    def split(self, values) -> list:
+        """Per-measure blocks of an array laid out like ``mass`` (last axis)."""
+        return np.split(values, self.atom_ptr[1:-1], axis=-1)
+
+    def select(self, problems) -> "BarycenterBatch":
+        """The batch of the given problems, in that order."""
+        problems = np.asarray(problems)
+        counts = np.diff(self.measure_ptr)[problems]
+        measures = _concat_ranges(self.measure_ptr[problems], counts)
+        sizes = np.diff(self.atom_ptr)[measures]
+        atoms = _concat_ranges(self.atom_ptr[measures], sizes)
+        return BarycenterBatch(self.mass[atoms], self.cost[:, atoms], self.alpha[measures],
+                               np.concatenate(([0], np.cumsum(sizes))),
+                               np.concatenate(([0], np.cumsum(counts))))
+
+    def _slots(self):
+        """Problem, measure slot and atom slot of every atom in the padded layout."""
+        sizes = np.diff(self.atom_ptr)
+        counts = np.diff(self.measure_ptr)
+        measure_problem = np.repeat(np.arange(self.P), counts)
+        measure_slot = np.arange(self.M) - self.measure_ptr[measure_problem]
+        atom_slot = np.arange(self.atom_ptr[-1]) - np.repeat(self.atom_ptr[:-1], sizes)
+        return (np.repeat(measure_problem, sizes), np.repeat(measure_slot, sizes), atom_slot,
+                (self.P, int(counts.max()), int(sizes.max())))
 
     def padded(self):
-        """Stack all measures into arrays padded to the widest support S_max.
+        """The batch as dense arrays padded to M_max measures of S_max atoms.
 
-        Returns ``(q, D, live)`` of shapes (M, S_max), (M, R, S_max) and
-        (M, S_max); ``live`` is True on each measure's real columns.  Padded
-        columns carry zero mass and zero cost, so a solver that keeps their
-        plan columns at zero can run every measure in one array operation;
-        :meth:`unpad` trims the stacked plans back.
+        Returns ``(q, cost, live, alpha)`` of shapes (P, M_max, S_max),
+        (P, M_max, R, S_max), (P, M_max, S_max) and (P, M_max); ``live`` is
+        True on the real atoms.  Padded atoms and measures carry zero mass,
+        cost and weight, so a solver that keeps their plan columns at zero
+        can run every problem in one array operation; :meth:`unpad` gathers
+        the plans back.
         """
-        sizes = np.asarray(self.support_sizes())
-        live = np.arange(sizes.max())[None, :] < sizes[:, None]
-        q = np.zeros(live.shape)
-        d = np.zeros((self.M, self.R, live.shape[1]))
-        for m, (qm, dm) in enumerate(zip(self.q, self.D)):
-            q[m, :sizes[m]] = qm
-            d[m, :, :sizes[m]] = dm
-        return q, d, live
+        problem, measure, atom, shape = self._slots()
+        live = np.zeros(shape, dtype=bool)
+        live[problem, measure, atom] = True
+        q = np.zeros(shape)
+        q[problem, measure, atom] = self.mass
+        alpha = np.zeros(shape[:2])
+        alpha[live.any(axis=2)] = self.alpha
+        return q, self.pad_plans(self.cost), live, alpha
 
-    def unpad(self, plans) -> list:
-        """Split stacked (M, R, S_max) plans into one (R, S^m) array per measure."""
-        return [np.array(plans[m, :, :s]) for m, s in enumerate(self.support_sizes())]
+    def pad_plans(self, plans) -> np.ndarray:
+        """(R, A) plans, or costs, spread into the padded (P, M_max, R, S_max) layout."""
+        problem, measure, atom, (p, m, s) = self._slots()
+        out = np.zeros((p, m, self.R, s))
+        out[problem, measure, :, atom] = plans.T
+        return out
+
+    def unpad(self, plans) -> np.ndarray:
+        """Padded (P, M_max, R, S_max) plans gathered back into the (R, A) layout."""
+        problem, measure, atom, _ = self._slots()
+        return plans[problem, measure, :, atom].T
+
+    def problem_sums(self, values) -> np.ndarray:
+        """Per-problem sums of an (R, A) array laid out like ``cost``."""
+        problem = self._slots()[0]
+        return np.bincount(problem, values.sum(axis=0), self.P)
+
+    def _name(self, m) -> str:
+        k = int(np.searchsorted(self.measure_ptr, m, side="right")) - 1
+        local = f"measure {m - self.measure_ptr[k]}"
+        return local if self.P == 1 else f"problem {k}, {local}"
 
     def validate(self) -> None:
-        if not (len(self.D) == self.M == self.alpha.shape[0]) or self.M == 0:
-            raise ValueError("q, D and alpha must list the same nonzero number of measures")
-        r = self.R
-        sizes = self.support_sizes()
-        shaped = [dm.shape == (r, s) for dm, s in zip(self.D, sizes)]
-        if not all(shaped):
-            m = shaped.index(False)
-            raise ValueError(f"measure {m}: cost shape {self.D[m].shape} != ({r}, {sizes[m]})")
+        ptr, counts = self.measure_ptr, np.diff(self.measure_ptr)
+        if (ptr[0] != 0 or ptr[-1] != self.M or self.M == 0 or np.any(counts < 1)
+                or self.atom_ptr.shape != (self.M + 1,) or self.atom_ptr[0] != 0
+                or self.mass.shape != (self.atom_ptr[-1],)
+                or self.cost.shape != (self.R, self.atom_ptr[-1])):
+            raise ValueError("barycenter batch arrays do not match their pointers")
         # One pass over the concatenated marginals and costs; owner[i] is the
-        # measure of column i.
-        q = np.concatenate(self.q)
-        owner = np.repeat(np.arange(self.M), sizes)
-        bad = np.abs(np.bincount(owner, q, self.M) - 1.0) > 1e-9
-        bad[owner[q < -1e-12]] = True
+        # measure of atom i.
+        owner = np.repeat(np.arange(self.M), np.diff(self.atom_ptr))
+        bad = np.abs(np.bincount(owner, self.mass, self.M) - 1.0) > 1e-9
+        bad[owner[self.mass < -1e-12]] = True
         if bad.any():
-            raise ValueError(f"measure {np.argmax(bad)}: marginal is not a probability vector")
-        negative = np.any(np.concatenate(self.D, axis=1) < 0, axis=0)
+            raise ValueError(f"{self._name(np.argmax(bad))}: marginal is not a probability vector")
+        negative = np.any(self.cost < 0, axis=0)
         if negative.any():
-            raise ValueError(f"measure {owner[np.argmax(negative)]}: negative transport costs")
-        if np.any(self.alpha < 0) or not np.any(self.alpha > 0):
+            raise ValueError(f"{self._name(owner[np.argmax(negative)])}: negative transport costs")
+        if np.any(self.alpha < 0) or not np.all(np.maximum.reduceat(self.alpha, ptr[:-1]) > 0):
             raise ValueError("weights must be nonnegative and not all zero")
+
+
+class BarycenterProblem(BarycenterBatch):
+    """One fixed-support barycenter problem, given measure by measure.
+
+    A batch of one: ``q`` lists each measure's marginal (length S^m), ``D``
+    each measure's (R, S^m) cost matrix with the weight applied, ``alpha``
+    the raw weights.  Costs of the wrong shape are rejected here, naming the
+    first such measure; :meth:`validate` checks the rest.
+    """
+
+    def __init__(self, q, D, alpha):
+        q = [np.asarray(qm, dtype=np.float64) for qm in q]
+        D = [np.asarray(dm, dtype=np.float64) for dm in D]
+        alpha = np.asarray(alpha, dtype=np.float64)
+        if not (len(D) == len(q) == alpha.shape[0]) or not q:
+            raise ValueError("q, D and alpha must list the same nonzero number of measures")
+        sizes = [qm.shape[0] for qm in q]
+        r = D[0].shape[0]
+        for m, (dm, s) in enumerate(zip(D, sizes)):
+            if dm.shape != (r, s):
+                raise ValueError(f"measure {m}: cost shape {dm.shape} != ({r}, {s})")
+        super().__init__(np.concatenate(q), np.concatenate(D, axis=1), alpha,
+                         np.concatenate(([0], np.cumsum(sizes))), np.array([0, len(q)]))
+
+    @property
+    def q(self) -> list:
+        return self.split(self.mass)
+
+    @property
+    def D(self) -> list:
+        return self.split(self.cost)
 
 
 @dataclass
@@ -136,12 +218,21 @@ class TransportPlanSet:
     plans: list
     p: np.ndarray
 
-    def column_marginal_error(self, problem: BarycenterProblem) -> float:
-        return max(float(np.max(np.abs(pl.sum(axis=0) - qm)))
-                   for pl, qm in zip(self.plans, problem.q))
 
-    def row_marginal_error(self) -> float:
-        return max(float(np.max(np.abs(pl.sum(axis=1) - self.p))) for pl in self.plans)
+@dataclass
+class BatchSolution:
+    """Solutions of every problem of a :class:`BarycenterBatch`.
+
+    ``plans`` is laid out like the batch's costs, (R, A); the rest holds one
+    entry per problem: its objective, its barycenter (a (P, R) array), its
+    iteration count and whether it converged (exact solves: 1 and True).
+    """
+
+    objective: np.ndarray
+    p: np.ndarray
+    plans: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
 
 
 def block_entries(row_ptr, col_ptr):
@@ -340,7 +431,7 @@ def wasserstein_lp(q, q_other, D):
     return float(values[0]), x.reshape(r, s)
 
 
-def barycenter_lp(problem: BarycenterProblem):
+def barycenter_lp(problem: BarycenterBatch):
     """Exact optimum of the coupled barycenter LP with free weights p.
 
     Decision variables are the barycenter vector ``p`` on the R-simplex and
@@ -348,70 +439,50 @@ def barycenter_lp(problem: BarycenterProblem):
     column-wise and the shared ``p`` row-wise.  Returns ``(objective,
     TransportPlanSet)``; the problem is always feasible (product plans).
     With two support points the optimum is found in closed form
-    (:func:`_two_atom_barycenter`); otherwise by one HiGHS LP.  The plans
-    are vertex solutions either way.
+    (:func:`two_atom_barycenter`); otherwise by one HiGHS LP.  The plans
+    are vertex solutions either way.  ``problem`` is a batch of one.
     """
     problem.validate()
-    if problem.R == 2:
-        return _two_atom_barycenter(problem)
-    r = problem.R
-    sizes = problem.support_sizes()
-    m_count = problem.M
-    n_pi = int(r * sum(sizes))
-    c = np.concatenate([np.zeros(r)] + [dm.ravel() for dm in problem.D])
+    if problem.P != 1:
+        raise ValueError(f"barycenter_lp solves one problem, not {problem.P}")
+    solution = (two_atom_barycenter(problem) if problem.R == 2
+                else _highs_barycenter(problem))
+    return float(solution.objective[0]), TransportPlanSet(problem.split(solution.plans),
+                                                          solution.p[0])
 
-    blocks_data = []
-    blocks_rows = []
-    blocks_cols = []
-    row0 = 0
-    col0 = r
-    # column sums of each plan = q^m
-    for m, s in enumerate(sizes):
-        for rr in range(r):
-            blocks_rows.append(np.arange(row0, row0 + s))
-            blocks_cols.append(col0 + rr * s + np.arange(s))
-            blocks_data.append(np.ones(s))
-        row0 += s
-        col0 += r * s
-    # row sums of each plan - p = 0
-    col0 = r
-    for m, s in enumerate(sizes):
-        for rr in range(r):
-            blocks_rows.append(np.full(s, row0 + rr))
-            blocks_cols.append(col0 + rr * s + np.arange(s))
-            blocks_data.append(np.ones(s))
-        blocks_rows.append(np.arange(row0, row0 + r))
-        blocks_cols.append(np.arange(r))
-        blocks_data.append(np.full(r, -1.0))
-        row0 += r
-        col0 += r * s
-    # simplex constraint on p
-    blocks_rows.append(np.full(r, row0))
-    blocks_cols.append(np.arange(r))
-    blocks_data.append(np.ones(r))
-    row0 += 1
 
-    a_eq = sparse.csr_matrix(
-        (np.concatenate(blocks_data),
-         (np.concatenate(blocks_rows), np.concatenate(blocks_cols))),
-        shape=(row0, r + n_pi))
-    b_eq = np.concatenate([np.concatenate(problem.q),
-                           np.zeros(m_count * r), [1.0]])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs-ds", options=_LP_OPTIONS)
+def _highs_barycenter(problem: BarycenterBatch) -> BatchSolution:
+    """One problem's barycenter LP, solved by HiGHS.
+
+    The variables are ``p``, then each measure's (R, S^m) plan row-major;
+    the constraints are every plan's column sums (its marginal), every
+    plan's row sums less ``p`` (zero) and the simplex row of ``p``.
+    """
+    r, m_count, n_atoms = problem.R, problem.M, problem.atom_ptr[-1]
+    # Plan entry (measure, support point, atom), in variable order.
+    block, row, atom = block_entries(r * np.arange(m_count + 1), problem.atom_ptr)
+    point = row - r * block
+    n_pi = block.shape[0]
+    var = r + np.arange(n_pi)
+    rows = np.concatenate([atom, n_atoms + row, n_atoms + np.arange(m_count * r),
+                           np.full(r, n_atoms + m_count * r)])
+    cols = np.concatenate([var, var, np.tile(np.arange(r), m_count), np.arange(r)])
+    data = np.concatenate([np.ones(2 * n_pi), np.full(m_count * r, -1.0), np.ones(r)])
+    a_eq = sparse.csr_matrix((data, (rows, cols)),
+                             shape=(n_atoms + m_count * r + 1, r + n_pi))
+    b_eq = np.concatenate([problem.mass, np.zeros(m_count * r), [1.0]])
+    res = linprog(np.concatenate([np.zeros(r), problem.cost[point, atom]]), A_eq=a_eq,
+                  b_eq=b_eq, bounds=(0, None), method="highs-ds", options=_LP_OPTIONS)
     if not res.success:
         raise RuntimeError(f"barycenter LP failed: {res.message}")
-    p = res.x[:r].copy()
-    plans = []
-    off = r
-    for s in sizes:
-        plans.append(res.x[off:off + r * s].reshape(r, s).copy())
-        off += r * s
-    return float(res.fun), TransportPlanSet(plans, p)
+    plans = np.empty((r, n_atoms))
+    plans[point, atom] = res.x[r:]
+    return BatchSolution(np.array([res.fun]), res.x[None, :r].copy(), plans,
+                         np.ones(1, dtype=int), np.ones(1, dtype=bool))
 
 
-def _two_atom_barycenter(problem: BarycenterProblem):
-    """Exact barycenter with two support points, without an LP.
+def two_atom_barycenter(batch: BarycenterBatch) -> BatchSolution:
+    """Exact barycenters with two support points of every problem, without an LP.
 
     For a fixed ``p = (p_1, 1 - p_1)`` each measure is a two-row transport
     problem, solved by the greedy of :func:`_fill_first`; its cost is convex
@@ -419,30 +490,37 @@ def _two_atom_barycenter(problem: BarycenterProblem):
     measure's atoms in ascending ``d = D[0] - D[1]``, so the slope is the
     ``d`` of the atom being filled: it steps by ``d_i - d_(i-1)`` (from 0
     before the first atom) where atom i starts, at the mass of the atoms
-    before it.  The summed cost is minimal where the merged slope first
-    turns nonnegative (``p_1 = 1`` if it never does).  The steps are summed
-    by position, and in ascending order at one position.  Only the first
-    atoms' steps can be negative, so a running sum that is nonnegative at
-    some event stays so up to the slope right of that position.
+    before it.  A problem's summed cost is minimal where its merged slope
+    first turns nonnegative (``p_1 = 1`` if it never does).  The steps are
+    summed by position, and in ascending order at one position.  Only the
+    first atoms' steps can be negative, so a running sum that is
+    nonnegative at some event stays so up to the slope right of that
+    position.  Every problem's events fill one row of a padded table, so
+    each running sum is its own row's ``cumsum``, whatever the batch.
     """
-    ptr = np.concatenate(([0], np.cumsum(problem.support_sizes())))
-    q = np.concatenate(problem.q)
-    cost = np.concatenate(problem.D, axis=1)
-    d = cost[0] - cost[1]
-    at, step = [], []
-    for _, idx, before in _sorted_blocks(ptr, d, q):
+    measure_problem = np.repeat(np.arange(batch.P), np.diff(batch.measure_ptr))
+    d = batch.cost[0] - batch.cost[1]
+    at, step, owner = [], [], []
+    for blocks, idx, before in _sorted_blocks(batch.atom_ptr, d, batch.mass):
         at.append(before.ravel())
         step.append(np.diff(d[idx], axis=1, prepend=0.0).ravel())
-    at, step = np.concatenate(at), np.concatenate(step)
-    order = np.lexsort((step, at))
-    turn = np.flatnonzero(np.cumsum(step[order]) >= 0.0)
-    p1 = min(float(at[order[turn[0]]]), 1.0) if turn.size else 1.0
-    first = _fill_first(q, ptr, np.full(problem.M, p1), d)
-    plans = np.stack([first, q - first])
-    bounds = ptr.tolist()
-    return float(np.sum(cost * plans)), TransportPlanSet(
-        [plans[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])],
-        np.array([p1, 1.0 - p1]))
+        owner.append(np.repeat(measure_problem[blocks], idx.shape[1]))
+    at, step, owner = np.concatenate(at), np.concatenate(step), np.concatenate(owner)
+    order = np.lexsort((step, at, owner))
+    counts = np.bincount(owner, minlength=batch.P)
+    slot = np.arange(order.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    where = np.zeros((batch.P, counts.max()))
+    slope = np.zeros(where.shape)
+    where[owner[order], slot] = at[order]
+    slope[owner[order], slot] = step[order]
+    turn = (np.cumsum(slope, axis=1) >= 0.0) & (np.arange(where.shape[1]) < counts[:, None])
+    first = np.argmax(turn, axis=1)
+    p1 = np.where(turn.any(axis=1),
+                  np.minimum(where[np.arange(batch.P), first], 1.0), 1.0)
+    to_first = _fill_first(batch.mass, batch.atom_ptr, p1[measure_problem], d)
+    plans = np.stack([to_first, batch.mass - to_first])
+    return BatchSolution(batch.problem_sums(batch.cost * plans), np.column_stack([p1, 1.0 - p1]),
+                         plans, np.ones(batch.P, dtype=int), np.ones(batch.P, dtype=bool))
 
 
 def project_scaled_simplex(y, tau):

@@ -42,9 +42,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ibp import ibp_solve
-from .mam import mam_solve
-from .ot_core import BarycenterProblem, barycenter_lp
+from .ibp import ibp_batch
+from .mam import mam_batch
+# No longer called here; perfbench/spans.py still wraps the one-problem
+# solvers under this module's name, where they now count zero calls.
+from .ibp import ibp_solve  # noqa: F401
+from .mam import mam_solve  # noqa: F401
+from .ot_core import BarycenterBatch, BatchSolution, barycenter_lp, two_atom_barycenter
 from .tree import ScenarioTree, TreeValidationError, path_cost_table
 
 SOLVERS = ("lp", "mam", "ibp", "auto")
@@ -187,26 +191,23 @@ def choose_solver(n_subtrees: int, branching: int, config: ReductionConfig) -> s
     return "lp"
 
 
-def _solve_node(problem, solver, config, warm_plans):
-    if solver == "lp":
-        _, plan_set = barycenter_lp(problem)
-        return plan_set, 1, True
-    if solver == "mam":
-        res = mam_solve(problem, rho=config.rho, max_iter=config.mam_max_iter,
-                        tol_marginal=config.mam_tol, init_plans=warm_plans)
-        return res.plan_set, res.iterations, res.converged
+def _solve(batch, solver, config, warm):
+    """Solve a batch with one solver; returns its :class:`BatchSolution`."""
     if solver == "ibp":
-        res = ibp_solve(problem, lam=config.lam, max_iter=config.ibp_max_iter,
-                        tol_fixed_point=config.ibp_tol)
-        return res.plan_set, res.iterations, res.converged
-    raise ValueError(f"unknown solver {solver!r}")
-
-
-def _split_rows(values, ptr) -> list:
-    """Row blocks ``values[ptr[k]:ptr[k+1]]`` as views (``np.split`` costs
-    several times more per block)."""
-    bounds = ptr.tolist()
-    return [values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return ibp_batch(batch, lam=config.lam, max_iter=config.ibp_max_iter,
+                         tol_fixed_point=config.ibp_tol)
+    if solver == "mam":
+        return mam_batch(batch, rho=config.rho, max_iter=config.mam_max_iter,
+                         tol_marginal=config.mam_tol, init_plans=warm)[0]
+    if batch.R == 2:
+        return two_atom_barycenter(batch)
+    # HiGHS solves one LP per problem.
+    solved = [barycenter_lp(batch.select([k])) for k in range(batch.P)]
+    return BatchSolution(np.array([value for value, _ in solved]),
+                         np.stack([plan_set.p for _, plan_set in solved]),
+                         np.concatenate([plan for _, plan_set in solved
+                                         for plan in plan_set.plans], axis=1),
+                         np.ones(batch.P, dtype=int), np.ones(batch.P, dtype=bool))
 
 
 def probability_step(original, reduced, joints, leaf_costs, config: ReductionConfig):
@@ -220,12 +221,19 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
       stacks, per reduced node n: 1 for a single child (the plans are
       forced), the uniform vector when the weight column ``joints[t][:, n]``
       is zero, and otherwise the barycenter solved for n;
-    * a reduced node with at least two children and positive weight solves
+    * a reduced node with at least two children and positive weight poses
       one barycenter problem over the original nodes m with weight
       alpha_m = joints[t][m, n] > 0; its plans overwrite those (m, n) blocks
       of ``C_t``.  Measures of zero weight keep the product plan
       q^m x p_bar.  The averaged-marginals solver starts from the incoming
       conditionals, ``joints[t+1]``'s (m, n) block over alpha_m.
+
+    The stage's problems are assembled at once: the active (m, n) pairs of
+    ``joints[t]`` give every measure's atoms (the children of m) and
+    support points (the children of n) as index arrays, and the problems
+    that share a solver and a support size R are gathered into one
+    :class:`BarycenterBatch` and solved in one call.  Exact solves at R >= 3
+    are one HiGHS LP per problem.
 
     The stage-t table is the blockwise sum of ``C_t * tables[t+1]``: one
     sparse product with the 0/1 block indicators on each side.  The new
@@ -247,45 +255,56 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
         next_table = tables[t + 1]
         # p_bar and the solved blocks are in stage-(t+1) node order.
         p_bar = np.ones(cols.local.shape[0])
+        branching = np.flatnonzero(cols.sizes > 1)
+        weight = joints[t][:, branching]
+        empty = ~np.any(weight > 0.0, axis=0)
+        for n in branching[empty]:
+            p_bar[cols.children(n)] = 1.0 / cols.sizes[n]
+        nodes = branching[~empty]
+        # The active pairs, node by node and ascending m within a node.
+        pair_node, pair_m = np.nonzero(weight[:, ~empty].T > 0.0)
+        measures = np.bincount(pair_node, minlength=nodes.shape[0])
+        width = np.zeros(nodes.shape[0], dtype=int)
+        np.maximum.at(width, pair_node, rows.sizes[pair_m])
+        solvers = [config.solver] * nodes.shape[0]
+        if config.solver == "auto":
+            # With two children the exact path is closed form.
+            solvers = ["lp" if cols.sizes[n] == 2 else choose_solver(c, w, config)
+                       for n, c, w in zip(nodes, measures, width)]
         solved = []
-        for n in np.flatnonzero(cols.sizes > 1):
-            children = cols.children(n)
-            alpha = joints[t][:, n]
-            active = np.flatnonzero(alpha > 0.0)
-            if active.size == 0:
-                p_bar[children] = 1.0 / children.shape[0]
-                continue
-            alpha = alpha[active]
-            ptr, pos = rows.select(active)
-            sizes = np.diff(ptr)
-            block = np.ix_(rows.local[pos], children)
+        groups = {}
+        for i, key in enumerate(zip(solvers, cols.sizes[nodes].tolist())):
+            groups.setdefault(key, []).append(i)
+        for (solver, r), members in groups.items():
+            pick = np.isin(pair_node, members)
+            node_of = pair_node[pick]
+            m = pair_m[pick]
+            alpha = joints[t][m, nodes[node_of]]
+            atom_ptr, pos = rows.select(m)
+            sizes = np.diff(atom_ptr)
+            atoms = rows.local[pos]
+            # Support points of every atom's problem, in stage-(t+1) order.
+            points = cols.local[cols.ptr[nodes[node_of]][:, None] + np.arange(r)]
+            points = np.repeat(points, sizes, axis=0)
             mass = np.repeat(alpha, sizes)[:, None]
-            weighted = mass * next_table[block]
-            problem = BarycenterProblem(
-                q=_split_rows(rows.cond[pos], ptr),
-                D=[d.T for d in _split_rows(weighted, ptr)],
-                alpha=alpha,
-            )
-            solver = config.solver
-            if solver == "auto":
-                # With two children the exact path is closed form.
-                solver = ("lp" if children.shape[0] == 2
-                          else choose_solver(active.size, int(sizes.max()), config))
-            warm = None
-            if solver == "mam":
-                prior = joints[t + 1][block] / mass
-                warm = [c.T for c in _split_rows(prior, ptr)]
+            block = (atoms[:, None], points)
+            batch = BarycenterBatch(
+                rows.cond[pos], (mass * next_table[block]).T, alpha, atom_ptr,
+                np.concatenate(([0], np.cumsum(measures[members]))))
+            warm = (joints[t + 1][block] / mass).T if solver == "mam" else None
             start = time.perf_counter()
-            plan_set, inner, ok = _solve_node(problem, solver, config, warm)
-            records.append({"stage": t, "node": int(reduced.stage_nodes(t)[n]),
-                            "solver": solver, "measures": int(active.size),
-                            "max_support": int(sizes.max()),
-                            "iterations": inner, "converged": bool(ok),
-                            "seconds": time.perf_counter() - start})
-            p = np.maximum(plan_set.p, 0.0)
-            p_bar[children] = p / p.sum()
-            solved.append((block, np.maximum(np.concatenate(
-                [plan.T for plan in plan_set.plans]), 0.0)))
+            solution = _solve(batch, solver, config, warm)
+            share = (time.perf_counter() - start) / batch.P
+            solved.append((block, np.maximum(solution.plans.T, 0.0)))
+            p = np.maximum(solution.p, 0.0)
+            p_bar[points[atom_ptr[batch.measure_ptr[:-1]]]] = p / p.sum(axis=1, keepdims=True)
+            for k, i in enumerate(members):
+                records.append({"stage": t, "node": int(reduced.stage_nodes(t)[nodes[i]]),
+                                "solver": solver, "measures": int(measures[i]),
+                                "max_support": int(width[i]),
+                                "iterations": int(solution.iterations[k]),
+                                "converged": bool(solution.converged[k]),
+                                "batch": batch.P, "seconds": share})
 
         cond = rows.by_child(rows.cond)[:, None] * p_bar[None, :]
         for block, plans in solved:

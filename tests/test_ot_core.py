@@ -6,10 +6,29 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from treeshrink import ot_core
-from treeshrink.ot_core import (BarycenterProblem, barycenter_lp, block_entries,
+from treeshrink.ot_core import (BarycenterBatch, BarycenterProblem, barycenter_lp,
+                                block_entries,
                                 project_columns_scaled_simplex,
                                 project_scaled_simplex, transport_lp,
                                 wasserstein_lp)
+
+
+def column_marginal_error(plan_set, problem):
+    """Largest gap between a plan's column sums and its measure's marginal."""
+    return max(float(np.max(np.abs(pl.sum(axis=0) - qm)))
+               for pl, qm in zip(plan_set.plans, problem.q))
+
+
+def row_marginal_error(plan_set):
+    """Largest gap between a plan's row sums and the barycenter."""
+    return max(float(np.max(np.abs(pl.sum(axis=1) - plan_set.p))) for pl in plan_set.plans)
+
+
+# The references solve at HiGHS's tightest tolerances: at its defaults
+# (1e-7) a cost of 6e-8 falls below the dual tolerance, and the reference
+# barycenter of a problem whose optimum is 0 came back as 6e-8.
+REFERENCE_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                     "dual_feasibility_tolerance": 1e-10}
 
 
 def highs_transport(q, q_other, D):
@@ -17,7 +36,7 @@ def highs_transport(q, q_other, D):
     r, s = D.shape
     a_eq = np.vstack([np.kron(np.eye(r), np.ones(s)), np.kron(np.ones(r), np.eye(s))])
     res = linprog(D.ravel(), A_eq=a_eq, b_eq=np.concatenate([q, q_other]),
-                  bounds=(0, None), method="highs-ds")
+                  bounds=(0, None), method="highs-ds", options=REFERENCE_OPTIONS)
     assert res.success
     return res.fun
 
@@ -45,7 +64,7 @@ def highs_barycenter(q, D):
     rhs.append(1.0)
     res = linprog(np.concatenate([np.zeros(r)] + [d.ravel() for d in D]),
                   A_eq=np.array(rows), b_eq=np.array(rhs), bounds=(0, None),
-                  method="highs-ds")
+                  method="highs-ds", options=REFERENCE_OPTIONS)
     assert res.success
     return res.fun
 
@@ -263,8 +282,8 @@ class TestBarycenterLP:
         for _ in range(10):
             prob = random_problem(rng)
             obj, ps = barycenter_lp(prob)
-            assert ps.column_marginal_error(prob) < 1e-9
-            assert ps.row_marginal_error() < 1e-9
+            assert column_marginal_error(ps, prob) < 1e-9
+            assert row_marginal_error(ps) < 1e-9
             assert ps.p.sum() == pytest.approx(1.0, abs=1e-9)
             assert obj >= -1e-12
 
@@ -340,41 +359,52 @@ class TestProjection:
 
 
 class TestValidate:
-    def problem(self, r=2):
-        q = [np.array([0.5, 0.5]), np.array([1.0]), np.array([0.2, 0.3, 0.5])]
-        return BarycenterProblem(q=q, D=[np.ones((r, qm.shape[0])) for qm in q],
-                                 alpha=np.ones(3))
+    Q = (np.array([0.5, 0.5]), np.array([1.0]), np.array([0.2, 0.3, 0.5]))
+
+    def problem(self, r=2, q=Q, D=None):
+        D = [np.ones((r, qm.shape[0])) for qm in q] if D is None else D
+        return BarycenterProblem(q=list(q), D=D, alpha=np.ones(3))
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_valid_problem_passes(self, r):
         self.problem(r).validate()
 
     def test_cost_shape_names_first_measure(self):
-        prob = self.problem()
-        prob.D[1] = np.ones((2, 2))
-        prob.D[2] = np.ones((3, 3))
+        D = [np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 3))]
         with pytest.raises(ValueError, match=r"measure 1: cost shape \(2, 2\) != \(2, 1\)"):
-            prob.validate()
+            self.problem(D=D).validate()
 
     def test_marginal_names_first_measure(self):
-        prob = self.problem()
-        prob.q[2] = np.array([0.2, 0.3, 0.4])
+        q = list(self.Q)
+        q[2] = np.array([0.2, 0.3, 0.4])
         with pytest.raises(ValueError, match="measure 2: marginal"):
-            prob.validate()
-        prob.q[1] = np.array([-1e-9])
+            self.problem(q=q).validate()
+        q[1] = np.array([-1e-9])
         with pytest.raises(ValueError, match="measure 1: marginal"):
-            prob.validate()
-        prob = self.problem()
-        prob.q[0] = np.array([1.0 + 1e-10, -1e-10])
+            self.problem(q=q).validate()
+        q = list(self.Q)
+        q[0] = np.array([1.0 + 1e-10, -1e-10])
         with pytest.raises(ValueError, match="measure 0: marginal"):
-            prob.validate()
+            self.problem(q=q).validate()
 
     def test_negative_cost_names_first_measure(self):
-        prob = self.problem(3)
-        prob.D[2][1, 2] = -1.0
-        prob.D[1][0, 0] = -1e-15
+        D = [np.ones((3, qm.shape[0])) for qm in self.Q]
+        D[2][1, 2] = -1.0
+        D[1][0, 0] = -1e-15
         with pytest.raises(ValueError, match="measure 1: negative transport costs"):
-            prob.validate()
+            self.problem(3, D=D).validate()
+
+    def test_batch_names_problem_and_measure(self):
+        q = list(self.Q)
+        q[2] = np.array([0.2, 0.3, 0.4])
+        batch = BarycenterBatch(np.concatenate(q * 2), np.ones((2, 12)), np.ones(6),
+                                np.array([0, 2, 3, 6, 8, 9, 12]), np.array([0, 2, 6]))
+        with pytest.raises(ValueError, match="problem 1, measure 0: marginal"):
+            batch.validate()
+        batch.mass[5] = batch.mass[11] = 0.5
+        batch.alpha[:2] = 0.0
+        with pytest.raises(ValueError, match="not all zero"):
+            batch.validate()
 
 
 def weights(draw, n):
@@ -481,8 +511,8 @@ class TestTwoPointBarycenter:
         obj, ps = barycenter_lp(prob)
         assert np.all(ps.p >= 0.0) and abs(ps.p.sum() - 1.0) <= 1e-15
         assert all(np.all(plan >= 0.0) for plan in ps.plans)
-        assert ps.column_marginal_error(prob) <= 1e-15
-        assert ps.row_marginal_error() <= 1e-15
+        assert column_marginal_error(ps, prob) <= 1e-15
+        assert row_marginal_error(ps) <= 1e-15
         assert obj == pytest.approx(sum(np.sum(d * pl) for d, pl in zip(prob.D, ps.plans)),
                                     rel=1e-15, abs=1e-15)
 
