@@ -18,7 +18,7 @@ from .reduce import (ReductionConfig, ReductionReport, choose_solver,
                      init_plan, probability_step, quantizer_step, reduce_tree)
 from .tree import (ScenarioTree, TreeFormatError, TreeValidationError,
                    ZeroProbabilityError, fan_tree, generate_random, load_csv,
-                   path_cost, path_cost_table)
+                   path_cost_table)
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,7 @@ __all__ = [
     "TransportPlanSet", "TreeFormatError", "TreeValidationError",
     "ZeroProbabilityError", "barycenter_lp", "choose_solver", "fan_tree",
     "ffs_init", "generate_random", "ibp_solve", "init_plan", "kmeans_init",
-    "load_csv", "mam_solve", "merge_prefixes", "nested_distance", "path_cost",
+    "load_csv", "mam_solve", "merge_prefixes", "nested_distance",
     "path_cost_table", "probability_step", "project_scaled_simplex",
     "quantizer_step", "random_init", "reduce_tree", "wasserstein_lp",
 ]

@@ -7,12 +7,20 @@ of Gibbs kernels ``K^m``.  One sweep updates all ``v^m`` (measure-marginal
 projection), then the barycenter estimate ``p`` as the weighted geometric mean
 of ``K^m v^m``, then all ``u^m``; the sweep stops when ``p`` is a fixed point.
 
-All measures are held in one array padded to the widest support S_max
-(:meth:`BarycenterProblem.padded`): kernels of shape (M, R, S_max) and
-scalings ``u``, ``v`` of shapes (M, R) and (M, S_max).  Padded columns have
-zero mass, so their ``v`` entries are zero and they add nothing to ``K v``.
-One sweep is a fixed set of batched matrix-vector products and elementwise
-operations, O(M * R * S_max) work with no per-measure Python loop.
+:func:`ibp_batch` solves P problems at once (a :class:`BarycenterBatch`),
+held in one array padded to the most measures M_max and the widest support
+S_max (:meth:`BarycenterBatch.padded`): kernels of shape
+(P, M_max, R, S_max) and scalings ``u``, ``v`` of shapes (P, M_max, R) and
+(P, M_max, S_max).  Padded columns and measures have zero mass and weight,
+so their ``v`` entries are zero and they add nothing to ``K v`` or to the
+geometric mean.  One sweep is a fixed set of batched matrix-vector products
+and elementwise operations, O(P * M_max * R * S_max) work with no
+per-problem or per-measure Python loop.  Weights, the cost shift and range
+and the stopping test are per problem: a problem that stops leaves the
+working arrays and is not moved again, so each problem gets the
+iterations, flag and plans it would get alone (up to rounding, as the
+padding changes the length of some sums).  :func:`ibp_solve` is the batch
+of one.
 
 Accuracy is governed by ``lam``: larger values track the exact barycenter more
 closely but sharpen the kernels.  Kernel exponents are computed on the

@@ -174,17 +174,6 @@ def ffs_init(scenarios: ScenarioMatrix, k: int, order=2) -> ScenarioTree:
     return fan_tree(scenarios.paths[selected], new_w[selected])
 
 
-def ffs_objective(scenarios: ScenarioMatrix, selected, order=2) -> float:
-    """Transport cost of the discarded mass for a given selected index set."""
-    sq = _squared_distances(scenarios.flat())
-    cost = sq if order == 2 else np.sqrt(sq) ** order
-    selected = np.asarray(sorted(selected))
-    rest = np.setdiff1d(np.arange(scenarios.S), selected)
-    if rest.size == 0:
-        return 0.0
-    return float(np.sum(scenarios.prob[rest] * cost[np.ix_(rest, selected)].min(axis=1)))
-
-
 def random_init(branching, dim=1, value_range=(-10.0, 10.0), seed=0) -> ScenarioTree:
     """Random tree with the given per-stage branching list.
 

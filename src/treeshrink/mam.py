@@ -8,13 +8,21 @@ shadow-sequence plans and may go negative between iterations; the reported
 plans are the latest projection outputs, so they are nonnegative with exact
 column sums by construction.
 
-All measures are held in one array padded to the widest support S_max
-(:meth:`BarycenterProblem.padded`): plans of shape (M, R, S_max), padded
-columns with zero mass and zero cost.  One iteration is a fixed set of array
-operations, one projection over the (R, M * S_max) column matrix among
-them (sort-based, or closed form at R = 2), so its cost is O(M * R * S_max)
-(times log R for the sort) with no per-measure Python work.  Zero-mass columns project to zero and padded
-shadow columns are held at zero, so the padding adds nothing to any marginal.
+:func:`mam_batch` solves P problems at once (a :class:`BarycenterBatch`),
+held in one array padded to the most measures M_max and the widest support
+S_max (:meth:`BarycenterBatch.padded`): plans of shape (P, M_max, R, S_max),
+padded columns and measures with zero mass and zero cost.  One iteration is
+a fixed set of array operations, one projection over the
+(R, P * M_max * S_max) column matrix among them (sort-based, or closed form
+at R = 2), so its cost is O(P * M_max * R * S_max) (times log R for the
+sort) with no per-problem or per-measure Python work.  Zero-mass columns
+project to zero and padded shadow columns are held at zero, so the padding
+adds nothing to any marginal; padded measures have no say in the consensus
+and none in the stopping test.  The proximal parameter, the consensus
+weights, the warm start and the stopping test are per problem: a problem
+that stops leaves the working arrays and is not moved again, so each
+problem gets the iterations, flag and plans it would get alone (up to
+rounding).  :func:`mam_solve` is the batch of one.
 """
 
 from __future__ import annotations

@@ -14,8 +14,13 @@ pinned to 1e-9.  Either way the returned plans are basic (vertex)
 solutions; on degenerate problems the greedy may pick another optimal
 vertex than HiGHS would.  Transport problems have one entry point,
 :func:`transport_lp`, which solves any number of independent problems at
-once; :func:`wasserstein_lp` is its one-block case.  All functions are
-pure; callers may run any number of instances concurrently.
+once; :func:`wasserstein_lp` is its one-block case.  Barycenter problems
+are held in one container, :class:`BarycenterBatch`: any number of
+problems on one support size, their marginals and costs concatenated, with
+:class:`BarycenterProblem` as the batch of one.  :func:`two_atom_barycenter`
+solves a whole batch at once; :func:`barycenter_lp` solves one problem.
+All functions are pure; callers may run any number of instances
+concurrently.
 """
 
 from __future__ import annotations

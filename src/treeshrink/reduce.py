@@ -53,6 +53,13 @@ from .tree import ScenarioTree, TreeValidationError, path_cost_table
 
 SOLVERS = ("lp", "mam", "ibp", "auto")
 
+# Atoms per batched solve.  One exact pass of generate_random(6, 5) onto a
+# binary tree poses 32 problems of 15,625 atoms at its last stage: all in
+# one batch, the pass peaks at 212 MB of RSS; in batches of at most 2^14
+# atoms, at 147 MB (139 MB solving one problem at a time), in the same time.
+# Small stages, where batching pays, fit in one batch.
+_BATCH_MAX_ATOMS = 1 << 14
+
 
 @dataclass
 class ReductionConfig:
@@ -89,7 +96,15 @@ class ReductionReport:
     ``deltas[k]`` is the root cost after outer iteration k; index 0 holds the
     evaluation of the initial plan, so the sequence is nonincreasing up to
     inner-solver tolerance.  ``stage_seconds[k-1][t]`` is the time iteration k
-    spent solving stage-t barycenters.
+    spent on stage t of the probability step.
+
+    ``solver_log`` holds one record per solved barycenter problem: its
+    ``iteration``, ``stage``, reduced ``node``, ``solver``, ``measures``,
+    ``max_support``, inner ``iterations`` and whether it ``converged``.
+    The problems of one stage that share a solver and a support size are
+    solved together; ``batch`` is the number of problems in that call
+    (1 for each HiGHS LP), and ``seconds`` is the record's equal share of
+    the call's time, so the records of one call sum to its time.
     """
 
     order: float
@@ -191,6 +206,19 @@ def choose_solver(n_subtrees: int, branching: int, config: ReductionConfig) -> s
     return "lp"
 
 
+def _batches(keys, atoms):
+    """The nodes that share a key, in runs of at most ``_BATCH_MAX_ATOMS``
+    atoms (or of one node): ``[(key, [node index, ...]), ...]``."""
+    runs, load = {}, {}
+    for i, key in enumerate(keys):
+        if key not in runs or load[key] + atoms[i] > _BATCH_MAX_ATOMS:
+            runs.setdefault(key, []).append([])
+            load[key] = 0
+        runs[key][-1].append(i)
+        load[key] += atoms[i]
+    return [(key, run) for key, group in runs.items() for run in group]
+
+
 def _solve(batch, solver, config, warm):
     """Solve a batch with one solver; returns its :class:`BatchSolution`."""
     if solver == "ibp":
@@ -232,8 +260,9 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
     ``joints[t]`` give every measure's atoms (the children of m) and
     support points (the children of n) as index arrays, and the problems
     that share a solver and a support size R are gathered into one
-    :class:`BarycenterBatch` and solved in one call.  Exact solves at R >= 3
-    are one HiGHS LP per problem.
+    :class:`BarycenterBatch` (split only past ``_BATCH_MAX_ATOMS`` atoms)
+    and solved in one call.  Exact solves at R >= 3 are one HiGHS LP per
+    problem.
 
     The stage-t table is the blockwise sum of ``C_t * tables[t+1]``: one
     sparse product with the 0/1 block indicators on each side.  The new
@@ -266,16 +295,15 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
         measures = np.bincount(pair_node, minlength=nodes.shape[0])
         width = np.zeros(nodes.shape[0], dtype=int)
         np.maximum.at(width, pair_node, rows.sizes[pair_m])
+        node_atoms = np.bincount(pair_node, rows.sizes[pair_m], nodes.shape[0])
         solvers = [config.solver] * nodes.shape[0]
         if config.solver == "auto":
             # With two children the exact path is closed form.
             solvers = ["lp" if cols.sizes[n] == 2 else choose_solver(c, w, config)
                        for n, c, w in zip(nodes, measures, width)]
         solved = []
-        groups = {}
-        for i, key in enumerate(zip(solvers, cols.sizes[nodes].tolist())):
-            groups.setdefault(key, []).append(i)
-        for (solver, r), members in groups.items():
+        for (solver, r), members in _batches(zip(solvers, cols.sizes[nodes].tolist()),
+                                             node_atoms):
             pick = np.isin(pair_node, members)
             node_of = pair_node[pick]
             m = pair_m[pick]

@@ -494,40 +494,31 @@ def load_csv(path, dim=1):
     return tree
 
 
-def path_cost(tree_a, leaf_a, tree_b, leaf_b, order=2):
-    """Ground cost between two root-to-leaf paths.
-
-    For ``order`` 2 the cost decomposes across stages as the sum of squared
-    Euclidean stage distances (the squared norm of the concatenated path
-    vectors), which is the form under which the mean update of the reduction
-    loop is exactly optimal.  Other orders sum the per-stage Euclidean
-    distances first and raise the total to ``order``.
-    """
-    if tree_a.T != tree_b.T or tree_a.d != tree_b.d:
-        raise ValueError("trees must share stage count and quantizer dimension")
-    if not (tree_a.is_leaf(leaf_a) and tree_b.is_leaf(leaf_b)):
-        raise ValueError("path costs are defined between leaves")
-    xa = tree_a.quantizer[tree_a.path_nodes(leaf_a)]
-    xb = tree_b.quantizer[tree_b.path_nodes(leaf_b)]
-    diff = xa - xb
-    if order == 2:
-        return float(np.sum(diff * diff))
-    stage_norms = np.sqrt(np.sum(diff * diff, axis=1))
-    return float(np.sum(stage_norms) ** order)
-
-
 def path_cost_table(tree_a, tree_b, order=2):
-    """Dense (leaves_a x leaves_b) table of path costs, leaves in id order."""
+    """Dense (leaves_a x leaves_b) table of path costs, leaves in id order.
+
+    For ``order`` 2 the cost of two root-to-leaf paths is the sum of their
+    squared Euclidean stage distances (the squared norm of the concatenated
+    path vectors), the form under which the mean update of the reduction
+    loop is exactly optimal.  Other orders sum the per-stage Euclidean
+    distances and raise the total to ``order``.  Each stage's squared
+    distances are built in place in one scratch table (two for d > 1), so
+    the peak is two or three tables.
+    """
     if tree_a.T != tree_b.T or tree_a.d != tree_b.d:
         raise ValueError("trees must share stage count and quantizer dimension")
     pa = tree_a.path_values()
     pb = tree_b.path_values()
-    la, lb = pa.shape[0], pb.shape[0]
-    acc = np.zeros((la, lb))
+    shape = (pa.shape[0], pb.shape[0])
+    acc = np.zeros(shape)
+    sq = np.empty(shape)
+    diff = np.empty(shape) if tree_a.d > 1 else None
     for t in range(tree_a.T + 1):
-        sq = np.zeros((la, lb))
-        for k in range(tree_a.d):
-            diff = pa[:, t, k][:, None] - pb[None, :, t, k]
-            sq += diff * diff
-        acc += sq if order == 2 else np.sqrt(sq)
+        np.subtract(pa[:, t, 0][:, None], pb[None, :, t, 0], out=sq)
+        np.multiply(sq, sq, out=sq)
+        for k in range(1, tree_a.d):
+            np.subtract(pa[:, t, k][:, None], pb[None, :, t, k], out=diff)
+            np.multiply(diff, diff, out=diff)
+            sq += diff
+        acc += sq if order == 2 else np.sqrt(sq, out=sq)
     return acc if order == 2 else acc ** order

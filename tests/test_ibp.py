@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treeshrink.ibp import RegularizationOverflowError, ibp_solve
+from batches import problem_lists, stack
+from treeshrink.ibp import RegularizationOverflowError, ibp_batch, ibp_solve
 from treeshrink.ot_core import BarycenterProblem, barycenter_lp
 
 
@@ -106,6 +108,37 @@ class TestInvariants:
                                  alpha=np.array([1.0]))
         res = ibp_solve(prob, lam=100.0)
         assert res.plan_set.plans[0][:, 0] == pytest.approx([0.0, 0.0])
+
+
+class TestBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(problem_lists(), st.sampled_from([20.0, 100.0]))
+    def test_batch_matches_lone_solves(self, problems, lam):
+        batch = stack(problems)
+        sol = ibp_batch(batch, lam=lam, max_iter=150, tol_fixed_point=1e-9)
+        for k, prob in enumerate(problems):
+            res = ibp_solve(prob, lam=lam, max_iter=150, tol_fixed_point=1e-9)
+            lo, hi = batch.atom_ptr[batch.measure_ptr[k:k + 2]]
+            assert sol.iterations[k] == res.iterations
+            assert sol.converged[k] == res.converged
+            assert np.max(np.abs(sol.p[k] - res.plan_set.p)) <= 1e-12
+            plans = np.concatenate(res.plan_set.plans, axis=1)
+            assert np.max(np.abs(sol.plans[:, lo:hi] - plans)) <= 1e-12
+
+    def test_converged_problem_is_frozen(self):
+        # Three problems of one shape that converge after 48, 42 and 228
+        # iterations.  They pad alike, so the batch must give each exactly
+        # what it gets alone: a problem that stops is not moved again.
+        rng = np.random.default_rng(11)
+        problems = [random_problem(rng, m=3, r=3, s=4) for _ in range(3)]
+        sol = ibp_batch(stack(problems), lam=50.0, max_iter=400)
+        assert sol.iterations.tolist() == [48, 42, 228]
+        for k, prob in enumerate(problems):
+            res = ibp_solve(prob, lam=50.0, max_iter=400)
+            assert (sol.iterations[k], sol.converged[k]) == (res.iterations, res.converged)
+            assert np.array_equal(sol.p[k], res.plan_set.p)
+            assert np.array_equal(sol.plans[:, 12 * k:12 * (k + 1)],
+                                  np.concatenate(res.plan_set.plans, axis=1))
 
 
 class TestErrors:

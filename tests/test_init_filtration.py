@@ -4,9 +4,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from treeshrink.init_filtration import (ScenarioMatrix, ffs_init, ffs_objective,
-                                        kmeans_init, merge_prefixes, random_init)
+from treeshrink.init_filtration import (ScenarioMatrix, ffs_init, kmeans_init,
+                                        merge_prefixes, random_init)
 from treeshrink.tree import ScenarioTree, fan_tree
+
+
+def ffs_objective(scenarios, selected, order=2):
+    """Reference: transport cost of the discarded mass for a selected index set."""
+    flat = scenarios.flat()
+    diff = flat[:, None, :] - flat[None, :, :]
+    sq = np.sum(diff * diff, axis=2)
+    cost = sq if order == 2 else np.sqrt(sq) ** order
+    selected = np.asarray(sorted(selected))
+    rest = np.setdiff1d(np.arange(scenarios.S), selected)
+    if rest.size == 0:
+        return 0.0
+    return float(np.sum(scenarios.prob[rest] * cost[np.ix_(rest, selected)].min(axis=1)))
 
 
 def matrix_from_values(values, probs=None, t_levels=2):

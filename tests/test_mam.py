@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treeshrink.mam import mam_solve
+from batches import problem_lists, stack
+from treeshrink.mam import mam_batch, mam_solve
 from treeshrink.ot_core import BarycenterProblem, barycenter_lp
 
 
@@ -142,3 +144,46 @@ class TestInvariants:
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError):
             mam_solve(random_problem(rng), rho=0.0)
+
+
+def product_plans(rng, prob):
+    """A feasible warm start: a random barycenter times each marginal."""
+    p = rng.dirichlet(np.ones(prob.R))
+    return [np.outer(p, qm) for qm in prob.q]
+
+
+class TestBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(problem_lists(), st.sampled_from([None, 0.05]), st.booleans())
+    def test_batch_matches_lone_solves(self, problems, rho, warm):
+        rng = np.random.default_rng(len(problems))
+        starts = [product_plans(rng, prob) if warm else None for prob in problems]
+        batch = stack(problems)
+        sol, gaps = mam_batch(batch, rho=rho, max_iter=120, tol_marginal=1e-6,
+                              init_plans=np.concatenate(sum(starts, []), axis=1)
+                              if warm else None)
+        for k, prob in enumerate(problems):
+            res = mam_solve(prob, rho=rho, max_iter=120, tol_marginal=1e-6,
+                            init_plans=starts[k])
+            lo, hi = batch.atom_ptr[batch.measure_ptr[k:k + 2]]
+            assert sol.iterations[k] == res.iterations == len(gaps[k])
+            assert sol.converged[k] == res.converged
+            assert np.max(np.abs(sol.p[k] - res.plan_set.p)) <= 1e-12
+            plans = np.concatenate(res.plan_set.plans, axis=1)
+            assert np.max(np.abs(sol.plans[:, lo:hi] - plans)) <= 1e-12
+
+    def test_converged_problem_is_frozen(self):
+        # Three problems of one shape that converge after 1809, 495 and 1164
+        # iterations.  They pad alike, so the batch must give each exactly
+        # what it gets alone: a problem that stops is not moved again.
+        rng = np.random.default_rng(12)
+        problems = [random_problem(rng, m=3, r=3, s=4) for _ in range(3)]
+        sol, gaps = mam_batch(stack(problems), max_iter=2000)
+        assert sol.iterations.tolist() == [1809, 495, 1164]
+        for k, prob in enumerate(problems):
+            res = mam_solve(prob, max_iter=2000)
+            assert (sol.iterations[k], sol.converged[k]) == (res.iterations, res.converged)
+            assert gaps[k] == res.marginal_gaps
+            assert np.array_equal(sol.p[k], res.plan_set.p)
+            assert np.array_equal(sol.plans[:, 12 * k:12 * (k + 1)],
+                                  np.concatenate(res.plan_set.plans, axis=1))

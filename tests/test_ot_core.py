@@ -1,16 +1,18 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from batches import barycenter_problems, costs, problem_lists, stack, weights
 from treeshrink import ot_core
 from treeshrink.ot_core import (BarycenterBatch, BarycenterProblem, barycenter_lp,
                                 block_entries,
                                 project_columns_scaled_simplex,
                                 project_scaled_simplex, transport_lp,
-                                wasserstein_lp)
+                                two_atom_barycenter, wasserstein_lp)
 
 
 def column_marginal_error(plan_set, problem):
@@ -407,18 +409,6 @@ class TestValidate:
             batch.validate()
 
 
-def weights(draw, n):
-    """A probability vector of length n from small integer weights, zeros included."""
-    w = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
-    if w.sum() == 0:
-        w[draw(st.integers(0, n - 1))] = 1.0
-    return w / w.sum()
-
-
-costs = st.one_of(st.integers(0, 8).map(lambda v: v / 4.0),
-                  st.floats(0.0, 10.0, allow_subnormal=False))
-
-
 @st.composite
 def two_atom_problem_sets(draw):
     """1-4 transport problems, each with two atoms on one side and 1-5 on the other.
@@ -489,19 +479,7 @@ class TestTwoAtomTransport:
         assert plan == pytest.approx(np.array([[0.2, 0.3, 0.0], [0.0, 0.0, 0.5]]))
 
 
-@st.composite
-def two_point_barycenters(draw):
-    """Barycenter problems with R = 2: 1-3 measures of 1-4 atoms, weights in D."""
-    m_count = draw(st.integers(1, 3))
-    q = [weights(draw, draw(st.integers(1, 4))) for _ in range(m_count)]
-    alpha = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-                                   min_size=m_count, max_size=m_count)))
-    if not alpha.any():
-        alpha[0] = 1.0
-    D = [a * np.array(draw(st.lists(costs, min_size=2 * qm.shape[0],
-                                    max_size=2 * qm.shape[0]))).reshape(2, -1)
-         for a, qm in zip(alpha, q)]
-    return BarycenterProblem(q=q, D=D, alpha=alpha)
+two_point_barycenters = partial(barycenter_problems, 2)
 
 
 class TestTwoPointBarycenter:
@@ -529,6 +507,22 @@ class TestTwoPointBarycenter:
                         for qm, dm in zip(prob.q, prob.D)) for p1 in candidates)
         assert obj == pytest.approx(exact, rel=1e-12, abs=1e-12)
         assert obj == pytest.approx(highs_barycenter(prob.q, prob.D), rel=1e-8, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem_lists(r_values=(2,)))
+    def test_batch_matches_each_problem_and_highs(self, problems):
+        # Every problem's slope events fill their own row, so the batch
+        # gives each problem what it gets alone, bit for bit.
+        batch = stack(problems)
+        sol = two_atom_barycenter(batch)
+        for k, prob in enumerate(problems):
+            lo, hi = batch.atom_ptr[batch.measure_ptr[k:k + 2]]
+            one = two_atom_barycenter(prob)
+            assert np.array_equal(sol.p[k], one.p[0])
+            assert np.array_equal(sol.plans[:, lo:hi], one.plans)
+            assert sol.objective[k] == one.objective[0]
+            assert sol.objective[k] == pytest.approx(highs_barycenter(prob.q, prob.D),
+                                                     rel=1e-8, abs=1e-12)
 
     def test_no_lp(self, monkeypatch):
         monkeypatch.setattr(ot_core, "linprog", None)

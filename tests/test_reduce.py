@@ -262,6 +262,69 @@ class TestChooseSolver:
                 == {expected}
 
 
+def mixed_width_tree():
+    """Root with three children; two of them have two children, one has three."""
+    parent = [-1, 0, 0, 0, 1, 1, 2, 2, 3, 3, 3]
+    stage = [0, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2]
+    prob = [1.0, 0.3, 0.3, 0.4, 0.1, 0.2, 0.15, 0.15, 0.1, 0.1, 0.2]
+    quant = np.linspace(-3.0, 3.0, 11)[:, None]
+    return ScenarioTree(parent, stage, quant, prob)
+
+
+class TestSolverLog:
+    @pytest.mark.parametrize("solver", ["lp", "mam", "ibp", "auto"])
+    def test_batches_partition_the_solved_nodes(self, solver):
+        orig = generate_random(2, 4, seed=21)
+        red = mixed_width_tree()
+        config = ReductionConfig(solver=solver, tol=1e-12, max_outer=3, mam_max_iter=200,
+                                 ibp_max_iter=200)
+        _, report = reduce_tree(orig, red, config)
+        log = report.solver_log
+        assert log and all(set(rec) == {"iteration", "stage", "node", "solver", "measures",
+                                        "max_support", "iterations", "converged", "batch",
+                                        "seconds"} for rec in log)
+        for k, stage_secs in enumerate(report.stage_seconds, start=1):
+            for t in range(orig.T):
+                recs = [rec for rec in log if rec["iteration"] == k and rec["stage"] == t]
+                # The records of one call are consecutive and agree on it.
+                calls, i = [], 0
+                while i < len(recs):
+                    call = recs[i:i + recs[i]["batch"]]
+                    assert len(call) == recs[i]["batch"]
+                    assert len({(rec["solver"], rec["batch"]) for rec in call}) == 1
+                    calls.append(call)
+                    i += len(call)
+                assert sum(call[0]["batch"] for call in calls) == len(recs)
+                assert len({rec["node"] for rec in recs}) == len(recs)
+                assert sum(rec["seconds"] for rec in recs) <= stage_secs[t]
+        # The first iteration starts from a plan with mass on every pair, so
+        # every reduced node with two or more children is solved.
+        for t in range(orig.T):
+            branching = [n for n in red.stage_nodes(t) if red.n_children(n) > 1]
+            solved = [rec["node"] for rec in log if rec["iteration"] == 1 and rec["stage"] == t]
+            assert sorted(solved) == sorted(branching)
+        # Stage 1 solves its two nodes with two children in one call.
+        assert {(rec["node"], rec["batch"]) for rec in log
+                if rec["iteration"] == 1 and rec["stage"] == 1} == {(1, 2), (2, 2), (3, 1)}
+
+
+    @pytest.mark.parametrize("solver", ["lp", "ibp"])
+    def test_atom_bound_splits_batches_without_changing_answers(self, solver, monkeypatch):
+        orig = generate_random(3, 4, seed=22)
+        red = random_init([2, 2, 2], seed=23)
+        config = ReductionConfig(solver=solver, tol=1e-12, max_outer=2, ibp_max_iter=200)
+        whole, whole_report = reduce_tree(orig, red, config)
+        # Every problem holds more than one atom: a batch takes one problem.
+        monkeypatch.setattr(reduce_module, "_BATCH_MAX_ATOMS", 1)
+        split, split_report = reduce_tree(orig, red, config)
+        assert max(rec["batch"] for rec in whole_report.solver_log) > 1
+        assert {rec["batch"] for rec in split_report.solver_log} == {1}
+        assert [rec["iterations"] for rec in split_report.solver_log] == \
+            [rec["iterations"] for rec in whole_report.solver_log]
+        assert np.max(np.abs(split.prob - whole.prob)) <= 1e-12
+        assert np.max(np.abs(split.quantizer - whole.quantizer)) <= 1e-12
+
+
 class TestReduceTree:
     def test_identical_copy_reaches_zero_and_stops(self):
         orig = separated_tree()

@@ -1,12 +1,44 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from treeshrink import tree as tr
+from treeshrink.init_filtration import random_init
 from treeshrink.tree import (ScenarioTree, TreeFormatError, TreeValidationError,
                              ZeroProbabilityError, fan_tree, generate_random,
-                             load_csv, path_cost, path_cost_table)
+                             load_csv, path_cost_table)
+
+
+def path_cost(tree_a, leaf_a, tree_b, leaf_b, order=2):
+    """Reference: ground cost between two root-to-leaf paths, one pair at a time."""
+    if tree_a.T != tree_b.T or tree_a.d != tree_b.d:
+        raise ValueError("trees must share stage count and quantizer dimension")
+    if not (tree_a.is_leaf(leaf_a) and tree_b.is_leaf(leaf_b)):
+        raise ValueError("path costs are defined between leaves")
+    xa = tree_a.quantizer[tree_a.path_nodes(leaf_a)]
+    xb = tree_b.quantizer[tree_b.path_nodes(leaf_b)]
+    diff = xa - xb
+    if order == 2:
+        return float(np.sum(diff * diff))
+    stage_norms = np.sqrt(np.sum(diff * diff, axis=1))
+    return float(np.sum(stage_norms) ** order)
+
+
+def reference_path_cost_table(tree_a, tree_b, order=2):
+    """Reference: the table built with a fresh temporary per stage and coordinate."""
+    pa = tree_a.path_values()
+    pb = tree_b.path_values()
+    la, lb = pa.shape[0], pb.shape[0]
+    acc = np.zeros((la, lb))
+    for t in range(tree_a.T + 1):
+        sq = np.zeros((la, lb))
+        for k in range(tree_a.d):
+            diff = pa[:, t, k][:, None] - pb[None, :, t, k]
+            sq += diff * diff
+        acc += sq if order == 2 else np.sqrt(sq)
+    return acc if order == 2 else acc ** order
 
 
 def single_node_tree():
@@ -114,6 +146,25 @@ class TestPathCost:
         b = ScenarioTree([-1, 0], [0, 1], [[0.0], [2.0]], [1.0, 1.0])
         assert path_cost(a, 1, b, 1, order=1) == pytest.approx(2.0)
         assert path_cost_table(a, b, order=1)[0, 0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("dim,order", [(1, 2), (2, 2), (3, 2), (1, 1), (2, 3)])
+    def test_table_bitwise_equal_to_reference(self, dim, order):
+        a = generate_random(3, 4, dim=dim, seed=dim)
+        b = random_init([3, 2, 2], dim=dim, seed=order)
+        table = path_cost_table(a, b, order=order)
+        assert table.tobytes() == reference_path_cost_table(a, b, order=order).tobytes()
+
+    def test_table_peak_memory(self):
+        # 3125 x 32 leaves over 6 stages: a table is 0.8 MB.  The reference
+        # holds four at once (sum, stage sum, difference, its square); the
+        # in-place build holds two, next to the 0.3 MB of path values.
+        a = generate_random(5, 5, seed=1)
+        b = random_init([2] * 5, seed=1)
+        tracemalloc.start()
+        table = path_cost_table(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 3 * table.nbytes
 
 
 class TestGenerateRandom:
