@@ -149,7 +149,7 @@ def ibp_batch(batch: BarycenterBatch, lam=DEFAULT_LAMBDA, max_iter=DEFAULT_MAX_I
             iterations[done], converged[done] = it, True
             u_end[done], p_end[done] = u[stop], p[stop]
             keep = ~stop
-            todo, kern, q_k, w_k, u, p = todo[keep], kern[keep], q_k[keep], w_k[keep], u[keep], p[keep]
+            todo, kern, q_k, w_k, u, p = (x[keep] for x in (todo, kern, q_k, w_k, u, p))
             if todo.size == 0:
                 break
     u_end[todo], p_end[todo] = u, p

@@ -136,16 +136,14 @@ def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
     # the marginals exactly and whose row marginals reach consensus.  Problems
     # still iterating are the rows ``todo`` of the working arrays; one that
     # stops leaves them, so its plans stay as they stopped.
-    plans_end = shadow.copy()
+    plans_end = plans = shadow.copy()
     todo = np.arange(batch.P)
     iterations = np.full(batch.P, max_iter)
     converged = np.zeros(batch.P, dtype=bool)
     gaps, gap_owner = [], []
-    # The per-problem arrays of the problems still iterating.
-    work = (shadow, shadow_marg, step, q.reshape(batch.P, -1), live, a, size_col, real[..., None])
+    tau, live_k, a_k, size_k, real_k = q.reshape(batch.P, -1), live, a, size_col, real[..., None]
     p = np.matmul(a, shadow_marg)
     for it in range(1, max_iter + 1):
-        shadow, shadow_marg, step, tau, live_k, a_k, size_k, real_k = work
         shift = (p - shadow_marg) / size_k
         y = shadow + 2.0 * shift[..., None] - step
         # One projection over the (R, P * M * S_max) matrix of all columns.
@@ -161,19 +159,18 @@ def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
         gap = np.max(np.abs(feas_marg - p_feas), axis=(1, 2), where=real_k, initial=0.0)
         gaps.append(gap)
         gap_owner.append(todo)
-        work = (shadow, shadow_marg, step, tau, live_k, a_k, size_k, real_k)
         stop = gap <= tol_marginal
         if stop.any():
             done = todo[stop]
             plans_end[done] = plans[stop]
             iterations[done], converged[done] = it, True
             keep = ~stop
-            todo, p, plans = todo[keep], p[keep], plans[keep]
-            work = tuple(x[keep] for x in work)
+            (todo, p, plans, shadow, shadow_marg, step, tau, live_k, a_k, size_k,
+             real_k) = (x[keep] for x in (todo, p, plans, shadow, shadow_marg, step, tau,
+                                          live_k, a_k, size_k, real_k))
             if todo.size == 0:
                 break
-    if max_iter > 0:
-        plans_end[todo] = plans
+    plans_end[todo] = plans
 
     p_final = np.matmul(a, plans_end.sum(axis=3))[:, 0]
     p_final = p_final / p_final.sum(axis=1, keepdims=True)

@@ -155,7 +155,7 @@ class BarycenterBatch:
 
     def problem_sums(self, values) -> np.ndarray:
         """Per-problem sums of an (R, A) array laid out like ``cost``."""
-        problem = self._slots()[0]
+        problem = np.repeat(np.arange(self.P), np.diff(self.atom_ptr[self.measure_ptr]))
         return np.bincount(problem, values.sum(axis=0), self.P)
 
     def _name(self, m) -> str:
