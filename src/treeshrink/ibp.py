@@ -93,44 +93,70 @@ def ibp_batch(batch: BarycenterBatch, lam=DEFAULT_LAMBDA, max_iter=DEFAULT_MAX_I
     if lam <= 0:
         raise ValueError("lam must be positive")
     batch.validate()
-    q, cost, live, alpha = batch.padded()
+    q, kernels, live, alpha = batch.padded()
     w = alpha / alpha.sum(axis=1, keepdims=True)
 
     # Kernels come from the unweighted ground costs (cost matrices carry the
     # weights, so divide them back out); the weights enter once, as the
     # geometric-mean exponents.  Applying them in both places would steer the
-    # fixed point toward squared-weight costs.
+    # fixed point toward squared-weight costs.  They are built in place of
+    # the padded costs, one array for the whole batch.
     live = live[:, :, None, :]
     alpha = alpha[:, :, None, None]
-    deltas = np.divide(cost, alpha, out=np.zeros_like(cost), where=alpha > 0)
+    expo = kernels
+    np.divide(expo, alpha, out=expo, where=alpha > 0)
+    np.copyto(expo, 0.0, where=alpha == 0)
     # Shift and range are taken over each measure's real columns only (a
     # padded measure has none); the padded kernel columns are set to 1 and
     # meet zero scalings v.
-    d_min = np.where(live, deltas, np.inf).min(axis=(2, 3))
-    d_max = np.where(live, deltas, -np.inf).max(axis=(2, 3))
+    d_min = np.min(expo, axis=(2, 3), where=live, initial=np.inf)
+    d_max = np.max(expo, axis=(2, 3), where=live, initial=-np.inf)
     d_min[np.isinf(d_min)] = 0.0
     scale = np.max(d_max - d_min, axis=1)
     scale[scale <= 0.0] = 1.0
-    expo = np.where(live, lam * (deltas - d_min[:, :, None, None])
-                    / scale[:, None, None, None], 0.0)
-    kernels = np.exp(-expo)
+    np.subtract(expo, d_min[:, :, None, None], out=expo)
+    np.multiply(lam, expo, out=expo)
+    np.divide(expo, scale[:, None, None, None], out=expo)
+    np.copyto(expo, 0.0, where=~live)
+    expo_max = expo.max(axis=(1, 2, 3))
+    np.exp(np.negative(expo, out=kernels), out=kernels)
     bad = ~np.all(np.isfinite(kernels) & (kernels > 0.0), axis=(1, 2, 3))
     if bad.any():
         k = np.argmax(bad)
-        raise RegularizationOverflowError(lam, float(cost[k].max()), float(expo[k].max()))
+        lo, hi = batch.atom_ptr[batch.measure_ptr[k:k + 2]]
+        raise RegularizationOverflowError(lam, float(batch.cost[:, lo:hi].max()),
+                                          float(expo_max[k]))
 
-    # Problems still iterating are the rows ``todo`` of the working arrays;
-    # one that stops leaves them, so its state stays as it stopped.
-    todo = np.arange(batch.P)
-    u_end = np.ones(q.shape[:2] + (batch.R,))
-    p_end = np.empty((batch.P, batch.R))
-    iterations = np.full(batch.P, max_iter)
-    converged = np.zeros(batch.P, dtype=bool)
+    u, p, iterations, converged = _sweeps(kernels, q, w, max_iter, tol_fixed_point)
+    # Closing v update: column sums of diag(u) K diag(v) match q exactly.
+    v = q / np.maximum(_apply(kernels.transpose(0, 1, 3, 2), u), _FLOOR)
+    plans = np.multiply(u[..., None], kernels, out=kernels)
+    plans *= v[:, :, None, :]
+    plans = batch.unpad(plans)
+    return BatchSolution(batch.problem_sums(batch.cost * plans),
+                         p / p.sum(axis=1, keepdims=True), plans, iterations, converged)
+
+
+def _sweeps(kernels, q, w, max_iter, tol):
+    """Bregman sweeps of every problem until its own fixed point or the cap.
+
+    Returns the scalings ``u`` and barycenters ``p`` each problem stopped
+    at, its iteration count and whether it converged.  Problems still
+    iterating are the rows ``todo`` of the working arrays; one that stops
+    leaves them, so its state stays as it stopped.
+    """
+    n_prob, m_max, r, _ = kernels.shape
+    todo = np.arange(n_prob)
+    u_end = np.ones((n_prob, m_max, r))
+    p_end = np.empty((n_prob, r))
+    iterations = np.full(n_prob, max_iter)
+    converged = np.zeros(n_prob, dtype=bool)
     kern, q_k, w_k, u = kernels, q, w[:, None, :], u_end
-    p = np.full((batch.P, batch.R), 1.0 / batch.R)
+    p = np.full((n_prob, r), 1.0 / r)
     for it in range(1, max_iter + 1):
         kern_t = kern.transpose(0, 1, 3, 2)
-        v = q_k / np.maximum(_apply(kern_t, u), _FLOOR)
+        v = np.maximum(_apply(kern_t, u), _FLOOR)
+        np.divide(q_k, v, out=v)
         kv = np.maximum(_apply(kern, v), _FLOOR)
         # Zero-weight measures add 0 * finite log terms, i.e. are skipped.
         p_new = np.exp(np.matmul(w_k, np.log(kv))[:, 0])
@@ -140,10 +166,12 @@ def ibp_batch(batch: BarycenterBatch, lam=DEFAULT_LAMBDA, max_iter=DEFAULT_MAX_I
         # sums must reproduce q.  The estimate p alone can plateau (sharp
         # kernels converge very slowly) long before the scalings agree,
         # so a p-only test would stop on inconsistent plans.
-        col = v * _apply(kern_t, u)
-        residual = np.maximum(residual, np.abs(col - q_k).max(axis=(1, 2)))
+        gap = _apply(kern_t, u)
+        gap *= v
+        gap -= q_k
+        residual = np.maximum(residual, np.abs(gap, out=gap).max(axis=(1, 2)))
         p = p_new
-        stop = residual <= tol_fixed_point
+        stop = residual <= tol
         if stop.any():
             done = todo[stop]
             iterations[done], converged[done] = it, True
@@ -153,14 +181,7 @@ def ibp_batch(batch: BarycenterBatch, lam=DEFAULT_LAMBDA, max_iter=DEFAULT_MAX_I
             if todo.size == 0:
                 break
     u_end[todo], p_end[todo] = u, p
-
-    # Closing v update: column sums of diag(u) K diag(v) match q exactly.
-    v = q / np.maximum(_apply(kernels.transpose(0, 1, 3, 2), u_end), _FLOOR)
-    plans = u_end[..., None] * kernels * v[:, :, None, :]
-    plans = batch.unpad(plans)
-    return BatchSolution(batch.problem_sums(batch.cost * plans),
-                         p_end / p_end.sum(axis=1, keepdims=True),
-                         plans, iterations, converged)
+    return u_end, p_end, iterations, converged
 
 
 def _apply(kernels, x):

@@ -121,14 +121,15 @@ def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
     live = live[:, :, None, :].astype(np.float64)
 
     if init_plans is None:
-        shadow = np.full(cost.shape, 1.0 / r) * q[:, :, None, :]
+        shadow = np.full(cost.shape, 1.0 / r)
+        shadow *= q[:, :, None, :]
     else:
         init_plans = np.asarray(init_plans, dtype=np.float64)
         if init_plans.shape != batch.cost.shape:
             raise ValueError(f"warm-start plans shape {init_plans.shape} != {batch.cost.shape}")
         shadow = batch.pad_plans(init_plans)
     shadow_marg = shadow.sum(axis=3)
-    step = cost / rho[:, None, None, None]
+    step = np.divide(cost, rho[:, None, None, None], out=cost)
 
     # The governing (shadow) iterates may go negative and their marginal
     # disagreement converges to a dual offset, not zero; feasibility and the
@@ -145,14 +146,16 @@ def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
     p = np.matmul(a, shadow_marg)
     for it in range(1, max_iter + 1):
         shift = (p - shadow_marg) / size_k
-        y = shadow + 2.0 * shift[..., None] - step
+        y = shadow + 2.0 * shift[..., None]
+        y -= step
         # One projection over the (R, P * M * S_max) matrix of all columns.
         n, m_max, _, s_max = y.shape
         plans = project_columns_scaled_simplex(
             y.transpose(2, 0, 1, 3).reshape(r, -1), tau.ravel()
         ).reshape(r, n, m_max, s_max).transpose(1, 2, 0, 3)
         feas_marg = plans.sum(axis=3)
-        shadow = plans - shift[..., None] * live_k
+        shadow = np.multiply(shift[..., None], live_k, out=y)
+        np.subtract(plans, shadow, out=shadow)
         shadow_marg = shadow.sum(axis=3)
         p = np.matmul(a_k, shadow_marg)
         p_feas = np.matmul(a_k, feas_marg)

@@ -101,57 +101,40 @@ class BarycenterBatch:
         """Per-measure blocks of an array laid out like ``mass`` (last axis)."""
         return np.split(values, self.atom_ptr[1:-1], axis=-1)
 
-    def select(self, problems) -> "BarycenterBatch":
-        """The batch of the given problems, in that order."""
-        problems = np.asarray(problems)
-        counts = np.diff(self.measure_ptr)[problems]
-        measures = _concat_ranges(self.measure_ptr[problems], counts)
-        sizes = np.diff(self.atom_ptr)[measures]
-        atoms = _concat_ranges(self.atom_ptr[measures], sizes)
-        return BarycenterBatch(self.mass[atoms], self.cost[:, atoms], self.alpha[measures],
-                               np.concatenate(([0], np.cumsum(sizes))),
-                               np.concatenate(([0], np.cumsum(counts))))
-
-    def _slots(self):
-        """Problem, measure slot and atom slot of every atom in the padded layout."""
-        sizes = np.diff(self.atom_ptr)
+    def _live(self) -> np.ndarray:
+        """(P, M_max, S_max) mask of the real atoms in the padded layout."""
         counts = np.diff(self.measure_ptr)
-        measure_problem = np.repeat(np.arange(self.P), counts)
-        measure_slot = np.arange(self.M) - self.measure_ptr[measure_problem]
-        atom_slot = np.arange(self.atom_ptr[-1]) - np.repeat(self.atom_ptr[:-1], sizes)
-        return (np.repeat(measure_problem, sizes), np.repeat(measure_slot, sizes), atom_slot,
-                (self.P, int(counts.max()), int(sizes.max())))
+        sizes = np.zeros((self.P, counts.max()), dtype=int)
+        sizes[np.arange(counts.max()) < counts[:, None]] = np.diff(self.atom_ptr)
+        return np.arange(sizes.max()) < sizes[..., None]
 
     def padded(self):
         """The batch as dense arrays padded to M_max measures of S_max atoms.
 
         Returns ``(q, cost, live, alpha)`` of shapes (P, M_max, S_max),
         (P, M_max, R, S_max), (P, M_max, S_max) and (P, M_max); ``live`` is
-        True on the real atoms.  Padded atoms and measures carry zero mass,
-        cost and weight, so a solver that keeps their plan columns at zero
-        can run every problem in one array operation; :meth:`unpad` gathers
-        the plans back.
+        True on the real atoms, which it holds in the concatenated order.
+        Padded atoms and measures carry zero mass, cost and weight, so a
+        solver that keeps their plan columns at zero can run every problem
+        in one array operation; :meth:`unpad` gathers the plans back.
         """
-        problem, measure, atom, shape = self._slots()
-        live = np.zeros(shape, dtype=bool)
-        live[problem, measure, atom] = True
-        q = np.zeros(shape)
-        q[problem, measure, atom] = self.mass
-        alpha = np.zeros(shape[:2])
+        live = self._live()
+        q = np.zeros(live.shape)
+        q[live] = self.mass
+        alpha = np.zeros(live.shape[:2])
         alpha[live.any(axis=2)] = self.alpha
         return q, self.pad_plans(self.cost), live, alpha
 
     def pad_plans(self, plans) -> np.ndarray:
         """(R, A) plans, or costs, spread into the padded (P, M_max, R, S_max) layout."""
-        problem, measure, atom, (p, m, s) = self._slots()
-        out = np.zeros((p, m, self.R, s))
-        out[problem, measure, :, atom] = plans.T
+        live = self._live()
+        out = np.zeros(live.shape[:2] + (self.R, live.shape[2]))
+        out.transpose(0, 1, 3, 2)[live] = plans.T
         return out
 
     def unpad(self, plans) -> np.ndarray:
         """Padded (P, M_max, R, S_max) plans gathered back into the (R, A) layout."""
-        problem, measure, atom, _ = self._slots()
-        return plans[problem, measure, :, atom].T
+        return plans.transpose(0, 1, 3, 2)[self._live()].T
 
     def problem_sums(self, values) -> np.ndarray:
         """Per-problem sums of an (R, A) array laid out like ``cost``."""

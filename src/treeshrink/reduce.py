@@ -207,11 +207,15 @@ def choose_solver(n_subtrees: int, branching: int, config: ReductionConfig) -> s
 
 
 def _batches(keys, atoms):
-    """The nodes that share a key, in runs of at most ``_BATCH_MAX_ATOMS``
-    atoms (or of one node): ``[(key, [node index, ...]), ...]``."""
+    """The nodes that share a (solver, R) key, in runs of at most
+    ``_BATCH_MAX_ATOMS`` atoms or of one node: ``[(key, [node index, ...])]``.
+
+    HiGHS solves one LP per problem, so an exact solve at R >= 3 runs alone.
+    """
     runs, load = {}, {}
     for i, key in enumerate(keys):
-        if key not in runs or load[key] + atoms[i] > _BATCH_MAX_ATOMS:
+        alone = key[0] == "lp" and key[1] > 2
+        if key not in runs or alone or load[key] + atoms[i] > _BATCH_MAX_ATOMS:
             runs.setdefault(key, []).append([])
             load[key] = 0
         runs[key][-1].append(i)
@@ -227,15 +231,15 @@ def _solve(batch, solver, config, warm):
     if solver == "mam":
         return mam_batch(batch, rho=config.rho, max_iter=config.mam_max_iter,
                          tol_marginal=config.mam_tol, init_plans=warm)[0]
+    if solver != "lp":
+        raise ValueError(f"unknown solver {solver!r}")
     if batch.R == 2:
         return two_atom_barycenter(batch)
-    # HiGHS solves one LP per problem.
-    solved = [barycenter_lp(batch.select([k])) for k in range(batch.P)]
-    return BatchSolution(np.array([value for value, _ in solved]),
-                         np.stack([plan_set.p for _, plan_set in solved]),
-                         np.concatenate([plan for _, plan_set in solved
-                                         for plan in plan_set.plans], axis=1),
-                         np.ones(batch.P, dtype=int), np.ones(batch.P, dtype=bool))
+    # One problem (see _batches).
+    value, plan_set = barycenter_lp(batch)
+    return BatchSolution(np.array([value]), plan_set.p[None, :],
+                         np.concatenate(plan_set.plans, axis=1),
+                         np.ones(1, dtype=int), np.ones(1, dtype=bool))
 
 
 def probability_step(original, reduced, joints, leaf_costs, config: ReductionConfig):
@@ -261,8 +265,8 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
     support points (the children of n) as index arrays, and the problems
     that share a solver and a support size R are gathered into one
     :class:`BarycenterBatch` (split only past ``_BATCH_MAX_ATOMS`` atoms)
-    and solved in one call.  Exact solves at R >= 3 are one HiGHS LP per
-    problem.
+    and solved in one call.  Exact solves at R >= 3 are one HiGHS LP, and
+    one call, per problem.
 
     The stage-t table is the blockwise sum of ``C_t * tables[t+1]``: one
     sparse product with the 0/1 block indicators on each side.  The new
