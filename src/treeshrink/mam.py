@@ -77,7 +77,8 @@ def mam_solve(problem: BarycenterProblem, rho=None, max_iter=DEFAULT_MAX_ITER,
     sol, gaps = mam_batch(problem, rho=rho, max_iter=max_iter, tol_marginal=tol_marginal,
                           init_plans=init_plans)
     return MamResult(float(sol.objective[0]), TransportPlanSet(problem.split(sol.plans), sol.p[0]),
-                     int(sol.iterations[0]), bool(sol.converged[0]), gaps[0])
+                     int(sol.iterations[0]), bool(sol.converged[0]),
+                     gaps[:sol.iterations[0], 0].tolist())
 
 
 def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
@@ -101,7 +102,9 @@ def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
         Warm-start plans laid out like the batch's costs, (R, A); defaults
         to the product of the uniform barycenter with each marginal.
 
-    Returns ``(BatchSolution, gaps)``, with each problem's list of per-iteration gaps.
+    Returns ``(BatchSolution, gaps)``: row i of the (max_iter, P) array
+    ``gaps`` holds each problem's gap after iteration i + 1, up to the
+    problem's own iteration count (the rest is unset).
     """
     batch.validate()
     rho = default_rho(batch) if rho is None else np.full(batch.P, float(rho))
@@ -141,7 +144,7 @@ def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
     todo = np.arange(batch.P)
     iterations = np.full(batch.P, max_iter)
     converged = np.zeros(batch.P, dtype=bool)
-    gaps, gap_owner = [], []
+    gaps = np.empty((max_iter, batch.P))
     tau, live_k, a_k, size_k, real_k = q.reshape(batch.P, -1), live, a, size_col, real[..., None]
     p = np.matmul(a, shadow_marg)
     for it in range(1, max_iter + 1):
@@ -160,8 +163,7 @@ def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
         p = np.matmul(a_k, shadow_marg)
         p_feas = np.matmul(a_k, feas_marg)
         gap = np.max(np.abs(feas_marg - p_feas), axis=(1, 2), where=real_k, initial=0.0)
-        gaps.append(gap)
-        gap_owner.append(todo)
+        gaps[it - 1, todo] = gap
         stop = gap <= tol_marginal
         if stop.any():
             done = todo[stop]
@@ -180,7 +182,4 @@ def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
     plans = batch.unpad(plans_end)
     solution = BatchSolution(batch.problem_sums(batch.cost * plans), p_final, plans,
                              iterations, converged)
-    # Each problem's gaps, in iteration order.
-    owner = np.concatenate([[]] + gap_owner).astype(int)
-    history = np.concatenate([[]] + gaps)[np.argsort(owner, kind="stable")]
-    return solution, [g.tolist() for g in np.split(history, np.cumsum(iterations)[:-1])]
+    return solution, gaps
