@@ -55,9 +55,9 @@ SOLVERS = ("lp", "mam", "ibp", "auto")
 
 # Atoms per batched solve.  One exact pass of generate_random(6, 5) onto a
 # binary tree poses 32 problems of 15,625 atoms at its last stage: all in
-# one batch, the pass peaks at 212 MB of RSS; in batches of at most 2^14
-# atoms, at 147 MB (139 MB solving one problem at a time), in the same time.
-# Small stages, where batching pays, fit in one batch.
+# one batch, the pass takes 0.29 s and peaks at 216 MB of RSS; in batches of
+# at most 2^14 atoms, 0.22 s and 129 MB.  Small stages, where batching
+# pays, fit in one batch.
 _BATCH_MAX_ATOMS = 1 << 14
 
 
@@ -286,13 +286,17 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
         rows = original.stage_blocks(t)
         cols = reduced.stage_blocks(t)
         next_table = tables[t + 1]
-        # p_bar and the solved blocks are in stage-(t+1) node order.
+        # C_t starts as outer(cond_a, p_bar), in stage-(t+1) node order; a
+        # solved node's columns are redone with its barycenter, and its plans
+        # written over its active blocks, batch by batch.
+        cond_a = rows.by_child(rows.cond)
         p_bar = np.ones(cols.local.shape[0])
         branching = np.flatnonzero(cols.sizes > 1)
         weight = joints[t][:, branching]
         empty = ~np.any(weight > 0.0, axis=0)
         for n in branching[empty]:
             p_bar[cols.children(n)] = 1.0 / cols.sizes[n]
+        cond = cond_a[:, None] * p_bar[None, :]
         nodes = branching[~empty]
         # The active pairs, node by node and ascending m within a node.
         pair_node, pair_m = np.nonzero(weight[:, ~empty].T > 0.0)
@@ -305,10 +309,11 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
             # With two children the exact path is closed form.
             solvers = ["lp" if cols.sizes[n] == 2 else choose_solver(c, w, config)
                        for n, c, w in zip(nodes, measures, width)]
-        solved = []
         for (solver, r), members in _batches(zip(solvers, cols.sizes[nodes].tolist()),
                                              node_atoms):
-            pick = np.isin(pair_node, members)
+            pick = np.zeros(nodes.shape[0], dtype=bool)
+            pick[members] = True
+            pick = pick[pair_node]
             node_of = pair_node[pick]
             m = pair_m[pick]
             alpha = joints[t][m, nodes[node_of]]
@@ -327,9 +332,10 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
             start = time.perf_counter()
             solution = _solve(batch, solver, config, warm)
             share = (time.perf_counter() - start) / batch.P
-            solved.append((block, np.maximum(solution.plans.T, 0.0)))
             p = np.maximum(solution.p, 0.0)
-            p_bar[points[atom_ptr[batch.measure_ptr[:-1]]]] = p / p.sum(axis=1, keepdims=True)
+            cond[:, points[atom_ptr[batch.measure_ptr[:-1]]]] = (
+                cond_a[:, None, None] * (p / p.sum(axis=1, keepdims=True)))
+            cond[block] = np.maximum(solution.plans.T, 0.0)
             for k, i in enumerate(members):
                 records.append({"stage": t, "node": int(reduced.stage_nodes(t)[nodes[i]]),
                                 "solver": solver, "measures": int(measures[i]),
@@ -338,9 +344,6 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
                                 "converged": bool(solution.converged[k]),
                                 "batch": batch.P, "seconds": share})
 
-        cond = rows.by_child(rows.cond)[:, None] * p_bar[None, :]
-        for block, plans in solved:
-            cond[block] = plans
         tables[t] = rows.indicator() @ (cols.indicator() @ (cond * next_table).T).T
         conditionals[t] = cond
         stage_secs[t] = time.perf_counter() - tick
