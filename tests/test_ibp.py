@@ -132,7 +132,7 @@ class TestBatch:
         rng = np.random.default_rng(11)
         problems = [random_problem(rng, m=3, r=3, s=4) for _ in range(3)]
         sol = ibp_batch(stack(problems), lam=50.0, max_iter=400)
-        assert sol.iterations.tolist() == [48, 42, 228]
+        assert sol.converged.all() and len(set(sol.iterations.tolist())) == 3
         for k, prob in enumerate(problems):
             res = ibp_solve(prob, lam=50.0, max_iter=400)
             assert (sol.iterations[k], sol.converged[k]) == (res.iterations, res.converged)

@@ -318,8 +318,8 @@ def test_paper_scale_binary_scoring():
 @pytest.mark.slow
 def test_paper_scale_binary_reduction():
     # One exact outer pass of the 19,531-node tree onto a binary tree of 127:
-    # the last stage solves 32 barycenters of up to 3,125 measures in one
-    # batched closed-form call.
+    # the last stage poses 32 closed-form barycenters of 3,125 measures
+    # (15,625 atoms) each, in batches bounded by reduce._BATCH_MAX_ATOMS.
     a = generate_random(6, 5, seed=1)
     b = random_init([2] * 6, seed=1)
     tick = time.perf_counter()

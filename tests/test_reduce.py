@@ -307,7 +307,6 @@ class TestSolverLog:
         assert {(rec["node"], rec["batch"]) for rec in log
                 if rec["iteration"] == 1 and rec["stage"] == 1} == {(1, 2), (2, 2), (3, 1)}
 
-
     @pytest.mark.parametrize("solver", ["lp", "ibp"])
     def test_atom_bound_splits_batches_without_changing_answers(self, solver, monkeypatch):
         orig = generate_random(3, 4, seed=22)
