@@ -13,12 +13,11 @@ from .init_filtration import (ScenarioMatrix, ffs_init, kmeans_init,
 from .mam import MamResult, mam_solve
 from .nested import CostTable, nested_distance
 from .ot_core import (BarycenterProblem, TransportPlanSet, barycenter_lp,
-                      project_scaled_simplex, wasserstein_lp)
-from .reduce import (ReductionConfig, ReductionReport, choose_solver,
-                     init_plan, probability_step, quantizer_step, reduce_tree)
+                      wasserstein_lp)
+from .reduce import (ReductionConfig, ReductionReport, init_plan,
+                     probability_step, quantizer_step, reduce_tree)
 from .tree import (ScenarioTree, TreeFormatError, TreeValidationError,
-                   ZeroProbabilityError, fan_tree, generate_random, load_csv,
-                   path_cost_table)
+                   fan_tree, generate_random, load_csv, path_cost_table)
 
 __version__ = "0.1.0"
 
@@ -27,9 +26,8 @@ __all__ = [
     "ReductionConfig", "ReductionReport",
     "RegularizationOverflowError", "ScenarioMatrix", "ScenarioTree",
     "TransportPlanSet", "TreeFormatError", "TreeValidationError",
-    "ZeroProbabilityError", "barycenter_lp", "choose_solver", "fan_tree",
-    "ffs_init", "generate_random", "ibp_solve", "init_plan", "kmeans_init",
-    "load_csv", "mam_solve", "merge_prefixes", "nested_distance",
-    "path_cost_table", "probability_step", "project_scaled_simplex",
+    "barycenter_lp", "fan_tree", "ffs_init", "generate_random", "ibp_solve",
+    "init_plan", "kmeans_init", "load_csv", "mam_solve", "merge_prefixes",
+    "nested_distance", "path_cost_table", "probability_step",
     "quantizer_step", "random_init", "reduce_tree", "wasserstein_lp",
 ]

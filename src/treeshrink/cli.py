@@ -1,4 +1,4 @@
-"""Command-line front end: generate, ingest, reduce, evaluate, benchmark.
+"""Command-line front end: generate, ingest, reduce, evaluate.
 
 Exit codes: 0 success, 2 bad input, usage or parameters (such as a
 ``--lambda`` too large for the Bregman kernels), 3 reduction stopped on the
@@ -57,13 +57,6 @@ def _glue_range_values(argv):
         if argv[i] in _RANGE_FLAGS and re.match(r"-[\d.]", argv[i + 1]):
             argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     return argv
-
-
-def _parse_int_list(text):
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
 
 
 def _write_manifest(path, command, args, inputs, outputs, seed, seconds):
@@ -149,11 +142,10 @@ def cmd_reduce(args):
     reduced0 = _initial_reduced(args, original)
     config = ReductionConfig(
         solver=args.solver, tol=args.tol, max_outer=args.max_iter,
-        rho=args.rho, lam=getattr(args, "lambda"),
-        n_big=args.n_big, branch_big=args.branch_big)
+        rho=args.rho, lam=getattr(args, "lambda"))
     final, report = reduce_tree(original, reduced0, config)
     # final_nd is the cost of the last plan; score the returned tree exactly.
-    certified_nd, _ = nested_distance(original, final, order=config.order)
+    certified_nd, _ = nested_distance(original, final, order=report.order)
     seconds = time.perf_counter() - tick
 
     outputs = []
@@ -227,34 +219,6 @@ def _bench_tree(n_subtrees, children, dim, seed):
     return ScenarioTree(np.array(parent), np.array(stage), quantizer, np.array(prob))
 
 
-def cmd_bench(args):
-    rows = []
-    for n in args.subtrees:
-        for c in args.children:
-            original = _bench_tree(n, c, args.dim, args.seed)
-            for solver in args.solvers:
-                reduced0 = random_init([2, 2, 2], dim=args.dim,
-                                       value_range=(-10.0, 10.0), seed=args.seed)
-                config = ReductionConfig(solver=solver, tol=1e-12,
-                                         max_outer=args.iters,
-                                         rho=args.rho, lam=getattr(args, "lambda"))
-                _, report = reduce_tree(original, reduced0, config)
-                stage_t = 2  # the n-subtree stage carries the heavy barycenters
-                secs = float(np.mean([s[stage_t] for s in report.stage_seconds]))
-                rows.append([solver, n, c, secs, report.final_nd])
-    out = sys.stdout if args.output is None else open(args.output, "w", newline="")
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["solver", "n", "branch", "seconds", "nd"])
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-            _write_manifest(args.output, "bench", args, [], [str(args.output)],
-                            args.seed, 0.0)
-    return EXIT_OK
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="treeshrink",
@@ -292,17 +256,13 @@ def build_parser():
     p.add_argument("--solver", choices=["lp", "mam", "ibp", "auto"], default="auto",
                    help="barycenter solver: exact (closed form at two children, "
                    "else a HiGHS LP), averaged marginals, Bregman projections, "
-                   "or auto: exact at nodes with two children, elsewhere "
-                   "averaged marginals above --n-big measures or --branch-big "
-                   "support points, else exact (default)")
+                   "or auto: exact, the default")
     p.add_argument("--tol", type=float, default=0.1)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--lambda", type=float, default=100.0)
     p.add_argument("--init", choices=["random", "kmeans", "ffs"], default="random")
     p.add_argument("--init-range", type=_parse_range, default=None, metavar="LO,HI")
     p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--n-big", type=int, default=10)
-    p.add_argument("--branch-big", type=int, default=150)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--trace", default=None, help="per-iteration CSV trace")
@@ -314,20 +274,6 @@ def build_parser():
     p.add_argument("-b", "--tree-b", required=True)
     p.add_argument("--order", type=int, default=2)
     p.set_defaults(func=cmd_nd)
-
-    p = sub.add_parser("bench", help="per-stage solver timing sweep")
-    p.add_argument("--subtrees", type=_parse_int_list, default=[2, 8],
-                   metavar="N1,N2,...")
-    p.add_argument("--children", type=_parse_int_list, default=[10, 200],
-                   metavar="C1,C2,...")
-    p.add_argument("--solvers", type=lambda s: s.split(","), default=["lp", "mam"])
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--iters", type=int, default=3)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--lambda", type=float, default=100.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

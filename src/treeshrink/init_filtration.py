@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import ScenarioTree, fan_tree, read_scenarios_csv
+from .tree import ScenarioTree, fan_tree
 
 
 @dataclass
@@ -41,11 +41,6 @@ class ScenarioMatrix:
     def flat(self) -> np.ndarray:
         """Scenarios as rows of length (T+1)*d."""
         return self.paths.reshape(self.S, -1)
-
-    @classmethod
-    def from_csv(cls, path, dim=1) -> "ScenarioMatrix":
-        paths, prob = read_scenarios_csv(path, dim=dim)
-        return cls(paths, prob)
 
     @classmethod
     def from_tree(cls, tree: ScenarioTree) -> "ScenarioMatrix":

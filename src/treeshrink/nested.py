@@ -15,8 +15,9 @@ matrices.  The pairs where both sides branch then get their exact values
 from the batched transport solver: a pair where one node has two children
 is a fractional knapsack, solved by one sort, and the rest are packed into
 HiGHS solves of at most a few hundred constraints.  The pairs are built in
-chunks of rows of at most ``_PAIR_MAX_ENTRIES`` plan entries, so memory
-stays bounded on large trees.
+chunks of at most ``_PAIR_MAX_ENTRIES`` plan entries, so memory stays
+bounded on large trees; chunks end only between those HiGHS solves, so they
+change no value.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ot_core import block_entries, transport_lp
+from .ot_core import block_entries, transport_lp, transport_splits
 # No longer called here; perfbench/spans.py still wraps the per-pair
 # transport layer under this module's name, where it now counts zero calls.
 from .ot_core import wasserstein_lp  # noqa: F401
@@ -62,35 +63,45 @@ def _branching_pairs(blocks_a, blocks_b, next_table):
     """Exact transport values of all pairs whose nodes both have >= 2 children.
 
     Returns ``(rows, cols, values)``: the pairs are ``rows x cols`` and
-    ``values`` has shape (len(rows), len(cols)).  The pairs of consecutive
-    rows are solved together, in chunks of at most ``_PAIR_MAX_ENTRIES``
-    plan entries (at least one row).
+    ``values`` has shape (len(rows), len(cols)).  The pairs are solved in
+    row-major order, in chunks of at most ``_PAIR_MAX_ENTRIES`` plan entries
+    (at least one HiGHS LP).  A chunk ends only where one call on the whole
+    stage would start a new HiGHS LP (:func:`transport_splits`), so the
+    chunks change no LP and no value.
     """
     rows = np.flatnonzero(blocks_a.sizes > 1)
     cols = np.flatnonzero(blocks_b.sizes > 1)
-    values = np.empty((rows.shape[0], cols.shape[0]))
-    if values.size == 0:
-        return rows, cols, values
-    ends = np.cumsum(blocks_a.sizes[rows]) * blocks_b.sizes[cols].sum()
-    lo = 0
-    while lo < rows.shape[0]:
-        start = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, start + _PAIR_MAX_ENTRIES, side="right")))
-        row_ptr, row_pos = blocks_a.select(np.repeat(rows[lo:hi], cols.shape[0]))
-        col_ptr, col_pos = blocks_b.select(np.tile(cols, hi - lo))
-        _, i, j = block_entries(row_ptr, col_ptr)
-        cost = next_table[blocks_a.local[row_pos[i]], blocks_b.local[col_pos[j]]]
-        flat, _ = transport_lp(blocks_a.cond[row_pos], row_ptr,
-                               blocks_b.cond[col_pos], col_ptr, cost)
-        values[lo:hi] = flat.reshape(hi - lo, cols.shape[0])
-        lo = hi
-    return rows, cols, values
+    values = np.empty(rows.shape[0] * cols.shape[0])
+    if values.size:
+        row_of = np.repeat(rows, cols.shape[0])
+        col_of = np.tile(cols, rows.shape[0])
+        r, s = blocks_a.sizes[row_of], blocks_b.sizes[col_of]
+        ends = np.cumsum(r * s)
+        # The chunk ends that split no LP, and the plan entries before each.
+        cuts = np.array([values.size])
+        if ends[-1] > _PAIR_MAX_ENTRIES:
+            cuts = np.flatnonzero(transport_splits(r, s)[1:]) + 1
+        before = ends[cuts - 1]
+        lo = 0
+        while lo < values.size:
+            start = ends[lo - 1] if lo else 0
+            hi = cuts[max(np.searchsorted(before, start + _PAIR_MAX_ENTRIES, side="right") - 1,
+                          np.searchsorted(cuts, lo, side="right"))]
+            row_ptr, row_pos = blocks_a.select(row_of[lo:hi])
+            col_ptr, col_pos = blocks_b.select(col_of[lo:hi])
+            _, i, j = block_entries(row_ptr, col_ptr)
+            cost = next_table[blocks_a.local[row_pos[i]], blocks_b.local[col_pos[j]]]
+            values[lo:hi], _ = transport_lp(blocks_a.cond[row_pos], row_ptr,
+                                            blocks_b.cond[col_pos], col_ptr, cost)
+            lo = hi
+    return rows, cols, values.reshape(rows.shape[0], cols.shape[0])
 
 
 def nested_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, order=2):
     """Exact process distance of the given order between two trees.
 
-    Returns ``(nd, CostTable)`` where ``nd = tables[0][0, 0] ** (1/order)``.
+    Returns ``(nd, CostTable)`` where ``nd = tables[0][0, 0] ** (1/order)``;
+    ``order`` must be at least 1.
     Each stage t fills its table in two steps.  First the product plan
     values ``Q_a @ tables[t+1] @ Q_b.T``, where ``Q`` is a tree's sparse
     stage-t to stage-(t+1) conditional matrix; they are exact for every pair

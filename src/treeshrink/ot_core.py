@@ -271,7 +271,7 @@ def transport_lp(row_mass, row_ptr, col_mass, col_ptr, cost):
 
     values = np.empty(k)
     x = np.empty(var_ptr[-1])
-    two = (r == 2) | (s == 2)
+    two = _two_atom(r, s)
     for pick, solve in ((two, _two_atom_transport), (~two, _packed_lps)):
         sel = np.flatnonzero(pick)
         if sel.size == k:
@@ -287,23 +287,57 @@ def transport_lp(row_mass, row_ptr, col_mass, col_ptr, cost):
     return values, x
 
 
+def _two_atom(r, s):
+    """Which problems :func:`transport_lp` solves by the greedy, not by HiGHS."""
+    return (r == 2) | (s == 2)
+
+
+def _lp_packs(rows):
+    """Greedy packing of consecutive HiGHS problems of ``rows`` constraints
+    each into LPs of at most ``_LP_MAX_ROWS`` rows (a larger problem alone).
+
+    Returns the index of every LP's first problem, then ``len(rows)``.
+    """
+    lp_rows = np.concatenate(([0], np.cumsum(rows)))
+    bounds = [0]
+    while bounds[-1] < rows.shape[0]:
+        lo = bounds[-1]
+        bounds.append(max(lo + 1, int(np.searchsorted(lp_rows, lp_rows[lo] + _LP_MAX_ROWS,
+                                                      side="right")) - 1))
+    return np.array(bounds)
+
+
+def transport_splits(r, s):
+    """Where a sequence of transport problems may be cut into separate calls
+    of :func:`transport_lp` without changing any HiGHS LP.
+
+    ``r`` and ``s`` hold every problem's row and column counts.  Returns a
+    boolean array of length K + 1: entry p is True when no LP of the packing
+    that one call on the whole sequence makes holds problems on both sides
+    of p.  Calls on pieces cut only there solve the same LPs, so they return
+    the same plans bit for bit.
+    """
+    r, s = np.asarray(r), np.asarray(s)
+    highs = np.flatnonzero(~_two_atom(r, s))
+    bounds = _lp_packs((r + s)[highs])
+    k = r.shape[0]
+    inside = np.cumsum(np.bincount(highs[bounds[:-1]] + 1, minlength=k + 1)
+                       - np.bincount(highs[bounds[1:] - 1] + 1, minlength=k + 1))
+    return inside == 0
+
+
 def _packed_lps(row_mass, row_ptr, col_mass, col_ptr, cost):
     """:func:`transport_lp` by HiGHS alone, in LPs of at most ``_LP_MAX_ROWS`` rows."""
     r, s = np.diff(row_ptr), np.diff(col_ptr)
     var_ptr = np.concatenate(([0], np.cumsum(r * s)))
-    k = r.shape[0]
-    values = np.empty(k)
+    values = np.empty(r.shape[0])
     x = np.empty(var_ptr[-1])
-    lp_rows = np.concatenate(([0], np.cumsum(r + s)))
-    lo = 0
-    while lo < k:
-        hi = max(lo + 1, int(np.searchsorted(lp_rows, lp_rows[lo] + _LP_MAX_ROWS,
-                                             side="right")) - 1)
+    bounds = _lp_packs(r + s)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         rp, cp = row_ptr[lo:hi + 1], col_ptr[lo:hi + 1]
         values[lo:hi], x[var_ptr[lo]:var_ptr[hi]] = _block_diagonal_lp(
             row_mass[rp[0]:rp[-1]], rp - rp[0], col_mass[cp[0]:cp[-1]], cp - cp[0],
             cost[var_ptr[lo]:var_ptr[hi]])
-        lo = hi
     return values, x
 
 
@@ -511,32 +545,14 @@ def two_atom_barycenter(batch: BarycenterBatch) -> BatchSolution:
                          plans, np.ones(batch.P, dtype=int), np.ones(batch.P, dtype=bool))
 
 
-def project_scaled_simplex(y, tau):
-    """Euclidean projection of ``y`` onto {x >= 0 : sum(x) = tau}.
-
-    Exact finite sort-based algorithm; for ``tau`` = 0 the answer is the zero
-    vector.  Negative ``tau`` is a domain error.
-    """
-    if tau < 0:
-        raise ValueError("target mass must be nonnegative")
-    y = np.asarray(y, dtype=np.float64)
-    if tau == 0.0:
-        return np.zeros_like(y)
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, y.shape[0] + 1)
-    support = np.flatnonzero(u - (css - tau) / k > 0)[-1]
-    theta = (css[support] - tau) / (support + 1.0)
-    return np.maximum(y - theta, 0.0)
-
-
 def project_columns_scaled_simplex(Y, tau):
     """Column-wise scaled-simplex projection: column s lands on mass tau[s].
 
-    Vectorized batch form of :func:`project_scaled_simplex`, used by the
-    averaged-marginals inner update where every column of every measure is
-    projected in one call per iteration; zero-mass columns come back zero.
-    Two rows take the closed form instead of the sort.
+    Euclidean projection of every column of ``Y`` onto {x >= 0 : sum(x) =
+    tau[s]} by the exact sort-based algorithm, used by the averaged-marginals
+    inner update where every column of every measure is projected in one
+    call per iteration; zero-mass columns come back zero.  Two rows take the
+    closed form instead of the sort.
     """
     tau = np.asarray(tau, dtype=np.float64)
     if np.any(tau < 0):

@@ -8,10 +8,10 @@ alternates two steps until the root cost stops improving:
   order 2 thanks to the stage-decomposed path cost);
 * probability step: walking stages backward, each reduced node's conditional
   child probabilities and plans are re-optimized as one fixed-support
-  barycenter problem over the original nodes of that stage, solved by an
-  exact LP, by averaged marginals, by Bregman projections, or by a
-  structure-aware automatic choice between LP and averaged marginals (always
-  the exact path for a node with two children, where it is closed form).
+  barycenter problem over the original nodes of that stage, solved by one
+  solver for the whole run: exact (closed form for a node with two
+  children, else a HiGHS LP; ``"auto"``, the default, means exact), averaged
+  marginals or Bregman projections.
 
 The first iteration runs the probability step only: the initial plan is a
 feasibility seed, and running the mean update on it would overwrite any
@@ -53,6 +53,10 @@ from .tree import ScenarioTree, TreeValidationError, path_cost_table
 
 SOLVERS = ("lp", "mam", "ibp", "auto")
 
+# Order of the nested distance.  The closed-form quantizer update is exact
+# for order 2 only.
+ORDER = 2
+
 # Atoms per batched solve.  One exact pass of generate_random(6, 5) onto a
 # binary tree poses 32 problems of 15,625 atoms at its last stage: all in
 # one batch, the pass takes 0.29 s and peaks at 216 MB of RSS; in batches of
@@ -63,28 +67,26 @@ _BATCH_MAX_ATOMS = 1 << 14
 
 @dataclass
 class ReductionConfig:
-    """Knobs of the reduction loop and its inner solvers."""
+    """Knobs of the reduction loop and its inner solvers.
+
+    ``solver`` is ``"lp"`` (exact), ``"mam"`` (averaged marginals), ``"ibp"``
+    (Bregman projections) or ``"auto"``, which means exact.  The iterative
+    solvers stop at their own default tolerances.
+    """
 
     solver: str = "auto"
     tol: float = 0.1            # stop when the root cost improves by less
-    order: int = 2
     max_outer: int = 50
     rho: float | None = None    # averaged-marginals proximal parameter
     lam: float = 100.0          # Bregman regularization strength
     mam_max_iter: int = 5000
-    mam_tol: float = 1e-6
     ibp_max_iter: int = 10000
-    ibp_tol: float = 1e-8
-    n_big: int = 10             # auto policy: measure count above which to prefer mam
-    branch_big: int = 150       # auto policy: support size above which to prefer mam
 
     def validate(self) -> None:
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.order != 2:
-            raise ValueError("only order 2 is supported (closed-form quantizer update)")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
 
@@ -101,8 +103,8 @@ class ReductionReport:
     ``solver_log`` holds one record per solved barycenter problem: its
     ``iteration``, ``stage``, reduced ``node``, ``solver``, ``measures``,
     ``max_support``, inner ``iterations`` and whether it ``converged``.
-    The problems of one stage that share a solver and a support size are
-    solved together; ``batch`` is the number of problems in that call
+    The problems of one stage that share a support size are solved
+    together; ``batch`` is the number of problems in that call
     (1 for each HiGHS LP), and ``seconds`` is the record's equal share of
     the call's time, so the records of one call sum to its time.
     """
@@ -194,43 +196,30 @@ def quantizer_step(original: ScenarioTree, reduced: ScenarioTree, joints) -> Sce
     return reduced.with_quantizer(new_q)
 
 
-def choose_solver(n_subtrees: int, branching: int, config: ReductionConfig) -> str:
-    """Structure-aware pick between the exact LP and averaged marginals.
-
-    Averaged marginals win on many measures (beyond ``n_big``, with any real
-    branching) or on very wide supports (beyond ``branch_big``); the LP is
-    faster on everything smaller.
-    """
-    if (n_subtrees > config.n_big and branching > 1) or branching > config.branch_big:
-        return "mam"
-    return "lp"
-
-
-def _batches(keys, atoms):
-    """The nodes that share a (solver, R) key, in runs of at most
-    ``_BATCH_MAX_ATOMS`` atoms or of one node: ``[(key, [node index, ...])]``.
+def _batches(sizes, atoms, solver):
+    """The nodes that share a support size R, in runs of at most
+    ``_BATCH_MAX_ATOMS`` atoms or of one node: ``[(R, [node index, ...])]``.
 
     HiGHS solves one LP per problem, so an exact solve at R >= 3 runs alone.
     """
     runs, load = {}, {}
-    for i, key in enumerate(keys):
-        alone = key[0] == "lp" and key[1] > 2
-        if key not in runs or alone or load[key] + atoms[i] > _BATCH_MAX_ATOMS:
-            runs.setdefault(key, []).append([])
-            load[key] = 0
-        runs[key][-1].append(i)
-        load[key] += atoms[i]
-    return [(key, run) for key, group in runs.items() for run in group]
+    for i, r in enumerate(sizes):
+        alone = solver == "lp" and r > 2
+        if r not in runs or alone or load[r] + atoms[i] > _BATCH_MAX_ATOMS:
+            runs.setdefault(r, []).append([])
+            load[r] = 0
+        runs[r][-1].append(i)
+        load[r] += atoms[i]
+    return [(r, run) for r, group in runs.items() for run in group]
 
 
 def _solve(batch, solver, config, warm):
     """Solve a batch with one solver; returns its :class:`BatchSolution`."""
     if solver == "ibp":
-        return ibp_batch(batch, lam=config.lam, max_iter=config.ibp_max_iter,
-                         tol_fixed_point=config.ibp_tol)
+        return ibp_batch(batch, lam=config.lam, max_iter=config.ibp_max_iter)
     if solver == "mam":
         return mam_batch(batch, rho=config.rho, max_iter=config.mam_max_iter,
-                         tol_marginal=config.mam_tol, init_plans=warm)[0]
+                         init_plans=warm)[0]
     if solver != "lp":
         raise ValueError(f"unknown solver {solver!r}")
     if batch.R == 2:
@@ -263,10 +252,10 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
     The stage's problems are assembled at once: the active (m, n) pairs of
     ``joints[t]`` give every measure's atoms (the children of m) and
     support points (the children of n) as index arrays, and the problems
-    that share a solver and a support size R are gathered into one
+    that share a support size R are gathered into one
     :class:`BarycenterBatch` (split only past ``_BATCH_MAX_ATOMS`` atoms)
-    and solved in one call.  Exact solves at R >= 3 are one HiGHS LP, and
-    one call, per problem.
+    and solved in one call with the run's solver (``"auto"`` is exact).
+    Exact solves at R >= 3 are one HiGHS LP, and one call, per problem.
 
     The stage-t table is the blockwise sum of ``C_t * tables[t+1]``: one
     sparse product with the 0/1 block indicators on each side.  The new
@@ -279,6 +268,7 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
     tables[big_t] = leaf_costs
     conditionals = [None] * big_t
     records = []
+    solver = "lp" if config.solver == "auto" else config.solver
     stage_secs = [0.0] * (big_t + 1)
 
     for t in range(big_t - 1, -1, -1):
@@ -304,13 +294,7 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
         width = np.zeros(nodes.shape[0], dtype=int)
         np.maximum.at(width, pair_node, rows.sizes[pair_m])
         node_atoms = np.bincount(pair_node, rows.sizes[pair_m], nodes.shape[0])
-        solvers = [config.solver] * nodes.shape[0]
-        if config.solver == "auto":
-            # With two children the exact path is closed form.
-            solvers = ["lp" if cols.sizes[n] == 2 else choose_solver(c, w, config)
-                       for n, c, w in zip(nodes, measures, width)]
-        for (solver, r), members in _batches(zip(solvers, cols.sizes[nodes].tolist()),
-                                             node_atoms):
+        for r, members in _batches(cols.sizes[nodes].tolist(), node_atoms, solver):
             pick = np.zeros(nodes.shape[0], dtype=bool)
             pick[members] = True
             pick = pick[pair_node]
@@ -387,17 +371,17 @@ def reduce_tree(original: ScenarioTree, reduced0: ScenarioTree,
         if violations:
             raise TreeValidationError([f"{name} tree: {v}" for v in violations])
 
-    report = ReductionReport(order=config.order)
+    report = ReductionReport(order=ORDER)
     joints = init_plan(original, reduced0)
     reduced = reduced0
-    leaf_costs = path_cost_table(original, reduced, order=config.order)
+    leaf_costs = path_cost_table(original, reduced, order=ORDER)
     report.deltas.append(evaluate_plan(joints, leaf_costs))
 
     for k in range(1, config.max_outer + 1):
         tick = time.perf_counter()
         if k > 1:
             reduced = quantizer_step(original, reduced, joints)
-            leaf_costs = path_cost_table(original, reduced, order=config.order)
+            leaf_costs = path_cost_table(original, reduced, order=ORDER)
         joints, tables, records, stage_secs = probability_step(
             original, reduced, joints, leaf_costs, config)
         for rec in records:
@@ -415,5 +399,5 @@ def reduce_tree(original: ScenarioTree, reduced0: ScenarioTree,
     violations = final.validate()
     if violations:
         raise RuntimeError("reduction produced an invalid tree: " + "; ".join(violations))
-    report.final_nd = report.deltas[-1] ** (1.0 / config.order)
+    report.final_nd = report.deltas[-1] ** (1.0 / ORDER)
     return final, report

@@ -37,10 +37,6 @@ class TreeValidationError(ValueError):
         super().__init__("invalid scenario tree:\n" + "\n".join(self.violations))
 
 
-class ZeroProbabilityError(ZeroDivisionError):
-    """Conditioning on an ancestor that carries zero probability mass."""
-
-
 def _concat_ranges(starts, lengths):
     """Concatenation of ``arange(s, s + n)`` over the pairs of the two arrays."""
     ends = np.cumsum(lengths)
@@ -68,9 +64,6 @@ class StageBlocks:
 
     def children(self, k: int) -> np.ndarray:
         return self.local[self.ptr[k]:self.ptr[k + 1]]
-
-    def probs(self, k: int) -> np.ndarray:
-        return self.cond[self.ptr[k]:self.ptr[k + 1]]
 
     def select(self, blocks):
         """CSR pointer and entry positions of the given blocks, in that order."""
@@ -201,27 +194,7 @@ class ScenarioTree:
     def leaves(self) -> np.ndarray:
         return self._stage_nodes[self.T]
 
-    def is_leaf(self, node: int) -> bool:
-        return self.n_children(node) == 0
-
     # -- probability algebra ----------------------------------------------
-
-    def conditional_prob(self, node: int, ancestor: int) -> float:
-        """P(node | ancestor) = prob(node)/prob(ancestor).
-
-        ``ancestor`` must lie on the root path of ``node`` (the node itself is
-        also accepted).  Conditioning on zero mass raises
-        :class:`ZeroProbabilityError`.
-        """
-        cur = node
-        while cur != ancestor and cur >= 0:
-            cur = int(self.parent[cur])
-        if cur != ancestor:
-            raise ValueError(f"node {ancestor} is not an ancestor of node {node}")
-        if self.prob[ancestor] <= 0.0:
-            raise ZeroProbabilityError(
-                f"conditioning on node {ancestor} with zero probability")
-        return float(self.prob[node] / self.prob[ancestor])
 
     def conditional_children_probs(self, node: int) -> np.ndarray:
         """Vector (P(i|node))_{i in children(node)}.
@@ -238,15 +211,6 @@ class ScenarioTree:
         return q
 
     # -- path algebra --------------------------------------------------------
-
-    def path_nodes(self, leaf: int) -> np.ndarray:
-        """Node indices on the root-to-leaf path, root first (length T+1)."""
-        out = np.empty(self.stage[leaf] + 1, dtype=np.int64)
-        cur = leaf
-        for t in range(self.stage[leaf], -1, -1):
-            out[t] = cur
-            cur = int(self.parent[cur])
-        return out
 
     def path_matrix(self) -> np.ndarray:
         """(n_leaves, T+1) node indices of every root-to-leaf path."""
@@ -503,10 +467,12 @@ def path_cost_table(tree_a, tree_b, order=2):
     loop is exactly optimal.  Other orders sum the per-stage Euclidean
     distances and raise the total to ``order``.  Each stage's squared
     distances are built in place in one scratch table (two for d > 1), so
-    the peak is two or three tables.
+    the peak is two or three tables.  ``order`` must be at least 1.
     """
     if tree_a.T != tree_b.T or tree_a.d != tree_b.d:
         raise ValueError("trees must share stage count and quantizer dimension")
+    if not order >= 1:
+        raise ValueError(f"order must be at least 1, got {order}")
     pa = tree_a.path_values()
     pb = tree_b.path_values()
     shape = (pa.shape[0], pb.shape[0])

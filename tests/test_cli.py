@@ -1,7 +1,6 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
 from treeshrink.cli import _bench_tree, main
@@ -118,7 +117,7 @@ class TestReduce:
                     "-o", str(out), "--report", str(report)]) == 0
         doc = json.loads(report.read_text())
         assert doc["solver_log"]
-        assert all(rec["solver"] in ("lp", "mam") for rec in doc["solver_log"])
+        assert {rec["solver"] for rec in doc["solver_log"]} == {"lp"}
         # The summary counts unconverged inner solves out of all of them.
         log = doc["solver_log"]
         unconverged = sum(not rec["converged"] for rec in log)
@@ -234,6 +233,13 @@ class TestNd:
         digits = text.replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) == 9
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_order_below_one_exit_2(self, tmp_path, capsys, order):
+        path = tmp_path / "t.json"
+        generate_random(2, 2, seed=0).save(path)
+        assert run(["nd", "-a", str(path), "-b", str(path), "--order", order]) == 2
+        assert capsys.readouterr().err.startswith("error: order must be at least 1")
+
     def test_mismatched_trees_exit_2(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         generate_random(2, 2, seed=0).save(a)
@@ -252,19 +258,3 @@ class TestNd:
         nd_cli = float(capsys.readouterr().out.strip())
         final_nd = json.loads(report.read_text())["final_nd"]
         assert nd_cli == pytest.approx(final_nd, abs=1e-6)
-
-
-class TestBench:
-    def test_grid_rows_and_columns(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert run(["bench", "--subtrees", "2,4", "--children", "3,5",
-                    "--solvers", "lp,mam", "--iters", "2",
-                    "--seed", "0", "-o", str(out)]) == 0
-        with open(out) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["solver", "n", "branch", "seconds", "nd"]
-        assert len(rows) - 1 == 8
-        for row in rows[1:]:
-            assert row[0] in ("lp", "mam")
-            assert float(row[3]) > 0
-            assert float(row[4]) >= 0

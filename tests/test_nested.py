@@ -256,6 +256,22 @@ class TestProperties:
             assert np.array_equal(x, y)
 
 
+def test_pair_chunks_end_between_lps():
+    # Stage 1 pairs two nodes with three children each against one with
+    # three: two problems of 6 rows, packed into one HiGHS LP.  Chunks of
+    # 7 entries would cut that LP in two, and HiGHS then returns another
+    # vertex, one ulp off (0.0625 against 0.062499999999999986).
+    a = ScenarioTree([-1, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 1, 2, 2, 2, 2, 2, 2],
+                     np.zeros(9), [1, .5, .5] + [1 / 6] * 6)
+    b = ScenarioTree([-1, 0, 1, 1, 1], [0, 1, 2, 2, 2], [0, 0, .25, .25, .25],
+                     [1, 1, .25, .25, .5])
+    _, table = nested_distance(a, b)
+    with mock.patch.object(nested, "_PAIR_MAX_ENTRIES", 7):
+        _, chunked = nested_distance(a, b)
+    for x, y in zip(table.tables, chunked.tables):
+        assert x.tobytes() == y.tobytes()
+
+
 def test_at_most_one_lp_per_stage(monkeypatch):
     calls = []
     real = ot_core.linprog

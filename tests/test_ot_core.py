@@ -9,10 +9,27 @@ from scipy.optimize import linprog
 from batches import barycenter_problems, costs, problem_lists, stack, weights
 from treeshrink import ot_core
 from treeshrink.ot_core import (BarycenterBatch, BarycenterProblem, barycenter_lp,
-                                block_entries,
-                                project_columns_scaled_simplex,
-                                project_scaled_simplex, transport_lp,
-                                two_atom_barycenter, wasserstein_lp)
+                                block_entries, project_columns_scaled_simplex,
+                                transport_lp, two_atom_barycenter, wasserstein_lp)
+
+
+def project_scaled_simplex(y, tau):
+    """Reference: Euclidean projection of ``y`` onto {x >= 0 : sum(x) = tau}.
+
+    Exact finite sort-based algorithm; for ``tau`` = 0 the answer is the zero
+    vector.  Negative ``tau`` is a domain error.
+    """
+    if tau < 0:
+        raise ValueError("target mass must be nonnegative")
+    y = np.asarray(y, dtype=np.float64)
+    if tau == 0.0:
+        return np.zeros_like(y)
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u)
+    k = np.arange(1, y.shape[0] + 1)
+    support = np.flatnonzero(u - (css - tau) / k > 0)[-1]
+    theta = (css[support] - tau) / (support + 1.0)
+    return np.maximum(y - theta, 0.0)
 
 
 def column_marginal_error(plan_set, problem):

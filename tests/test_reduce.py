@@ -9,9 +9,8 @@ from treeshrink import reduce as reduce_module
 from treeshrink.init_filtration import random_init
 from treeshrink.nested import nested_distance
 from treeshrink.ot_core import wasserstein_lp
-from treeshrink.reduce import (ReductionConfig, choose_solver, evaluate_plan,
-                               extract_probabilities, init_plan,
-                               probability_step, quantizer_step, reduce_tree)
+from treeshrink.reduce import (ReductionConfig, evaluate_plan, extract_probabilities,
+                               init_plan, probability_step, quantizer_step, reduce_tree)
 from treeshrink.tree import ScenarioTree, generate_random, path_cost_table
 
 
@@ -231,35 +230,19 @@ class TestProbabilityStep:
                               orig.prob[orig.leaves()])) < 1e-9
 
 
-class TestChooseSolver:
-    def test_many_subtrees(self):
-        assert choose_solver(12, 5, ReductionConfig()) == "mam"
-
-    def test_wide_support(self):
-        assert choose_solver(4, 200, ReductionConfig()) == "mam"
-
-    def test_small_problem(self):
-        assert choose_solver(4, 10, ReductionConfig()) == "lp"
-
-    def test_chain_branching_stays_lp(self):
-        assert choose_solver(40, 1, ReductionConfig()) == "lp"
-
-    def test_custom_thresholds(self):
-        config = ReductionConfig(n_big=2, branch_big=5)
-        assert choose_solver(3, 2, config) == "mam"
-        assert choose_solver(1, 6, config) == "mam"
-        assert choose_solver(1, 2, config) == "lp"
-
-    def test_auto_is_exact_at_two_children(self):
-        # choose_solver would pick MAM for every stage-1 node here (4 measures
-        # > n_big); a node with two children takes the closed-form exact path.
-        orig = generate_random(2, 4, seed=3)
-        config = ReductionConfig(solver="auto", n_big=1, max_outer=1, tol=1e-12,
-                                 mam_max_iter=50)
-        for width, expected in ((2, "lp"), (3, "mam")):
-            _, report = reduce_tree(orig, random_init([width, width], seed=4), config)
-            assert {rec["solver"] for rec in report.solver_log if rec["stage"] == 1} \
-                == {expected}
+class TestAutoSolver:
+    def test_auto_is_exact(self):
+        # Stage 1 poses three problems of 12 measures on 3 support points.
+        orig = generate_random(2, 12, seed=5)
+        red = random_init([3, 3], seed=6)
+        auto, auto_report = reduce_tree(orig, red, ReductionConfig(solver="auto"))
+        exact, exact_report = reduce_tree(orig, red, ReductionConfig(solver="lp"))
+        assert {rec["solver"] for rec in auto_report.solver_log} == {"lp"}
+        assert any(rec["stage"] == 1 and rec["measures"] == 12
+                   for rec in auto_report.solver_log)
+        assert auto.quantizer.tobytes() == exact.quantizer.tobytes()
+        assert auto.prob.tobytes() == exact.prob.tobytes()
+        assert auto_report.deltas == exact_report.deltas
 
 
 def mixed_width_tree():
@@ -377,10 +360,6 @@ class TestReduceTree:
         final, _ = reduce_tree(orig, red, ReductionConfig(solver="lp"))
         assert final.prob[final.root] == pytest.approx(1.0, abs=1e-12)
         assert final.prob[final.leaves()].sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_order_other_than_two_rejected(self):
-        with pytest.raises(ValueError):
-            ReductionConfig(order=3).validate()
 
     def test_evaluate_plan_upper_bounds_first_step(self):
         orig = generate_random(2, 3, seed=14)

@@ -7,19 +7,22 @@ import pytest
 from treeshrink import tree as tr
 from treeshrink.init_filtration import random_init
 from treeshrink.tree import (ScenarioTree, TreeFormatError, TreeValidationError,
-                             ZeroProbabilityError, fan_tree, generate_random,
-                             load_csv, path_cost_table)
+                             generate_random, load_csv, path_cost_table)
+
+
+def leaf_path(tree, leaf):
+    """Quantizers on the root-to-leaf path of ``leaf``, root first."""
+    row = np.flatnonzero(tree.leaves() == leaf)
+    if row.size == 0:
+        raise ValueError("path costs are defined between leaves")
+    return tree.quantizer[tree.path_matrix()[row[0]]]
 
 
 def path_cost(tree_a, leaf_a, tree_b, leaf_b, order=2):
     """Reference: ground cost between two root-to-leaf paths, one pair at a time."""
     if tree_a.T != tree_b.T or tree_a.d != tree_b.d:
         raise ValueError("trees must share stage count and quantizer dimension")
-    if not (tree_a.is_leaf(leaf_a) and tree_b.is_leaf(leaf_b)):
-        raise ValueError("path costs are defined between leaves")
-    xa = tree_a.quantizer[tree_a.path_nodes(leaf_a)]
-    xb = tree_b.quantizer[tree_b.path_nodes(leaf_b)]
-    diff = xa - xb
+    diff = leaf_path(tree_a, leaf_a) - leaf_path(tree_b, leaf_b)
     if order == 2:
         return float(np.sum(diff * diff))
     stage_norms = np.sqrt(np.sum(diff * diff, axis=1))
@@ -81,28 +84,6 @@ class TestValidate:
         assert t.validate() == []
         for s in range(t.T + 1):
             assert np.isclose(t.prob[t.stage_nodes(s)].sum(), 1.0, atol=1e-12)
-
-
-class TestConditionalProb:
-    def test_ratio(self):
-        t = ScenarioTree([-1, 0, 1, 1], [0, 1, 2, 2], np.zeros((4, 1)),
-                         [1.0, 0.5, 0.25, 0.25])
-        assert t.conditional_prob(2, 1) == pytest.approx(0.5)
-
-    def test_only_child_is_one(self):
-        t = ScenarioTree([-1, 0], [0, 1], np.zeros((2, 1)), [1.0, 1.0])
-        assert t.conditional_prob(1, 0) == pytest.approx(1.0)
-
-    def test_zero_mass_ancestor_raises(self):
-        t = ScenarioTree([-1, 0, 0, 1], [0, 1, 1, 2], np.zeros((4, 1)),
-                         [1.0, 0.0, 1.0, 0.0])
-        with pytest.raises(ZeroProbabilityError):
-            t.conditional_prob(3, 1)
-
-    def test_non_ancestor_raises(self):
-        t = two_leaf_tree()
-        with pytest.raises(ValueError):
-            t.conditional_prob(1, 2)
 
 
 class TestPathCost:
