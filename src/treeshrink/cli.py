@@ -129,7 +129,11 @@ def _initial_reduced(args, original):
         return random_init([args.target_branching] * big_t, dim=original.d,
                            value_range=(lo, hi), seed=args.seed)
     scenarios = ScenarioMatrix.from_tree(original)
-    k = args.target_scenarios or args.target_branching ** big_t
+    k = args.target_scenarios
+    if k is None:
+        k = args.target_branching ** big_t
+    elif k < 1:
+        raise ValueError(f"--target-scenarios must be at least 1, got {k}")
     k = min(k, scenarios.S)
     if args.init == "kmeans":
         return kmeans_init(scenarios, k, seed=args.seed)

@@ -9,16 +9,18 @@ vertex plan.  A barycenter with two support points minimizes a sum of such
 problems, each convex and piecewise linear in ``p_1``; the optimum sits
 where the merged slope first turns nonnegative.  Every other LP goes to
 the HiGHS dual-simplex solver (via ``scipy.optimize.linprog``): the
-constraint matrices are assembled sparse and feasibility tolerances are
-pinned to 1e-9.  Either way the returned plans are basic (vertex)
-solutions; on degenerate problems the greedy may pick another optimal
-vertex than HiGHS would.  Transport problems have one entry point,
+constraint matrices are assembled sparse, consecutive independent problems
+share one block-diagonal LP of at most ``_LP_MAX_ROWS`` constraints, and
+feasibility tolerances are pinned to 1e-9.  Either way the returned plans
+are basic (vertex) solutions; on degenerate problems the greedy may pick
+another optimal vertex than HiGHS would.  Transport problems have one entry point,
 :func:`transport_lp`, which solves any number of independent problems at
 once; :func:`wasserstein_lp` is its one-block case.  Barycenter problems
 are held in one container, :class:`BarycenterBatch`: any number of
 problems on one support size, their marginals and costs concatenated, with
-:class:`BarycenterProblem` as the batch of one.  :func:`two_atom_barycenter`
-solves a whole batch at once; :func:`barycenter_lp` solves one problem.
+:class:`BarycenterProblem` as the batch of one.  :func:`barycenter_batch`
+solves every problem of a batch exactly, and :func:`barycenter_lp` is its
+one-problem case.
 All functions are pure; callers may run any number of instances
 concurrently.
 """
@@ -39,7 +41,7 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-9,
 }
 
-# Constraint rows per transport LP.  HiGHS's working set grows by about 2 kB
+# Constraint rows per HiGHS LP.  HiGHS's working set grows by about 2 kB
 # a row and stays with the process allocator after the solve.  Scoring
 # generate_random(4, 6, dim=2) against a [3,3,3,3] tree (last stage: 5832
 # pairs, 52488 rows) with one LP per stage peaked at 251 MB of RSS and took
@@ -421,11 +423,17 @@ def _block_diagonal_lp(row_mass, row_ptr, col_mass, col_ptr, cost):
         (np.ones(2 * n_vars), np.column_stack([row, row_mass.shape[0] + col]).ravel(),
          np.arange(0, 2 * n_vars + 1, 2)),
         shape=(row_mass.shape[0] + col_mass.shape[0], n_vars))
-    res = linprog(cost, A_eq=a_eq, b_eq=np.concatenate([row_mass, col_mass]),
-                  bounds=(0, None), method="highs-ds", options=_LP_OPTIONS)
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
+    res = _highs("transport", cost, a_eq, np.concatenate([row_mass, col_mass]))
     return np.bincount(block, cost * res.x, row_ptr.shape[0] - 1), res.x
+
+
+def _highs(kind, cost, a_eq, b_eq):
+    """One HiGHS dual-simplex solve of ``min cost @ x`` over ``a_eq @ x = b_eq, x >= 0``."""
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds",
+                  options=_LP_OPTIONS)
+    if not res.success:
+        raise RuntimeError(f"{kind} LP failed: {res.message}")
+    return res
 
 
 def wasserstein_lp(q, q_other, D):
@@ -460,47 +468,88 @@ def barycenter_lp(problem: BarycenterBatch):
     one plan per measure; every plan must reproduce its measure's marginal
     column-wise and the shared ``p`` row-wise.  Returns ``(objective,
     TransportPlanSet)``; the problem is always feasible (product plans).
-    With two support points the optimum is found in closed form
-    (:func:`two_atom_barycenter`); otherwise by one HiGHS LP.  The plans
-    are vertex solutions either way.  ``problem`` is a batch of one.
+    :func:`barycenter_batch` for a batch of one: with two support points
+    the optimum is found in closed form, otherwise by one HiGHS LP.  The
+    plans are vertex solutions either way.
     """
-    problem.validate()
     if problem.P != 1:
         raise ValueError(f"barycenter_lp solves one problem, not {problem.P}")
-    solution = (two_atom_barycenter(problem) if problem.R == 2
-                else _highs_barycenter(problem))
+    solution = barycenter_batch(problem)
     return float(solution.objective[0]), TransportPlanSet(problem.split(solution.plans),
                                                           solution.p[0])
 
 
-def _highs_barycenter(problem: BarycenterBatch) -> BatchSolution:
-    """One problem's barycenter LP, solved by HiGHS.
+def barycenter_batch(batch: BarycenterBatch) -> BatchSolution:
+    """Exact barycenters and vertex plans of every problem of a batch.
 
-    The variables are ``p``, then each measure's (R, S^m) plan row-major;
-    the constraints are every plan's column sums (its marginal), every
-    plan's row sums less ``p`` (zero) and the simplex row of ``p``.
+    With two support points every problem is solved at once in closed form
+    (:func:`two_atom_barycenter`).  Otherwise consecutive problems are
+    solved together by HiGHS, as one block-diagonal LP of at most
+    ``_LP_MAX_ROWS`` constraints (a larger problem gets an LP of its own);
+    a problem has one constraint per atom, R per measure and one more.  The
+    problems share no variable, so each block of a joint optimum is optimal
+    for its problem.
     """
-    r, m_count, n_atoms = problem.R, problem.M, problem.atom_ptr[-1]
-    # Plan entry (measure, support point, atom), in variable order.
-    block, row, atom = block_entries(r * np.arange(m_count + 1), problem.atom_ptr)
+    batch.validate()
+    if batch.R == 2:
+        return two_atom_barycenter(batch)
+    m_ptr = batch.measure_ptr
+    a_ptr = batch.atom_ptr[m_ptr]
+    bounds = _lp_packs(np.diff(a_ptr) + batch.R * np.diff(m_ptr) + 1)
+    packs = [_highs_barycenters(BarycenterBatch(
+        batch.mass[a_ptr[lo]:a_ptr[hi]], batch.cost[:, a_ptr[lo]:a_ptr[hi]],
+        batch.alpha[m_ptr[lo]:m_ptr[hi]],
+        batch.atom_ptr[m_ptr[lo]:m_ptr[hi] + 1] - a_ptr[lo], m_ptr[lo:hi + 1] - m_ptr[lo]))
+        for lo, hi in zip(bounds[:-1], bounds[1:])]
+    objective, p, plans = zip(*packs)
+    return BatchSolution(np.concatenate(objective), np.concatenate(p),
+                         np.concatenate(plans, axis=1),
+                         np.ones(batch.P, dtype=int), np.ones(batch.P, dtype=bool))
+
+
+def _highs_barycenters(batch: BarycenterBatch):
+    """Every problem of a batch as one block-diagonal HiGHS LP.
+
+    Problem by problem, the variables are its ``p``, then each measure's
+    (R, S^m) plan row-major; the constraints are every plan's column sums
+    (its marginal), every plan's row sums less ``p`` (zero) and the simplex
+    row of ``p``.  A batch of one is the plain barycenter LP.  Returns
+    every problem's objective, its ``p`` and the (R, A) plans.
+    """
+    r, ks = batch.R, np.arange(batch.P)
+    m_ptr, a_ptr = batch.measure_ptr, batch.atom_ptr[batch.measure_ptr]
+    # Plan entry (measure, support point, atom), in plan order; plan row
+    # r * m + i is measure m's row for support point i.
+    block, row, atom = block_entries(r * np.arange(batch.M + 1), batch.atom_ptr)
     point = row - r * block
-    n_pi = block.shape[0]
-    var = r + np.arange(n_pi)
-    rows = np.concatenate([atom, n_atoms + row, n_atoms + np.arange(m_count * r),
-                           np.full(r, n_atoms + m_count * r)])
-    cols = np.concatenate([var, var, np.tile(np.arange(r), m_count), np.arange(r)])
-    data = np.concatenate([np.ones(2 * n_pi), np.full(m_count * r, -1.0), np.ones(r)])
-    a_eq = sparse.csr_matrix((data, (rows, cols)),
-                             shape=(n_atoms + m_count * r + 1, r + n_pi))
-    b_eq = np.concatenate([problem.mass, np.zeros(m_count * r), [1.0]])
-    res = linprog(np.concatenate([np.zeros(r), problem.cost[point, atom]]), A_eq=a_eq,
-                  b_eq=b_eq, bounds=(0, None), method="highs-ds", options=_LP_OPTIONS)
-    if not res.success:
-        raise RuntimeError(f"barycenter LP failed: {res.message}")
-    plans = np.empty((r, n_atoms))
-    plans[point, atom] = res.x[r:]
-    return BatchSolution(np.array([res.fun]), res.x[None, :r].copy(), plans,
-                         np.ones(1, dtype=int), np.ones(1, dtype=bool))
+    of_measure = np.repeat(ks, np.diff(m_ptr))
+    k = of_measure[block]
+    # Problem k's constraints follow those of the problems before it (their
+    # atoms, plan rows and simplex rows), its variables their p and plans.
+    atom_row = np.arange(a_ptr[-1]) + (r * m_ptr[:-1] + ks)[np.repeat(ks, np.diff(a_ptr))]
+    plan_row = np.arange(r * batch.M) + np.repeat(a_ptr[1:] + ks, r * np.diff(m_ptr))
+    simplex_row = a_ptr[1:] + r * m_ptr[1:] + ks
+    p_var = (r * (a_ptr[:-1] + ks))[:, None] + np.arange(r)
+    var = np.arange(block.shape[0]) + r * (k + 1)
+    rows = np.concatenate([atom_row[atom], plan_row[row], plan_row, np.repeat(simplex_row, r)])
+    cols = np.concatenate([var, var, p_var[of_measure].ravel(), p_var.ravel()])
+    data = np.concatenate([np.ones(2 * var.shape[0]), np.full(r * batch.M, -1.0),
+                           np.ones(r * batch.P)])
+    shape = (simplex_row[-1] + 1, r * (a_ptr[-1] + batch.P))
+    a_eq = sparse.csr_matrix((data, (rows, cols)), shape=shape)
+    b_eq = np.zeros(shape[0])
+    b_eq[atom_row] = batch.mass
+    b_eq[simplex_row] = 1.0
+    c = np.zeros(shape[1])
+    c[var] = batch.cost[point, atom]
+    res = _highs("barycenter", c, a_eq, b_eq)
+    plans = np.empty(batch.cost.shape)
+    plans[point, atom] = res.x[var]
+    # A lone problem keeps HiGHS's own objective, which a sum over its plan
+    # can miss in the last bit.
+    objective = (np.array([res.fun]) if batch.P == 1
+                 else np.bincount(k, c[var] * res.x[var], batch.P))
+    return objective, res.x[p_var], plans
 
 
 def two_atom_barycenter(batch: BarycenterBatch) -> BatchSolution:

@@ -10,8 +10,9 @@ alternates two steps until the root cost stops improving:
   child probabilities and plans are re-optimized as one fixed-support
   barycenter problem over the original nodes of that stage, solved by one
   solver for the whole run: exact (closed form for a node with two
-  children, else a HiGHS LP; ``"auto"``, the default, means exact), averaged
-  marginals or Bregman projections.
+  children, else block-diagonal HiGHS LPs shared by the stage's problems;
+  ``"auto"``, the default, means exact), averaged marginals or Bregman
+  projections.
 
 The first iteration runs the probability step only: the initial plan is a
 feasibility seed, and running the mean update on it would overwrite any
@@ -48,7 +49,8 @@ from .mam import mam_batch
 # solvers under this module's name, where they now count zero calls.
 from .ibp import ibp_solve  # noqa: F401
 from .mam import mam_solve  # noqa: F401
-from .ot_core import BarycenterBatch, BatchSolution, barycenter_lp, two_atom_barycenter
+from .ot_core import barycenter_lp  # noqa: F401
+from .ot_core import BarycenterBatch, barycenter_batch
 from .tree import ScenarioTree, TreeValidationError, path_cost_table
 
 SOLVERS = ("lp", "mam", "ibp", "auto")
@@ -104,9 +106,10 @@ class ReductionReport:
     ``iteration``, ``stage``, reduced ``node``, ``solver``, ``measures``,
     ``max_support``, inner ``iterations`` and whether it ``converged``.
     The problems of one stage that share a support size are solved
-    together; ``batch`` is the number of problems in that call
-    (1 for each HiGHS LP), and ``seconds`` is the record's equal share of
-    the call's time, so the records of one call sum to its time.
+    together; ``batch`` is the number of problems in that call (which
+    HiGHS solves in LPs of at most ``ot_core._LP_MAX_ROWS`` rows), and
+    ``seconds`` is the record's equal share of the call's time, so the
+    records of one call sum to its time.
     """
 
     order: float
@@ -196,16 +199,13 @@ def quantizer_step(original: ScenarioTree, reduced: ScenarioTree, joints) -> Sce
     return reduced.with_quantizer(new_q)
 
 
-def _batches(sizes, atoms, solver):
+def _batches(sizes, atoms):
     """The nodes that share a support size R, in runs of at most
     ``_BATCH_MAX_ATOMS`` atoms or of one node: ``[(R, [node index, ...])]``.
-
-    HiGHS solves one LP per problem, so an exact solve at R >= 3 runs alone.
     """
     runs, load = {}, {}
     for i, r in enumerate(sizes):
-        alone = solver == "lp" and r > 2
-        if r not in runs or alone or load[r] + atoms[i] > _BATCH_MAX_ATOMS:
+        if r not in runs or load[r] + atoms[i] > _BATCH_MAX_ATOMS:
             runs.setdefault(r, []).append([])
             load[r] = 0
         runs[r][-1].append(i)
@@ -222,13 +222,7 @@ def _solve(batch, solver, config, warm):
                          init_plans=warm)[0]
     if solver != "lp":
         raise ValueError(f"unknown solver {solver!r}")
-    if batch.R == 2:
-        return two_atom_barycenter(batch)
-    # One problem (see _batches).
-    value, plan_set = barycenter_lp(batch)
-    return BatchSolution(np.array([value]), plan_set.p[None, :],
-                         np.concatenate(plan_set.plans, axis=1),
-                         np.ones(1, dtype=int), np.ones(1, dtype=bool))
+    return barycenter_batch(batch)
 
 
 def probability_step(original, reduced, joints, leaf_costs, config: ReductionConfig):
@@ -255,7 +249,8 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
     that share a support size R are gathered into one
     :class:`BarycenterBatch` (split only past ``_BATCH_MAX_ATOMS`` atoms)
     and solved in one call with the run's solver (``"auto"`` is exact).
-    Exact solves at R >= 3 are one HiGHS LP, and one call, per problem.
+    Exact solves at R >= 3 pack consecutive problems of the call into
+    block-diagonal HiGHS LPs (:func:`ot_core.barycenter_batch`).
 
     The stage-t table is the blockwise sum of ``C_t * tables[t+1]``: one
     sparse product with the 0/1 block indicators on each side.  The new
@@ -294,7 +289,7 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
         width = np.zeros(nodes.shape[0], dtype=int)
         np.maximum.at(width, pair_node, rows.sizes[pair_m])
         node_atoms = np.bincount(pair_node, rows.sizes[pair_m], nodes.shape[0])
-        for r, members in _batches(cols.sizes[nodes].tolist(), node_atoms, solver):
+        for r, members in _batches(cols.sizes[nodes].tolist(), node_atoms):
             pick = np.zeros(nodes.shape[0], dtype=bool)
             pick[members] = True
             pick = pick[pair_node]

@@ -235,6 +235,8 @@ class ScenarioTree:
         and the violated rule, so the result doubles as a diagnostic report.
         """
         v = []
+        if self.d < 1:
+            v.append(f"tree: quantizer dimension {self.d}, expected at least 1")
         roots = np.flatnonzero(self.parent < 0)
         if roots.size != 1:
             v.append(f"tree: expected exactly one root, found {roots.size}")
@@ -360,6 +362,8 @@ def generate_random(T, branching, dim=1, value_range=(-10.0, 10.0), seed=0):
     """
     if T < 1 or branching < 1:
         raise ValueError("need T >= 1 and branching >= 1")
+    if dim < 1:
+        raise ValueError(f"need dim >= 1, got dim={dim}")
     rng = np.random.default_rng(seed)
     counts = [branching ** t for t in range(T + 1)]
     offsets = np.concatenate(([0], np.cumsum(counts)))

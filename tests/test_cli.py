@@ -58,6 +58,13 @@ class TestGen:
         q = ScenarioTree.load(a).quantizer
         assert lo <= q.min() and q.max() <= hi
 
+    def test_dimension_zero_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "d0.json"
+        assert run(["gen", "--stages", "3", "--branching", "2", "--dim", "0",
+                    "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: need dim >= 1, got dim=0")
+        assert not out.exists()
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "t.json"
         run(["gen", "--stages", "2", "--branching", "2", "-o", str(out)])
@@ -206,6 +213,17 @@ class TestReduce:
             assert small.validate() == []
             assert len(small.leaves()) == 5
 
+    @pytest.mark.parametrize("init", ["kmeans", "ffs"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_target_scenarios_below_one_exit_2(self, tmp_path, capsys, init, value):
+        src = self.make_input(tmp_path)
+        out = tmp_path / "small.json"
+        assert run(["reduce", "-i", str(src), "--init", init, "--target-scenarios", value,
+                    "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: --target-scenarios must be at least 1, got {value}")
+        assert not out.exists()
+
 
 class TestNd:
     def test_identity_zero(self, tmp_path, capsys):
@@ -239,6 +257,18 @@ class TestNd:
         generate_random(2, 2, seed=0).save(path)
         assert run(["nd", "-a", str(path), "-b", str(path), "--order", order]) == 2
         assert capsys.readouterr().err.startswith("error: order must be at least 1")
+
+    def test_dimension_zero_tree_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "d0.json"
+        path.write_text(json.dumps({"T": 2, "d": 0, "nodes": [
+            {"id": 0, "parent": None, "quantizer": [], "prob": 1.0},
+            {"id": 1, "parent": 0, "quantizer": [], "prob": 0.5},
+            {"id": 2, "parent": 0, "quantizer": [], "prob": 0.5},
+        ]}))
+        assert run(["nd", "-a", str(path), "-b", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario tree")
+        assert "quantizer dimension 0, expected at least 1" in err
 
     def test_mismatched_trees_exit_2(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,16 +1,19 @@
 import itertools
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.optimize import linprog
 
 from batches import barycenter_problems, costs, problem_lists, stack, weights
 from treeshrink import ot_core
-from treeshrink.ot_core import (BarycenterBatch, BarycenterProblem, barycenter_lp,
-                                block_entries, project_columns_scaled_simplex,
-                                transport_lp, two_atom_barycenter, wasserstein_lp)
+from treeshrink.ot_core import (BarycenterBatch, BarycenterProblem, barycenter_batch,
+                                barycenter_lp, block_entries,
+                                project_columns_scaled_simplex, transport_lp,
+                                two_atom_barycenter, wasserstein_lp)
 
 
 def project_scaled_simplex(y, tau):
@@ -86,6 +89,36 @@ def highs_barycenter(q, D):
                   method="highs-ds", options=REFERENCE_OPTIONS)
     assert res.success
     return res.fun
+
+
+def reference_highs_barycenter(problem):
+    """One problem's barycenter LP as a HiGHS LP of its own: the plain LP
+    that a pack of one in :func:`barycenter_batch` must reproduce.
+
+    The variables are ``p``, then each measure's (R, S^m) plan row-major;
+    the constraints are every plan's column sums (its marginal), every
+    plan's row sums less ``p`` (zero) and the simplex row of ``p``.
+    Returns ``(objective, p, plans)`` with the plans laid out like the costs.
+    """
+    r, m_count, n_atoms = problem.R, problem.M, problem.atom_ptr[-1]
+    # Plan entry (measure, support point, atom), in variable order.
+    block, row, atom = block_entries(r * np.arange(m_count + 1), problem.atom_ptr)
+    point = row - r * block
+    n_pi = block.shape[0]
+    var = r + np.arange(n_pi)
+    rows = np.concatenate([atom, n_atoms + row, n_atoms + np.arange(m_count * r),
+                           np.full(r, n_atoms + m_count * r)])
+    cols = np.concatenate([var, var, np.tile(np.arange(r), m_count), np.arange(r)])
+    data = np.concatenate([np.ones(2 * n_pi), np.full(m_count * r, -1.0), np.ones(r)])
+    a_eq = sparse.csr_matrix((data, (rows, cols)),
+                             shape=(n_atoms + m_count * r + 1, r + n_pi))
+    b_eq = np.concatenate([problem.mass, np.zeros(m_count * r), [1.0]])
+    res = linprog(np.concatenate([np.zeros(r), problem.cost[point, atom]]), A_eq=a_eq,
+                  b_eq=b_eq, bounds=(0, None), method="highs-ds", options=ot_core._LP_OPTIONS)
+    assert res.success
+    plans = np.empty((r, n_atoms))
+    plans[point, atom] = res.x[r:]
+    return res.fun, res.x[:r], plans
 
 
 def enumerate_two_column_vertices(a, target, d2):
@@ -320,6 +353,50 @@ class TestBarycenterLP:
         with pytest.raises(ValueError):
             BarycenterProblem(q=[np.array([1.0])], D=[np.zeros((1, 1))],
                               alpha=np.array([0.0])).validate()
+
+
+class TestBarycenterBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 5).flatmap(barycenter_problems))
+    def test_lone_problem_is_the_reference_lp(self, prob):
+        objective, p, plans = reference_highs_barycenter(prob)
+        sol = barycenter_batch(prob)
+        assert sol.objective.tobytes() == np.array([objective]).tobytes()
+        assert sol.p.tobytes() == p[None, :].tobytes()
+        assert sol.plans.tobytes() == plans.tobytes()
+
+    @pytest.mark.parametrize("max_rows", [512, 20])
+    @settings(max_examples=60, deadline=None)
+    @given(problems=problem_lists(r_values=(3, 4, 5)))
+    def test_packed_problems_match_lone_solves(self, problems, max_rows):
+        batch = stack(problems)
+        rows = [p.atom_ptr[-1] + p.R * p.M + 1 for p in problems]
+        # Greedy packing: a problem joins the open LP while it fits.
+        expected, load = 0, max_rows
+        for n in rows:
+            if load + n > max_rows:
+                expected, load = expected + 1, 0
+            load += n
+        calls = []
+        real = ot_core.linprog
+
+        def counting(c, **kwargs):
+            calls.append(kwargs["A_eq"].shape[0])
+            return real(c, **kwargs)
+
+        with mock.patch.object(ot_core, "_LP_MAX_ROWS", max_rows), \
+                mock.patch.object(ot_core, "linprog", counting):
+            sol = barycenter_batch(batch)
+            assert len(calls) == expected and sum(calls) == sum(rows)
+            for k, prob in enumerate(problems):
+                lo, hi = batch.atom_ptr[batch.measure_ptr[k:k + 2]]
+                plans = sol.plans[:, lo:hi]
+                obj, _ = barycenter_lp(prob)
+                assert sol.objective[k] == pytest.approx(obj, rel=1e-9, abs=1e-12)
+                assert np.all(sol.p[k] >= 0.0) and abs(sol.p[k].sum() - 1.0) <= 1e-9
+                assert np.max(np.abs(plans.sum(axis=0) - prob.mass)) <= 1e-9
+                for plan in prob.split(plans):
+                    assert np.max(np.abs(plan.sum(axis=1) - sol.p[k])) <= 1e-9
 
 
 class TestProjection:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from treeshrink import ot_core
 from treeshrink import reduce as reduce_module
 from treeshrink.init_filtration import random_init
 from treeshrink.nested import nested_distance
@@ -305,6 +306,23 @@ class TestSolverLog:
             [rec["iterations"] for rec in whole_report.solver_log]
         assert np.max(np.abs(split.prob - whole.prob)) <= 1e-12
         assert np.max(np.abs(split.quantizer - whole.quantizer)) <= 1e-12
+
+    def test_exact_problems_of_a_stage_share_one_call(self, monkeypatch):
+        orig = generate_random(3, 4, seed=24)
+        red = random_init([2, 3, 3], seed=25)
+        config = ReductionConfig(solver="lp", tol=1e-12, max_outer=3)
+        packed, packed_report = reduce_tree(orig, red, config)
+        # Stage 1 holds two nodes with three children each, stage 2 six.
+        for t, nodes in ((1, 2), (2, 6)):
+            recs = [rec for rec in packed_report.solver_log
+                    if rec["iteration"] == 1 and rec["stage"] == t]
+            assert [rec["batch"] for rec in recs] == [nodes] * nodes
+        # Every problem in an LP of its own gives the same answers.
+        monkeypatch.setattr(ot_core, "_LP_MAX_ROWS", 1)
+        alone, alone_report = reduce_tree(orig, red, config)
+        assert np.max(np.abs(alone.prob - packed.prob)) <= 1e-12
+        assert np.max(np.abs(alone.quantizer - packed.quantizer)) <= 1e-12
+        assert np.max(np.abs(np.subtract(alone_report.deltas, packed_report.deltas))) <= 1e-12
 
 
 class TestReduceTree:

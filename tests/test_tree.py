@@ -79,6 +79,10 @@ class TestValidate:
                          [1.0, 0.5, 0.5, 0.5])
         assert any("leaf" in v for v in t.validate())
 
+    def test_zero_dimension_flagged(self):
+        t = ScenarioTree([-1, 0], [0, 1], np.zeros((2, 0)), [1.0, 1.0])
+        assert t.validate() == ["tree: quantizer dimension 0, expected at least 1"]
+
     def test_stage_sums_telescope(self):
         t = generate_random(4, 3, dim=2, seed=3)
         assert t.validate() == []
@@ -177,6 +181,11 @@ class TestGenerateRandom:
     def test_valid(self):
         assert generate_random(4, 5, seed=9).validate() == []
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_below_one_rejected(self, dim):
+        with pytest.raises(ValueError, match=f"dim={dim}"):
+            generate_random(2, 2, dim=dim)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -209,6 +218,16 @@ class TestSerialization:
         path = tmp_path / "two_roots.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(TreeValidationError):
+            ScenarioTree.load(path)
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        doc = {"T": 1, "d": 0, "nodes": [
+            {"id": 0, "parent": None, "quantizer": [], "prob": 1.0},
+            {"id": 1, "parent": 0, "quantizer": [], "prob": 1.0},
+        ]}
+        path = tmp_path / "d0.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TreeValidationError, match="quantizer dimension 0"):
             ScenarioTree.load(path)
 
     def test_garbage_rejected(self, tmp_path):
