@@ -8,33 +8,36 @@ transport problem with two columns is a fractional knapsack: with
 vertex plan.  A barycenter with two support points minimizes a sum of such
 problems, each convex and piecewise linear in ``p_1``; the optimum sits
 where the merged slope first turns nonnegative.  Every other LP goes to
-the HiGHS dual-simplex solver (via ``scipy.optimize.linprog``): the
-constraint matrices are assembled sparse, consecutive independent problems
-share one block-diagonal LP of at most ``_LP_MAX_ROWS`` constraints, and
-feasibility tolerances are pinned to 1e-9.  Either way the returned plans
-are basic (vertex) solutions; on degenerate problems the greedy may pick
-another optimal vertex than HiGHS would.  Transport problems have one entry point,
-:func:`transport_lp`, which solves any number of independent problems at
-once; :func:`wasserstein_lp` is its one-block case.  Barycenter problems
-are held in one container, :class:`BarycenterBatch`: any number of
-problems on one support size, their marginals and costs concatenated, with
-:class:`BarycenterProblem` as the batch of one.  :func:`barycenter_batch`
-solves every problem of a batch exactly, and :func:`barycenter_lp` is its
-one-problem case.
+the HiGHS dual-simplex solver through :func:`_highs`, which loads SciPy's
+HiGHS binding at the first LP: the constraint matrices are assembled in
+CSC form, consecutive independent problems share one block-diagonal LP of
+at most ``_LP_MAX_ROWS`` constraints, the costs are scaled to a largest
+magnitude in [0.5, 1) and feasibility tolerances are pinned to 1e-9.
+Either way the returned plans are basic (vertex) solutions; on degenerate
+problems the greedy may pick another optimal vertex than HiGHS would.
+Transport problems have one entry point, :func:`transport_lp`, which
+solves any number of independent problems at once; :func:`wasserstein_lp`
+is its one-block case.  Barycenter problems are held in one container,
+:class:`BarycenterBatch`: any number of problems on one support size, their
+marginals and costs concatenated, with :class:`BarycenterProblem` as the
+batch of one.  :func:`barycenter_batch` solves every problem of a batch
+exactly, and :func:`barycenter_lp` is its one-problem case.
 All functions are pure; callers may run any number of instances
 concurrently.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .tree import _concat_ranges
 
+# Every HiGHS solve runs with the settings that SciPy's LP front end uses
+# for method="highs-ds" with these options (see _highs_binding).
 _LP_OPTIONS = {
     "presolve": True,
     "primal_feasibility_tolerance": 1e-9,
@@ -48,6 +51,9 @@ _LP_OPTIONS = {
 # 3.6 s on 2 cores; in LPs of at most 512 rows, 89 MB and 1.5 s.
 _LP_MAX_ROWS = 512
 
+# SciPy's acceptance tolerance on the bound and equality residuals of a
+# HiGHS solution: sqrt(1e-9) * 10.
+_RESIDUAL_TOL = math.sqrt(1e-9) * 10
 
 # Relative rounding tolerance of the greedy's split (see _fill_first).
 _DUST = 4 * np.finfo(np.float64).eps
@@ -416,24 +422,95 @@ def _fill_first(mass, ptr, target, d):
 
 
 def _block_diagonal_lp(row_mass, row_ptr, col_mass, col_ptr, cost):
-    # Every plan entry sits in one row-sum and one column-sum constraint.
+    # Every plan entry sits in one row-sum and one column-sum constraint, so
+    # column j of the CSC matrix holds rows row[j] and n_rows + col[j].
     block, row, col = block_entries(row_ptr, col_ptr)
     n_vars = block.shape[0]
-    a_eq = sparse.csc_matrix(
-        (np.ones(2 * n_vars), np.column_stack([row, row_mass.shape[0] + col]).ravel(),
-         np.arange(0, 2 * n_vars + 1, 2)),
-        shape=(row_mass.shape[0] + col_mass.shape[0], n_vars))
-    res = _highs("transport", cost, a_eq, np.concatenate([row_mass, col_mass]))
-    return np.bincount(block, cost * res.x, row_ptr.shape[0] - 1), res.x
+    x, _ = _highs("transport", cost, np.arange(0, 2 * n_vars + 1, 2),
+                  np.column_stack([row, row_mass.shape[0] + col]).ravel(),
+                  np.ones(2 * n_vars), np.concatenate([row_mass, col_mass]))
+    return np.bincount(block, cost * x, row_ptr.shape[0] - 1), x
 
 
-def _highs(kind, cost, a_eq, b_eq):
-    """One HiGHS dual-simplex solve of ``min cost @ x`` over ``a_eq @ x = b_eq, x >= 0``."""
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds",
-                  options=_LP_OPTIONS)
-    if not res.success:
-        raise RuntimeError(f"{kind} LP failed: {res.message}")
-    return res
+@functools.cache
+def _highs_binding():
+    """SciPy's HiGHS binding and the options of every solve, loaded once.
+
+    The options are those SciPy's LP front end passes for
+    ``method="highs-ds"`` with ``_LP_OPTIONS``: dual simplex, presolve on,
+    both feasibility tolerances from ``_LP_OPTIONS``, no debugging and no
+    output.  Importing the binding imports ``scipy.optimize`` with it, so
+    a run that solves no LP never pays for that.
+    """
+    from scipy.optimize._highspy import _core
+
+    options = _core.HighsOptions()
+    options.presolve = "on" if _LP_OPTIONS["presolve"] else "off"
+    options.solver = "simplex"
+    options.simplex_strategy = int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.primal_feasibility_tolerance = _LP_OPTIONS["primal_feasibility_tolerance"]
+    options.dual_feasibility_tolerance = _LP_OPTIONS["dual_feasibility_tolerance"]
+    options.highs_debug_level = int(_core.HighsDebugLevel.kHighsDebugLevelNone)
+    options.output_flag = False
+    options.log_to_console = False
+    return _core, options
+
+
+def _highs(kind, cost, start, index, value, b_eq):
+    """One HiGHS dual-simplex solve of ``min cost @ x`` over ``A x = b_eq, x >= 0``.
+
+    ``A`` is given in CSC form (``start``, ``index``, ``value``, row indices
+    ascending within a column).  The model goes straight to SciPy's private
+    binding, ``scipy.optimize._highspy._core``, as a ``HighsLp`` on a fresh
+    solver, so no basis carries over between solves.  SciPy's LP front end
+    makes the same solve, but around it re-validates its inputs and
+    options, re-stacks the matrix and builds bound duals in a Python loop
+    over the columns: over half of its time on the LPs of the deep-lp
+    benchmark workload.  Its checks are kept: non-finite costs or
+    right-hand sides raise ``ValueError``; the model status must be
+    optimal, ``x`` and the objective finite, and the bound and equality
+    residuals within ``_RESIDUAL_TOL``, or ``RuntimeError`` is raised.
+
+    HiGHS compares reduced costs against an absolute tolerance, so the
+    costs are first scaled by the power of two that brings their largest
+    magnitude into [0.5, 1); the answer is then the same at any cost scale.
+    The scaling is exact, and the objective is scaled back.  Returns
+    ``(x, objective)``.
+    """
+    if not (np.all(np.isfinite(cost)) and np.all(np.isfinite(b_eq))):
+        raise ValueError(f"{kind} LP: costs and right-hand sides must be finite")
+    core, options = _highs_binding()
+    e = math.frexp(float(np.max(np.abs(cost), initial=0.0)))[1]
+    n, m = cost.shape[0], b_eq.shape[0]
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.col_cost_ = np.ldexp(cost, -e)
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.full(n, np.inf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    # The binding converts integer arrays entry by entry; from lists of
+    # Python ints that takes half the time it does from numpy arrays.
+    lp.a_matrix_.start_ = start.tolist()
+    lp.a_matrix_.index_ = index.tolist()
+    lp.a_matrix_.value_ = value
+    highs = core._Highs()
+    highs.passOptions(options)
+    ran = (highs.passModel(lp) != core.HighsStatus.kError
+           and highs.run() != core.HighsStatus.kError)
+    status = highs.getModelStatus()
+    if not ran or status != core.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"{kind} LP failed: {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    objective = highs.getInfo().objective_function_value
+    residual = np.abs(b_eq - np.array(solution.row_value))
+    if not (np.all(np.isfinite(x)) and math.isfinite(objective)
+            and np.all(x >= -_RESIDUAL_TOL) and np.all(residual <= _RESIDUAL_TOL)):
+        raise RuntimeError(f"{kind} LP failed: the solution misses its bounds or "
+                           f"constraints by more than {_RESIDUAL_TOL:.2e}")
+    return x, math.ldexp(objective, e)
 
 
 def wasserstein_lp(q, q_other, D):
@@ -535,21 +612,23 @@ def _highs_barycenters(batch: BarycenterBatch):
     cols = np.concatenate([var, var, p_var[of_measure].ravel(), p_var.ravel()])
     data = np.concatenate([np.ones(2 * var.shape[0]), np.full(r * batch.M, -1.0),
                            np.ones(r * batch.P)])
-    shape = (simplex_row[-1] + 1, r * (a_ptr[-1] + batch.P))
-    a_eq = sparse.csr_matrix((data, (rows, cols)), shape=shape)
-    b_eq = np.zeros(shape[0])
+    n_vars = r * (a_ptr[-1] + batch.P)
+    # CSC order: by column, rows ascending within one (no entry repeats).
+    order = np.lexsort((rows, cols))
+    start = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_vars))))
+    b_eq = np.zeros(simplex_row[-1] + 1)
     b_eq[atom_row] = batch.mass
     b_eq[simplex_row] = 1.0
-    c = np.zeros(shape[1])
+    c = np.zeros(n_vars)
     c[var] = batch.cost[point, atom]
-    res = _highs("barycenter", c, a_eq, b_eq)
+    x, fun = _highs("barycenter", c, start, rows[order], data[order], b_eq)
     plans = np.empty(batch.cost.shape)
-    plans[point, atom] = res.x[var]
+    plans[point, atom] = x[var]
     # A lone problem keeps HiGHS's own objective, which a sum over its plan
     # can miss in the last bit.
-    objective = (np.array([res.fun]) if batch.P == 1
-                 else np.bincount(k, c[var] * res.x[var], batch.P))
-    return objective, res.x[p_var], plans
+    objective = (np.array([fun]) if batch.P == 1
+                 else np.bincount(k, c[var] * x[var], batch.P))
+    return objective, x[p_var], plans
 
 
 def two_atom_barycenter(batch: BarycenterBatch) -> BatchSolution:

@@ -38,6 +38,7 @@ upward.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -87,8 +88,12 @@ class ReductionConfig:
     def validate(self) -> None:
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        for name in ("tol", "rho", "lam"):
+            value = getattr(self, name)
+            if value is None and name == "rho":
+                continue  # the solver picks rho per problem
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
 

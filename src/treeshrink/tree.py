@@ -15,10 +15,14 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Mass-balance tolerances used by validate().
 PARENT_SUM_TOL = 1e-9
@@ -35,6 +39,16 @@ class TreeValidationError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("invalid scenario tree:\n" + "\n".join(self.violations))
+
+
+def _integer(value, what) -> int:
+    """``value`` as an int; a float or a bool (even 1.0 or True) is refused."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise TreeFormatError(f"{what} must be an integer, got {value!r}")
 
 
 def _concat_ranges(starts, lengths):
@@ -85,7 +99,11 @@ class StageBlocks:
 
         The entries hold ``values`` (one per entry, in block order), by
         default the conditional probabilities P(stage-(t+1) node i | node k).
+        ``scipy.sparse`` is imported here, not with the package, so that
+        ``import treeshrink`` stays cheap.
         """
+        from scipy import sparse
+
         data = self.cond if values is None else values
         return sparse.csr_matrix((data, self.local, self.ptr),
                                  shape=(self.ptr.shape[0] - 1, self.local.shape[0]))
@@ -248,6 +266,10 @@ class ScenarioTree:
         for nd in bad:
             v.append(f"node {nd}: stage {self.stage[nd]} is not parent stage "
                      f"{self.stage[self.parent[nd]]} + 1")
+        for nd in np.flatnonzero(~np.isfinite(self.prob)):
+            v.append(f"node {nd}: probability {self.prob[nd]} is not finite")
+        for nd in np.flatnonzero(~np.isfinite(self.quantizer).all(axis=1)):
+            v.append(f"node {nd}: quantizer {self.quantizer[nd].tolist()} is not finite")
         neg = np.flatnonzero(self.prob < 0.0)
         for nd in neg:
             v.append(f"node {nd}: negative probability {self.prob[nd]}")
@@ -296,21 +318,31 @@ class ScenarioTree:
 
     @classmethod
     def from_json_dict(cls, doc) -> "ScenarioTree":
+        """Parse and validate a tree document (the :meth:`to_json_dict` schema).
+
+        Any document either gives a valid tree or raises
+        :class:`TreeFormatError` (the document does not fit the schema) or
+        :class:`TreeValidationError` (it describes no valid tree).  Ids,
+        parents and ``d`` must be integers; every quantizer's length is
+        checked against ``d`` before the (n, d) array is built.
+        """
         try:
             nodes = doc["nodes"]
-            d = int(doc["d"])
+            d = _integer(doc["d"], "d")
             n = len(nodes)
+            if n == 0:
+                raise TreeFormatError("a tree document needs at least one node")
             parent = np.empty(n, dtype=np.int64)
-            quantizer = np.empty((n, d), dtype=np.float64)
+            quantizer = [None] * n
             prob = np.empty(n, dtype=np.float64)
-            seen = np.zeros(n, dtype=bool)
             for rec in nodes:
-                i = int(rec["id"])
-                if not (0 <= i < n) or seen[i]:
+                i = _integer(rec["id"], "node id")
+                if not (0 <= i < n) or quantizer[i] is not None:
                     raise TreeFormatError(f"node {rec['id']}: ids must be dense 0..{n - 1}")
-                seen[i] = True
-                par = rec["parent"]
-                parent[i] = -1 if par is None else int(par)
+                par = -1 if rec["parent"] is None else _integer(rec["parent"], f"node {i}: parent")
+                if not -1 <= par < n:
+                    raise TreeFormatError(f"node {i}: parent index {par} out of range")
+                parent[i] = par
                 qz = np.asarray(rec["quantizer"], dtype=np.float64)
                 if qz.shape != (d,):
                     raise TreeFormatError(f"node {i}: quantizer length {qz.shape} != d={d}")
@@ -318,12 +350,9 @@ class ScenarioTree:
                 prob[i] = float(rec["prob"])
         except TreeFormatError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TreeFormatError(f"malformed tree document: {exc}") from exc
-        if not seen.all():
-            raise TreeFormatError("node ids are not dense")
-        if np.any(parent >= n) or np.any(parent < -1):
-            raise TreeFormatError("parent index out of range")
+        quantizer = np.array(quantizer).reshape(n, d)
 
         # Stages are implicit: depth below the root.
         stage = np.full(n, -1, dtype=np.int64)

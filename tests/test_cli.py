@@ -186,6 +186,28 @@ class TestReduce:
         assert err.startswith("error: ")
         assert "lam=2000" in err
 
+    @pytest.mark.parametrize("flag, value, solver", [
+        ("--tol", "nan", "lp"), ("--tol", "inf", "lp"), ("--tol", "0", "lp"),
+        ("--rho", "nan", "mam"), ("--rho", "inf", "mam"), ("--rho", "-1", "mam"),
+        ("--lambda", "nan", "ibp"), ("--lambda", "inf", "ibp"), ("--lambda", "0", "ibp"),
+    ])
+    def test_bad_run_parameter_exit_2(self, tmp_path, capsys, flag, value, solver):
+        src = self.make_input(tmp_path)
+        out = tmp_path / "small.json"
+        assert run(["reduce", "-i", str(src), "--solver", solver, flag, value,
+                    "-o", str(out)]) == 2
+        name = "lam" if flag == "--lambda" else flag[2:]
+        assert capsys.readouterr().err.startswith(f"error: {name} must be finite and positive")
+        assert not out.exists()
+
+    def test_huge_parent_index_exit_2(self, tmp_path, capsys):
+        doc = generate_random(1, 2, seed=0).to_json_dict()
+        doc["nodes"][1]["parent"] = 10 ** 30
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["reduce", "-i", str(bad), "-o", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: node 1: parent index")
+
     def test_malformed_tree_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"T": 1, "d": 1, "nodes": [

@@ -274,13 +274,13 @@ def test_pair_chunks_end_between_lps():
 
 def test_at_most_one_lp_per_stage(monkeypatch):
     calls = []
-    real = ot_core.linprog
+    real = ot_core._highs
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(ot_core, "linprog", counting)
+    monkeypatch.setattr(ot_core, "_highs", counting)
     # Every stage pairs branching nodes with three children each, in fewer LP
     # rows than one solve takes: one solve each.
     a = generate_random(3, 3, dim=2, seed=8)
@@ -293,6 +293,18 @@ def test_at_most_one_lp_per_stage(monkeypatch):
     nested_distance(a, generate_random(3, 1, dim=2, seed=10))
     nested_distance(a, generate_random(3, 2, dim=2, seed=9))
     assert calls == []
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 1000), scale=st.floats(2.0 ** -40, 2.0 ** 20))
+def test_distance_is_homogeneous_in_the_quantizer_scale(seed, scale):
+    # Four children against three at every stage: every stage reaches HiGHS.
+    a = generate_random(3, 4, dim=2, seed=seed)
+    b = random_init([3, 3, 3], dim=2, seed=seed)
+    base, _ = nested_distance(a, b)
+    scaled, _ = nested_distance(a.with_quantizer(a.quantizer * scale),
+                                b.with_quantizer(b.quantizer * scale))
+    assert scaled / scale == pytest.approx(base, rel=1e-9)
 
 
 def test_pair_chunks_bound_memory(monkeypatch):

@@ -1,10 +1,11 @@
 import itertools
+import math
 from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
@@ -91,14 +92,38 @@ def highs_barycenter(q, D):
     return res.fun
 
 
-def reference_highs_barycenter(problem):
-    """One problem's barycenter LP as a HiGHS LP of its own: the plain LP
-    that a pack of one in :func:`barycenter_batch` must reproduce.
+def scaled_linprog(c, a_eq, b_eq):
+    """The solve ``ot_core._highs`` makes, through scipy's public API.
+
+    The cost is scaled by the power of two that brings its largest
+    magnitude into [0.5, 1), as ``_highs`` does; the objective is scaled
+    back.  Returns ``(x, objective)``.
+    """
+    e = math.frexp(float(np.max(np.abs(c), initial=0.0)))[1]
+    res = linprog(np.ldexp(c, -e), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs-ds", options=ot_core._LP_OPTIONS)
+    assert res.success
+    return res.x, math.ldexp(res.fun, e)
+
+
+def transport_matrix(sizes):
+    """The constraint matrix of one packed transport LP, built by scipy.sparse:
+    the row sums of every (r, s) problem's plan, then its column sums."""
+    row_sums = sparse.block_diag([sparse.kron(sparse.eye(r), np.ones((1, s)))
+                                  for r, s in sizes])
+    col_sums = sparse.block_diag([sparse.kron(np.ones((1, r)), sparse.eye(s))
+                                  for r, s in sizes])
+    return sparse.vstack([row_sums, col_sums]).tocsc()
+
+
+def reference_barycenter_lp(problem):
+    """One problem's barycenter LP, built by scipy.sparse.
 
     The variables are ``p``, then each measure's (R, S^m) plan row-major;
     the constraints are every plan's column sums (its marginal), every
     plan's row sums less ``p`` (zero) and the simplex row of ``p``.
-    Returns ``(objective, p, plans)`` with the plans laid out like the costs.
+    Returns ``(c, a_eq, b_eq, point, atom)``: plan variable j is the entry
+    ``(point[j], atom[j])`` of the plans laid out like the costs.
     """
     r, m_count, n_atoms = problem.R, problem.M, problem.atom_ptr[-1]
     # Plan entry (measure, support point, atom), in variable order.
@@ -113,12 +138,22 @@ def reference_highs_barycenter(problem):
     a_eq = sparse.csr_matrix((data, (rows, cols)),
                              shape=(n_atoms + m_count * r + 1, r + n_pi))
     b_eq = np.concatenate([problem.mass, np.zeros(m_count * r), [1.0]])
-    res = linprog(np.concatenate([np.zeros(r), problem.cost[point, atom]]), A_eq=a_eq,
-                  b_eq=b_eq, bounds=(0, None), method="highs-ds", options=ot_core._LP_OPTIONS)
-    assert res.success
-    plans = np.empty((r, n_atoms))
-    plans[point, atom] = res.x[r:]
-    return res.fun, res.x[:r], plans
+    return (np.concatenate([np.zeros(r), problem.cost[point, atom]]), a_eq, b_eq,
+            point, atom)
+
+
+def reference_highs_barycenter(problem):
+    """One problem's barycenter LP as a HiGHS LP of its own: the plain LP
+    that a pack of one in :func:`barycenter_batch` must reproduce.
+
+    Returns ``(objective, p, plans)`` with the plans laid out like the costs.
+    """
+    c, a_eq, b_eq, point, atom = reference_barycenter_lp(problem)
+    x, fun = scaled_linprog(c, a_eq, b_eq)
+    r = problem.R
+    plans = np.empty((r, problem.atom_ptr[-1]))
+    plans[point, atom] = x[r:]
+    return fun, x[:r], plans
 
 
 def enumerate_two_column_vertices(a, target, d2):
@@ -250,14 +285,14 @@ class TestTransportBlocks:
         sizes = [(2, 3), (4, 2), (15, 10), (1, 3), (5, 5), (3, 3), (2, 2)]
         row_mass, row_ptr, col_mass, col_ptr, cost = self.random_blocks(rng, sizes)
         calls = []
-        real = ot_core.linprog
+        real = ot_core._highs
 
-        def counting(c, **kwargs):
-            calls.append(kwargs["A_eq"].shape[0])
-            return real(c, **kwargs)
+        def counting(kind, cost, start, index, value, b_eq):
+            calls.append(b_eq.shape[0])
+            return real(kind, cost, start, index, value, b_eq)
 
         monkeypatch.setattr(ot_core, "_LP_MAX_ROWS", 20)
-        monkeypatch.setattr(ot_core, "linprog", counting)
+        monkeypatch.setattr(ot_core, "_highs", counting)
         values, x = transport_lp(row_mass, row_ptr, col_mass, col_ptr, cost)
         # The blocks with two rows or columns, (2, 3), (4, 2) and (2, 2), take
         # the greedy; the rest are packed as (15, 10) and (1, 3) + (5, 5) + (3, 3).
@@ -368,6 +403,14 @@ class TestBarycenterBatch:
     @pytest.mark.parametrize("max_rows", [512, 20])
     @settings(max_examples=60, deadline=None)
     @given(problems=problem_lists(r_values=(3, 4, 5)))
+    # The only nonzero cost, 5e-10, is below HiGHS's 1e-9 dual tolerance
+    # unless the costs are scaled: packed, the first problem then came back
+    # at 2.5e-10, alone at its optimum 0.
+    @example(problems=[
+        BarycenterProblem([np.array([0.0, 0.5, 0.5]), np.array([0.5, 0.5, 0.0])],
+                          [np.diag([0.0, 0.0, 5e-10]), np.zeros((3, 3))], np.ones(2)),
+        BarycenterProblem([np.array([2 / 3, 0.0, 1 / 3]), np.array([0.2, 0.4, 0.4])],
+                          [np.zeros((3, 3)), np.zeros((3, 3))], np.ones(2))])
     def test_packed_problems_match_lone_solves(self, problems, max_rows):
         batch = stack(problems)
         rows = [p.atom_ptr[-1] + p.R * p.M + 1 for p in problems]
@@ -378,14 +421,14 @@ class TestBarycenterBatch:
                 expected, load = expected + 1, 0
             load += n
         calls = []
-        real = ot_core.linprog
+        real = ot_core._highs
 
-        def counting(c, **kwargs):
-            calls.append(kwargs["A_eq"].shape[0])
-            return real(c, **kwargs)
+        def counting(kind, cost, start, index, value, b_eq):
+            calls.append(b_eq.shape[0])
+            return real(kind, cost, start, index, value, b_eq)
 
         with mock.patch.object(ot_core, "_LP_MAX_ROWS", max_rows), \
-                mock.patch.object(ot_core, "linprog", counting):
+                mock.patch.object(ot_core, "_highs", counting):
             sol = barycenter_batch(batch)
             assert len(calls) == expected and sum(calls) == sum(rows)
             for k, prob in enumerate(problems):
@@ -397,6 +440,90 @@ class TestBarycenterBatch:
                 assert np.max(np.abs(plans.sum(axis=0) - prob.mass)) <= 1e-9
                 for plan in prob.split(plans):
                     assert np.max(np.abs(plan.sum(axis=1) - sol.p[k])) <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(problems=problem_lists(r_values=(3, 4, 5)),
+           scale=st.floats(2.0 ** -40, 2.0 ** 20))
+    def test_objective_is_homogeneous_in_the_cost_scale(self, problems, scale):
+        batch = stack(problems)
+        base = barycenter_batch(batch).objective
+        scaled = barycenter_batch(BarycenterBatch(
+            batch.mass, batch.cost * scale, batch.alpha, batch.atom_ptr,
+            batch.measure_ptr)).objective
+        assert scaled / scale == pytest.approx(base, rel=1e-9)
+
+
+@st.composite
+def transport_problem_sets(draw):
+    """1-4 transport problems that HiGHS solves: no side has two atoms."""
+    sizes = draw(st.lists(st.tuples(st.sampled_from((1, 3, 4, 5)), st.sampled_from((1, 3, 4, 5))),
+                          min_size=1, max_size=4))
+    row_mass = np.concatenate([weights(draw, r) for r, _ in sizes])
+    col_mass = np.concatenate([weights(draw, s) for _, s in sizes])
+    n = sum(r * s for r, s in sizes)
+    cost = np.array(draw(st.lists(costs, min_size=n, max_size=n)))
+    return sizes, row_mass, col_mass, cost
+
+
+def recorded_highs_calls(solve, *args):
+    """``solve(*args)`` with every call of ``ot_core._highs`` and its result recorded."""
+    calls = []
+    real = ot_core._highs
+
+    def recording(*call):
+        calls.append((call, real(*call)))
+        return calls[-1][1]
+
+    with mock.patch.object(ot_core, "_highs", recording):
+        solve(*args)
+    return calls
+
+
+class TestHighsSolve:
+    """``_highs`` against ``linprog``: same matrix, same solution."""
+
+    @staticmethod
+    def assert_matches_scipy(call, result, a_eq):
+        (_, cost, start, index, value, b_eq), (x, objective) = call, result
+        a_eq.sort_indices()
+        assert np.array_equal(start, a_eq.indptr)
+        assert np.array_equal(index, a_eq.indices)
+        assert np.array_equal(value, a_eq.data)
+        ref_x, ref_objective = scaled_linprog(cost, a_eq, b_eq)
+        assert x.tobytes() == ref_x.tobytes()
+        assert objective == ref_objective
+
+    @settings(max_examples=60, deadline=None)
+    @given(transport_problem_sets())
+    def test_transport_lp(self, case):
+        sizes, row_mass, col_mass, cost = case
+        row_ptr = np.concatenate(([0], np.cumsum([r for r, _ in sizes])))
+        col_ptr = np.concatenate(([0], np.cumsum([s for _, s in sizes])))
+        [(call, result)] = recorded_highs_calls(transport_lp, row_mass, row_ptr,
+                                                col_mass, col_ptr, cost)
+        assert np.array_equal(call[1], cost)
+        assert np.array_equal(call[5], np.concatenate([row_mass, col_mass]))
+        self.assert_matches_scipy(call, result, transport_matrix(sizes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem_lists(r_values=(3, 4, 5)))
+    def test_barycenter_lp(self, problems):
+        [(call, result)] = recorded_highs_calls(barycenter_batch, stack(problems))
+        c, a_eq, b_eq, _, _ = zip(*map(reference_barycenter_lp, problems))
+        assert np.array_equal(call[1], np.concatenate(c))
+        assert np.array_equal(call[5], np.concatenate(b_eq))
+        self.assert_matches_scipy(call, result, sparse.block_diag(a_eq, format="csc"))
+
+    def test_infeasible_lp_raises(self):
+        # One plan entry whose row sum asks for 1 and column sum for 2.
+        with pytest.raises(RuntimeError, match="transport LP failed"):
+            ot_core._highs("transport", np.ones(1), np.array([0, 2]), np.array([0, 1]),
+                           np.ones(2), np.array([1.0, 2.0]))
+
+    def test_non_finite_cost_raises(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            ot_core._highs("transport", np.array([np.inf]), np.array([0, 2]),
+                           np.array([0, 1]), np.ones(2), np.array([1.0, 1.0]))
 
 
 class TestProjection:
@@ -566,7 +693,7 @@ class TestTwoAtomTransport:
             assert value == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
     def test_no_lp_for_two_atom_sides(self, monkeypatch):
-        monkeypatch.setattr(ot_core, "linprog", None)
+        monkeypatch.setattr(ot_core, "_highs", None)
         cost, plan = wasserstein_lp([0.5, 0.5], [0.2, 0.3, 0.5],
                                     np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]]))
         assert cost == pytest.approx(0.3)
@@ -619,7 +746,7 @@ class TestTwoPointBarycenter:
                                                      rel=1e-8, abs=1e-12)
 
     def test_no_lp(self, monkeypatch):
-        monkeypatch.setattr(ot_core, "linprog", None)
+        monkeypatch.setattr(ot_core, "_highs", None)
         prob = BarycenterProblem(q=[np.array([0.5, 0.5]), np.array([1.0])],
                                  D=[np.array([[0.0, 4.0], [4.0, 0.0]]), np.array([[0.0], [1.0]])],
                                  alpha=np.ones(2))

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeshrink import tree as tr
 from treeshrink.init_filtration import random_init
@@ -187,6 +188,36 @@ class TestGenerateRandom:
             generate_random(2, 2, dim=dim)
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def tree_documents(draw):
+    """A valid tree document (d <= 2) with some fields replaced or dropped.
+
+    A replacement is a small index, an integer of any size, a float
+    (NaN and infinities included) or any JSON-like value.
+    """
+    doc = generate_random(draw(st.integers(1, 2)), draw(st.integers(1, 3)),
+                          dim=draw(st.integers(1, 2)), seed=0).to_json_dict()
+    values = st.one_of(st.integers(-2, 5), st.integers(), st.floats(), json_values)
+    fields = [(-1, key) for key in doc] + [(i, key) for i, node in enumerate(doc["nodes"])
+                                           for key in node]
+    picks = draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3, unique=True))
+    # Node fields first, while doc["nodes"] still holds the nodes.
+    for i, key in sorted(picks, reverse=True):
+        target = doc if i < 0 else doc["nodes"][i]
+        if draw(st.integers(0, 4)) == 0:
+            del target[key]
+        else:
+            target[key] = draw(values)
+    return doc
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         t = generate_random(3, 3, dim=2, seed=7)
@@ -235,6 +266,51 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(TreeFormatError):
             ScenarioTree.load(path)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("parent", 10 ** 30, TreeFormatError),
+        ("parent", -2, TreeFormatError),
+        ("parent", 0.5, TreeFormatError),
+        ("parent", True, TreeFormatError),
+        ("id", 1.0, TreeFormatError),
+        ("prob", 10 ** 400, TreeFormatError),
+        ("quantizer", [10 ** 400], TreeFormatError),
+        ("prob", float("nan"), TreeValidationError),
+        ("quantizer", [float("nan")], TreeValidationError),
+        ("quantizer", [float("inf")], TreeValidationError),
+    ])
+    def test_bad_node_field_rejected(self, field, value, error):
+        doc = generate_random(1, 2, seed=0).to_json_dict()
+        doc["nodes"][1][field] = value
+        with pytest.raises(error):
+            ScenarioTree.from_json_dict(doc)
+
+    def test_no_nodes_rejected(self):
+        with pytest.raises(TreeFormatError, match="at least one node"):
+            ScenarioTree.from_json_dict({"T": 0, "d": 1, "nodes": []})
+
+    def test_huge_dimension_rejected_before_allocating(self):
+        doc = generate_random(1, 2, seed=0).to_json_dict()
+        doc["d"] = 10 ** 12
+        with pytest.raises(TreeFormatError, match="quantizer length"):
+            ScenarioTree.from_json_dict(doc)
+
+    def test_validate_flags_non_finite_values(self):
+        t = generate_random(1, 2, seed=0)
+        prob, quantizer = t.prob.copy(), t.quantizer.copy()
+        prob[1], quantizer[2, 0] = np.nan, -np.inf
+        assert t.with_prob(prob).validate() == [f"node 1: probability nan is not finite"]
+        assert t.with_quantizer(quantizer).validate() == [
+            f"node 2: quantizer [-inf] is not finite"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(json_values, tree_documents()))
+    def test_any_document_gives_a_tree_or_a_typed_error(self, doc):
+        try:
+            tree = ScenarioTree.from_json_dict(doc)
+        except (TreeFormatError, TreeValidationError):
+            return
+        assert tree.validate() == []
 
 
 class TestCsvIngestion:
