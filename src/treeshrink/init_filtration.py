@@ -48,22 +48,31 @@ class ScenarioMatrix:
         return cls(tree.path_values(), tree.prob[tree.leaves()])
 
 
-# Doubles per temporary of the row-blocked pairwise distances.
+# Doubles per temporary of the row-blocked pairwise distances and of the
+# row blocks that forward selection reads.
 _BLOCK_ENTRIES = 1 << 19
 
 
 def _squared_distances(flat_paths) -> np.ndarray:
     """(S, S) squared Euclidean distances, in row blocks of bounded size.
 
-    Each entry is summed over the path coordinates exactly as in one
-    (S, S, d) broadcast, without that temporary.
+    Only the blocks on or above the diagonal are computed, rows
+    ``lo:lo+step`` against columns ``lo:``, in one scratch array squared in
+    place; each is mirrored below the diagonal.  ``(a - b)**2`` and
+    ``(b - a)**2`` are the same double and every entry is summed over the
+    path coordinates in the same order, so the result is exactly symmetric
+    and bitwise the one (S, S, d) broadcast, without that temporary.
     """
     s_count, width = flat_paths.shape
     out = np.empty((s_count, s_count))
     step = max(1, _BLOCK_ENTRIES // max(s_count * width, 1))
+    scratch = np.empty((min(step, s_count), s_count, width))
     for lo in range(0, s_count, step):
-        diff = flat_paths[lo:lo + step, None, :] - flat_paths[None, :, :]
-        out[lo:lo + step] = np.sum(diff * diff, axis=2)
+        hi = min(lo + step, s_count)
+        diff = np.subtract(flat_paths[lo:hi, None, :], flat_paths[None, lo:, :],
+                           out=scratch[:hi - lo, :s_count - lo])
+        np.sum(np.multiply(diff, diff, out=diff), axis=2, out=out[lo:hi, lo:])
+        out[hi:, lo:hi] = out[lo:hi, hi:].T
     return out
 
 
@@ -118,9 +127,13 @@ def kmeans_init(scenarios: ScenarioMatrix, k: int, seed=0, max_iter=300,
     return fan_tree(paths, masses)
 
 
-# Scores within this relative distance of the best are summed again one by
-# one, far above the rounding gap between the two ways of summing.
+# The running scores carry the rounding of every update before a pick, a few
+# units in the last place of the largest first score each, and near k = S a
+# true score of 0 can read as +-1e-18.  The tie window, _TIE_RTOL of the
+# lowest running score plus _TIE_ATOL of the largest first score, stays
+# wider than that drift for thousands of picks.
 _TIE_RTOL = 1e-9
+_TIE_ATOL = 1e-12
 
 
 def ffs_init(scenarios: ScenarioMatrix, k: int, order=2) -> ScenarioTree:
@@ -133,34 +146,53 @@ def ffs_init(scenarios: ScenarioMatrix, k: int, order=2) -> ScenarioTree:
     nearest selected one, and the selected paths form the returned fan tree.
     Ties break toward the lowest scenario index.
 
-    A pick scores every candidate at once, as one matrix-vector product of
-    the capped costs ``min(best, cost[u])`` with the weights of the
-    not-selected scenarios (a candidate's own term is zero).  The product's
-    rounding can differ between equal rows, so the few candidates within a
-    relative 1e-9 of the best are scored again, each as one sum over the
-    not-selected scenarios in index order.  Duplicated scenarios then score
-    exactly equal, and the lowest index among the equal best wins.
+    Candidate u's score is ``sum_j p_j min(best_j, cost[u, j])`` over the
+    not-selected j, with ``best`` the cost to the nearest selected scenario
+    (a candidate's own term is zero).  The scores are kept as running sums,
+    ``cost @ p`` at the start, as in the fast forward selection of Heitsch
+    and Roemisch (2003).  A pick u* changes only the capped costs of the
+    columns j whose ``best_j`` it lowers, and removes u*'s own weight;
+    ``cost`` is symmetric, so the change to every score is a product of
+    those columns' contiguous rows, read in blocks of at most
+    ``_BLOCK_ENTRIES`` entries.  The running sums drift by rounding, so the
+    few candidates within the tie window of the lowest are scored again,
+    each as one sum over the not-selected scenarios in index order.
+    Duplicated scenarios then score exactly equal, and the lowest index
+    among the equal best wins.
     """
     if not 1 <= k <= scenarios.S:
         raise ValueError("need 1 <= k <= number of scenarios")
     cost = _squared_distances(scenarios.flat())
     if order != 2:
-        cost = np.sqrt(cost) ** order
+        np.power(np.sqrt(cost, out=cost), order, out=cost)
     w = scenarios.prob
 
     best_dist = np.full(scenarios.S, np.inf)
     remaining = np.ones(scenarios.S, dtype=bool)
-    capped = np.empty_like(cost)
+    scores = cost @ w
+    atol = _TIE_ATOL * scores.max()
+    rows = max(1, _BLOCK_ENTRIES // scenarios.S)
+    capped, change = np.empty((2, min(rows, scenarios.S), scenarios.S))
     for _ in range(k):
-        scores = np.minimum(best_dist, cost, out=capped) @ (w * remaining)
-        scores[~remaining] = np.inf
-        near = np.flatnonzero(scores <= scores.min() * (1.0 + _TIE_RTOL))
+        low = scores.min()
+        near = np.flatnonzero(scores <= low + _TIE_RTOL * abs(low) + atol)
         u_star = int(near[0])
         if near.size > 1:
-            exact = [np.sum((w * capped[u])[remaining]) for u in near]
+            exact = [np.sum((w * np.minimum(best_dist, cost[u]))[remaining]) for u in near]
             u_star = int(near[int(np.argmin(exact))])
         remaining[u_star] = False
-        best_dist = np.minimum(best_dist, cost[u_star])
+        scores -= w[u_star] * np.minimum(best_dist[u_star], cost[u_star])
+        new_best = np.minimum(best_dist, cost[u_star])
+        lowered = np.flatnonzero((new_best < best_dist) & remaining & (w > 0.0))
+        for lo in range(0, lowered.size, rows):
+            j = lowered[lo:lo + rows]
+            # mode="clip" lets take write into its output unbuffered; j is in range.
+            block = np.take(cost, j, axis=0, out=capped[:j.size], mode="clip")
+            delta = np.minimum(block, new_best[j, None], out=change[:j.size])
+            delta -= np.minimum(block, best_dist[j, None], out=block)
+            scores += w[j] @ delta
+        best_dist = new_best
+        scores[u_star] = np.inf
 
     selected = np.flatnonzero(~remaining)
     rest = np.flatnonzero(remaining)

@@ -11,8 +11,8 @@ where the merged slope first turns nonnegative.  Every other LP goes to
 the HiGHS dual-simplex solver through :func:`_highs`, which loads SciPy's
 HiGHS binding at the first LP: the constraint matrices are assembled in
 CSC form, consecutive independent problems share one block-diagonal LP of
-at most ``_LP_MAX_ROWS`` constraints, the costs are scaled to a largest
-magnitude in [0.5, 1) and feasibility tolerances are pinned to 1e-9.
+at most ``_LP_MAX_ROWS`` constraints, each problem's costs are scaled to a
+largest magnitude in [0.5, 1) and feasibility tolerances are pinned to 1e-9.
 Either way the returned plans are basic (vertex) solutions; on degenerate
 problems the greedy may pick another optimal vertex than HiGHS would.
 Transport problems have one entry point, :func:`transport_lp`, which
@@ -426,9 +426,10 @@ def _block_diagonal_lp(row_mass, row_ptr, col_mass, col_ptr, cost):
     # column j of the CSC matrix holds rows row[j] and n_rows + col[j].
     block, row, col = block_entries(row_ptr, col_ptr)
     n_vars = block.shape[0]
+    var_ptr = np.concatenate(([0], np.cumsum(np.diff(row_ptr) * np.diff(col_ptr))))
     x, _ = _highs("transport", cost, np.arange(0, 2 * n_vars + 1, 2),
                   np.column_stack([row, row_mass.shape[0] + col]).ravel(),
-                  np.ones(2 * n_vars), np.concatenate([row_mass, col_mass]))
+                  np.ones(2 * n_vars), np.concatenate([row_mass, col_mass]), var_ptr)
     return np.bincount(block, cost * x, row_ptr.shape[0] - 1), x
 
 
@@ -456,7 +457,7 @@ def _highs_binding():
     return _core, options
 
 
-def _highs(kind, cost, start, index, value, b_eq):
+def _highs(kind, cost, start, index, value, b_eq, var_ptr):
     """One HiGHS dual-simplex solve of ``min cost @ x`` over ``A x = b_eq, x >= 0``.
 
     ``A`` is given in CSC form (``start``, ``index``, ``value``, row indices
@@ -471,21 +472,24 @@ def _highs(kind, cost, start, index, value, b_eq):
     optimal, ``x`` and the objective finite, and the bound and equality
     residuals within ``_RESIDUAL_TOL``, or ``RuntimeError`` is raised.
 
-    HiGHS compares reduced costs against an absolute tolerance, so the
-    costs are first scaled by the power of two that brings their largest
-    magnitude into [0.5, 1); the answer is then the same at any cost scale.
-    The scaling is exact, and the objective is scaled back.  Returns
-    ``(x, objective)``.
+    The LP is block diagonal: block b owns the variables
+    ``var_ptr[b]:var_ptr[b+1]`` and shares none with another block.
+    HiGHS compares reduced costs against an absolute tolerance, so each
+    block's costs are first scaled by the power of two that brings their
+    largest magnitude into [0.5, 1); every block's answer is then the same
+    at any cost scale, whatever the scale of the blocks packed with it.
+    The scaling is exact.  Returns ``(x, objective)``; the objective is
+    scaled back for an LP of one block and is None for several.
     """
     if not (np.all(np.isfinite(cost)) and np.all(np.isfinite(b_eq))):
         raise ValueError(f"{kind} LP: costs and right-hand sides must be finite")
     core, options = _highs_binding()
-    e = math.frexp(float(np.max(np.abs(cost), initial=0.0)))[1]
+    e = np.frexp(np.maximum.reduceat(np.abs(cost), var_ptr[:-1]))[1]
     n, m = cost.shape[0], b_eq.shape[0]
     lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.col_cost_ = np.ldexp(cost, -e)
+    lp.col_cost_ = np.ldexp(cost, -np.repeat(e, np.diff(var_ptr)))
     lp.col_lower_ = np.zeros(n)
     lp.col_upper_ = np.full(n, np.inf)
     lp.row_lower_ = lp.row_upper_ = b_eq
@@ -510,7 +514,7 @@ def _highs(kind, cost, start, index, value, b_eq):
             and np.all(x >= -_RESIDUAL_TOL) and np.all(residual <= _RESIDUAL_TOL)):
         raise RuntimeError(f"{kind} LP failed: the solution misses its bounds or "
                            f"constraints by more than {_RESIDUAL_TOL:.2e}")
-    return x, math.ldexp(objective, e)
+    return x, math.ldexp(objective, int(e[0])) if e.shape[0] == 1 else None
 
 
 def wasserstein_lp(q, q_other, D):
@@ -590,8 +594,9 @@ def _highs_barycenters(batch: BarycenterBatch):
     Problem by problem, the variables are its ``p``, then each measure's
     (R, S^m) plan row-major; the constraints are every plan's column sums
     (its marginal), every plan's row sums less ``p`` (zero) and the simplex
-    row of ``p``.  A batch of one is the plain barycenter LP.  Returns
-    every problem's objective, its ``p`` and the (R, A) plans.
+    row of ``p``.  Each problem is one block of :func:`_highs`, its costs
+    scaled on their own.  A batch of one is the plain barycenter LP.
+    Returns every problem's objective, its ``p`` and the (R, A) plans.
     """
     r, ks = batch.R, np.arange(batch.P)
     m_ptr, a_ptr = batch.measure_ptr, batch.atom_ptr[batch.measure_ptr]
@@ -621,7 +626,8 @@ def _highs_barycenters(batch: BarycenterBatch):
     b_eq[simplex_row] = 1.0
     c = np.zeros(n_vars)
     c[var] = batch.cost[point, atom]
-    x, fun = _highs("barycenter", c, start, rows[order], data[order], b_eq)
+    x, fun = _highs("barycenter", c, start, rows[order], data[order], b_eq,
+                    r * (a_ptr + np.arange(batch.P + 1)))
     plans = np.empty(batch.cost.shape)
     plans[point, atom] = x[var]
     # A lone problem keeps HiGHS's own objective, which a sum over its plan

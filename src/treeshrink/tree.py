@@ -273,19 +273,24 @@ class ScenarioTree:
         neg = np.flatnonzero(self.prob < 0.0)
         for nd in neg:
             v.append(f"node {nd}: negative probability {self.prob[nd]}")
-        t_last = self.T
-        for nd in range(self.n_nodes):
-            nch = self.n_children(nd)
-            if nch == 0:
-                if self.stage[nd] != t_last:
-                    v.append(f"node {nd}: leaf at stage {self.stage[nd]}, "
-                             f"expected all leaves at stage {t_last}")
+        counts = np.diff(self._child_ptr)
+        leaf = counts == 0
+        # Each node's children summed in id order by one np.sum, as a row
+        # of a (nodes, n) table per child count n: rounding and all.
+        sums = np.zeros(self.n_nodes)
+        for n in np.flatnonzero(np.bincount(counts[~leaf])):
+            nodes = np.flatnonzero(counts == n)
+            kids = self._child_idx[self._child_ptr[nodes, None] + np.arange(n)]
+            sums[nodes] = self.prob[kids].sum(axis=1)
+        off_sum = ~leaf & (np.abs(sums - self.prob) > PARENT_SUM_TOL)
+        for nd in np.flatnonzero((leaf & (self.stage != self.T)) | off_sum):
+            if leaf[nd]:
+                v.append(f"node {nd}: leaf at stage {self.stage[nd]}, "
+                         f"expected all leaves at stage {self.T}")
             else:
-                s = float(np.sum(self.prob[self.children(nd)]))
-                if abs(s - self.prob[nd]) > PARENT_SUM_TOL:
-                    v.append(f"node {nd}: probability {self.prob[nd]} != children sum {s}")
-        leaf_ids = np.flatnonzero([self.n_children(nd) == 0 for nd in range(self.n_nodes)])
-        total = float(np.sum(self.prob[leaf_ids]))
+                v.append(f"node {nd}: probability {self.prob[nd]} != children sum "
+                         f"{float(sums[nd])}")
+        total = float(np.sum(self.prob[leaf]))
         if abs(total - 1.0) > LEAF_SUM_TOL:
             v.append(f"tree: leaf probabilities sum to {total}, expected 1")
         return v

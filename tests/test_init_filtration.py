@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treeshrink.init_filtration import (ScenarioMatrix, ffs_init, kmeans_init,
-                                        merge_prefixes, random_init)
+from treeshrink import init_filtration
+from treeshrink.init_filtration import (ScenarioMatrix, _squared_distances, ffs_init,
+                                        kmeans_init, merge_prefixes, random_init)
 from treeshrink.tree import ScenarioTree, fan_tree
 
 
@@ -278,6 +280,26 @@ class TestFfsAgainstReference:
         assert_same_tree(ffs_init(sm, 20, order=order),
                          ffs_reference(sm, 20, order=order))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_integer_paths_with_ties(self, data):
+        # Integer coordinates make many distances, and many scores, tie
+        # exactly; copies and zero probabilities add more.
+        s_count = data.draw(st.integers(1, 25))
+        stages, dim = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 2))
+        paths = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=s_count * stages * dim,
+                                            max_size=s_count * stages * dim)),
+                         dtype=float).reshape(s_count, stages, dim)
+        for i in data.draw(st.lists(st.integers(0, s_count - 1), max_size=4)):
+            paths[i] = paths[data.draw(st.integers(0, s_count - 1))]
+        prob = np.array(data.draw(st.lists(st.integers(0, 3), min_size=s_count,
+                                           max_size=s_count)), dtype=float)
+        prob[data.draw(st.integers(0, s_count - 1))] += 1.0
+        sm = ScenarioMatrix(paths, prob / prob.sum())
+        order = data.draw(st.sampled_from([1, 2, 3]))
+        for k in range(1, s_count + 1):
+            assert_same_tree(ffs_init(sm, k, order=order), ffs_reference(sm, k, order=order))
+
     def test_peak_memory_below_pairwise_temporary(self):
         # A (600, 600, 40) float temporary alone would take 115 MB.
         paths, prob = self.instance(17, 600, stages=10, dim=4)
@@ -289,6 +311,36 @@ class TestFfsAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    def test_peak_memory_near_one_cost_matrix(self):
+        # Narrow paths: the (S, S) cost matrix is nearly all the memory, and
+        # the picks add only two row blocks of bounded size to it.
+        paths, prob = self.instance(19, 1500, stages=2, dim=1)
+        sm = ScenarioMatrix(paths, prob)
+        tracemalloc.start()
+        try:
+            ffs_init(sm, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * 1500 * 1500 * 8
+
+
+class TestSquaredDistances:
+    """Row blocks above the diagonal, mirrored, against one (S, S, d) broadcast."""
+
+    @pytest.mark.parametrize("width", range(1, 25))
+    @pytest.mark.parametrize("step", [1, 4, 37])
+    def test_bitwise_the_broadcast_and_symmetric(self, monkeypatch, width, step):
+        # S = 37 is no multiple of 4; with step 37 one block covers the rows.
+        rng = np.random.default_rng(width)
+        flat = rng.normal(size=(37, width)) * rng.choice([1e-3, 1.0, 1e4], size=(37, 1))
+        flat[[5, 30]] = flat[12]
+        monkeypatch.setattr(init_filtration, "_BLOCK_ENTRIES", step * 37 * width)
+        diff = flat[:, None, :] - flat[None, :, :]
+        out = _squared_distances(flat)
+        assert out.tobytes() == np.sum(diff * diff, axis=2).tobytes()
+        assert out.tobytes() == out.T.copy().tobytes()
 
 
 class TestRandomInit:

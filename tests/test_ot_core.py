@@ -92,18 +92,23 @@ def highs_barycenter(q, D):
     return res.fun
 
 
-def scaled_linprog(c, a_eq, b_eq):
+def scaled_linprog(c, a_eq, b_eq, var_ptr=None):
     """The solve ``ot_core._highs`` makes, through scipy's public API.
 
-    The cost is scaled by the power of two that brings its largest
-    magnitude into [0.5, 1), as ``_highs`` does; the objective is scaled
-    back.  Returns ``(x, objective)``.
+    Each block of variables ``var_ptr[b]:var_ptr[b+1]`` (by default, all of
+    them) has its costs scaled by the power of two that brings their largest
+    magnitude into [0.5, 1), as ``_highs`` does.  Returns ``(x, objective)``;
+    the objective is scaled back for one block and is None for several.
     """
-    e = math.frexp(float(np.max(np.abs(c), initial=0.0)))[1]
-    res = linprog(np.ldexp(c, -e), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+    var_ptr = [0, c.shape[0]] if var_ptr is None else var_ptr
+    e = [math.frexp(float(np.max(np.abs(c[lo:hi]))))[1]
+         for lo, hi in zip(var_ptr[:-1], var_ptr[1:])]
+    scaled = np.concatenate([np.ldexp(c[lo:hi], -eb)
+                             for lo, hi, eb in zip(var_ptr[:-1], var_ptr[1:], e)])
+    res = linprog(scaled, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                   method="highs-ds", options=ot_core._LP_OPTIONS)
     assert res.success
-    return res.x, math.ldexp(res.fun, e)
+    return res.x, math.ldexp(res.fun, e[0]) if len(e) == 1 else None
 
 
 def transport_matrix(sizes):
@@ -287,9 +292,9 @@ class TestTransportBlocks:
         calls = []
         real = ot_core._highs
 
-        def counting(kind, cost, start, index, value, b_eq):
-            calls.append(b_eq.shape[0])
-            return real(kind, cost, start, index, value, b_eq)
+        def counting(*args):
+            calls.append(args[5].shape[0])
+            return real(*args)
 
         monkeypatch.setattr(ot_core, "_LP_MAX_ROWS", 20)
         monkeypatch.setattr(ot_core, "_highs", counting)
@@ -411,6 +416,18 @@ class TestBarycenterBatch:
                           [np.diag([0.0, 0.0, 5e-10]), np.zeros((3, 3))], np.ones(2)),
         BarycenterProblem([np.array([2 / 3, 0.0, 1 / 3]), np.array([0.2, 0.4, 0.4])],
                           [np.zeros((3, 3)), np.zeros((3, 3))], np.ones(2))])
+    # The last problem's only nonzero cost, 5e-9, is scaled by the cost of 4
+    # in the problem before it to 6.25e-10 when the pack shares one scale:
+    # packed, it then came back at 1.25e-9, alone at its optimum 0.
+    @example(problems=[
+        BarycenterProblem([np.array([1 / 3, 2 / 3])], [np.zeros((4, 2))], np.ones(1)),
+        BarycenterProblem([np.array([0.5, 0.5])],
+                          [np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 4.0], [0.0, 0.0]])],
+                          np.ones(1)),
+        BarycenterProblem([np.array([0.25, 0.75]), np.array([0.25, 0.75]), np.array([1.0])],
+                          [np.zeros((4, 2)), np.zeros((4, 2)),
+                           np.array([[0.0], [0.0], [5e-9], [0.0]])],
+                          np.array([0.0, 0.0, 0.5]))])
     def test_packed_problems_match_lone_solves(self, problems, max_rows):
         batch = stack(problems)
         rows = [p.atom_ptr[-1] + p.R * p.M + 1 for p in problems]
@@ -423,9 +440,9 @@ class TestBarycenterBatch:
         calls = []
         real = ot_core._highs
 
-        def counting(kind, cost, start, index, value, b_eq):
-            calls.append(b_eq.shape[0])
-            return real(kind, cost, start, index, value, b_eq)
+        def counting(*args):
+            calls.append(args[5].shape[0])
+            return real(*args)
 
         with mock.patch.object(ot_core, "_LP_MAX_ROWS", max_rows), \
                 mock.patch.object(ot_core, "_highs", counting):
@@ -484,12 +501,12 @@ class TestHighsSolve:
 
     @staticmethod
     def assert_matches_scipy(call, result, a_eq):
-        (_, cost, start, index, value, b_eq), (x, objective) = call, result
+        (_, cost, start, index, value, b_eq, var_ptr), (x, objective) = call, result
         a_eq.sort_indices()
         assert np.array_equal(start, a_eq.indptr)
         assert np.array_equal(index, a_eq.indices)
         assert np.array_equal(value, a_eq.data)
-        ref_x, ref_objective = scaled_linprog(cost, a_eq, b_eq)
+        ref_x, ref_objective = scaled_linprog(cost, a_eq, b_eq, var_ptr)
         assert x.tobytes() == ref_x.tobytes()
         assert objective == ref_objective
 
@@ -503,6 +520,7 @@ class TestHighsSolve:
                                                 col_mass, col_ptr, cost)
         assert np.array_equal(call[1], cost)
         assert np.array_equal(call[5], np.concatenate([row_mass, col_mass]))
+        assert np.array_equal(call[6], np.cumsum([0] + [r * s for r, s in sizes]))
         self.assert_matches_scipy(call, result, transport_matrix(sizes))
 
     @settings(max_examples=60, deadline=None)
@@ -512,18 +530,19 @@ class TestHighsSolve:
         c, a_eq, b_eq, _, _ = zip(*map(reference_barycenter_lp, problems))
         assert np.array_equal(call[1], np.concatenate(c))
         assert np.array_equal(call[5], np.concatenate(b_eq))
+        assert np.array_equal(call[6], np.cumsum([0] + [ci.shape[0] for ci in c]))
         self.assert_matches_scipy(call, result, sparse.block_diag(a_eq, format="csc"))
 
     def test_infeasible_lp_raises(self):
         # One plan entry whose row sum asks for 1 and column sum for 2.
         with pytest.raises(RuntimeError, match="transport LP failed"):
             ot_core._highs("transport", np.ones(1), np.array([0, 2]), np.array([0, 1]),
-                           np.ones(2), np.array([1.0, 2.0]))
+                           np.ones(2), np.array([1.0, 2.0]), np.array([0, 1]))
 
     def test_non_finite_cost_raises(self):
         with pytest.raises(ValueError, match="must be finite"):
             ot_core._highs("transport", np.array([np.inf]), np.array([0, 2]),
-                           np.array([0, 1]), np.ones(2), np.array([1.0, 1.0]))
+                           np.array([0, 1]), np.ones(2), np.array([1.0, 1.0]), np.array([0, 1]))
 
 
 class TestProjection:

@@ -54,7 +54,102 @@ def two_leaf_tree(p1=0.5, p2=0.5, root_prob=1.0):
                         [root_prob, p1, p2])
 
 
+def validate_reference(tree):
+    """Reference: ``ScenarioTree.validate`` as a loop over the nodes."""
+    v = []
+    if tree.d < 1:
+        v.append(f"tree: quantizer dimension {tree.d}, expected at least 1")
+    roots = np.flatnonzero(tree.parent < 0)
+    if roots.size != 1:
+        v.append(f"tree: expected exactly one root, found {roots.size}")
+    for r in roots:
+        if tree.stage[r] != 0:
+            v.append(f"node {r}: root must sit at stage 0, found stage {tree.stage[r]}")
+    for nd in range(tree.n_nodes):
+        par = tree.parent[nd]
+        if par >= 0 and tree.stage[nd] != tree.stage[par] + 1:
+            v.append(f"node {nd}: stage {tree.stage[nd]} is not parent stage "
+                     f"{tree.stage[par]} + 1")
+    for nd in range(tree.n_nodes):
+        if not np.isfinite(tree.prob[nd]):
+            v.append(f"node {nd}: probability {tree.prob[nd]} is not finite")
+    for nd in range(tree.n_nodes):
+        if not np.isfinite(tree.quantizer[nd]).all():
+            v.append(f"node {nd}: quantizer {tree.quantizer[nd].tolist()} is not finite")
+    for nd in range(tree.n_nodes):
+        if tree.prob[nd] < 0.0:
+            v.append(f"node {nd}: negative probability {tree.prob[nd]}")
+    for nd in range(tree.n_nodes):
+        if tree.n_children(nd) == 0:
+            if tree.stage[nd] != tree.T:
+                v.append(f"node {nd}: leaf at stage {tree.stage[nd]}, "
+                         f"expected all leaves at stage {tree.T}")
+        else:
+            s = float(np.sum(tree.prob[tree.children(nd)]))
+            if abs(s - tree.prob[nd]) > tr.PARENT_SUM_TOL:
+                v.append(f"node {nd}: probability {tree.prob[nd]} != children sum {s}")
+    leaf_ids = np.flatnonzero([tree.n_children(nd) == 0 for nd in range(tree.n_nodes)])
+    total = float(np.sum(tree.prob[leaf_ids]))
+    if abs(total - 1.0) > tr.LEAF_SUM_TOL:
+        v.append(f"tree: leaf probabilities sum to {total}, expected 1")
+    return v
+
+
+@st.composite
+def broken_trees(draw):
+    """A tree of up to 40 nodes that may break any rule ``validate`` checks.
+
+    Parents are drawn among the earlier nodes, often the first (wide nodes,
+    leaves at every depth) and sometimes none (several roots).  Stages
+    follow the parents, a few shifted; each node's mass splits over its
+    children by integer weights; then some probabilities are nudged across
+    or onto the sum tolerances or replaced by any float, NaN included, and
+    some quantizer entries by NaN or infinities.
+    """
+    n = draw(st.integers(1, 40))
+    parent = [-1] + [draw(st.one_of(st.just(0), st.integers(-1, i - 1))) for i in range(1, n)]
+    stage = np.zeros(n, dtype=int)
+    for i in range(1, n):
+        stage[i] = 0 if parent[i] < 0 else stage[parent[i]] + 1
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        stage[i] += draw(st.sampled_from([-1, 1, 2]))
+    share = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), dtype=float)
+    prob = np.zeros(n)
+    roots = [i for i in range(n) if parent[i] < 0]
+    prob[roots] = 1.0 / len(roots)
+    for i in range(1, n):
+        if parent[i] >= 0:
+            sibs = [j for j in range(n) if parent[j] == parent[i]]
+            prob[i] = prob[parent[i]] * share[i] / share[sibs].sum()
+    nudges = st.sampled_from([1e-9, -1e-9, 2e-9, 1e-12, 2e-12, -3e-12])
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        if draw(st.booleans()):
+            prob[i] += draw(nudges)
+        else:
+            prob[i] = draw(st.floats(allow_nan=True, allow_infinity=True))
+    d = draw(st.integers(1, 2))
+    quantizer = np.zeros((n, d))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        quantizer[i, draw(st.integers(0, d - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    return ScenarioTree(parent, stage, quantizer, prob)
+
+
 class TestValidate:
+    @settings(max_examples=150, deadline=None)
+    @given(broken_trees())
+    def test_matches_the_node_loop(self, tree):
+        assert tree.validate() == validate_reference(tree)
+
+    def test_wide_node_sum_matches_the_node_loop(self):
+        # np.sum adds 8 or more terms pairwise, not one after another.
+        rng = np.random.default_rng(4)
+        kids = rng.dirichlet(np.ones(37)) * (1.0 + 1.5e-9)
+        tree = ScenarioTree(np.r_[-1, np.zeros(37, dtype=int)], np.r_[0, np.ones(37)],
+                            np.zeros((38, 1)), np.r_[1.0, kids])
+        assert tree.validate() == validate_reference(tree)
+        assert any(v.startswith("node 0: probability") for v in tree.validate())
+
     def test_single_node_tree_valid(self):
         assert single_node_tree().validate() == []
 
