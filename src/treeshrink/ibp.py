@@ -153,9 +153,12 @@ def _sweeps(kernels, q, w, max_iter, tol):
     converged = np.zeros(n_prob, dtype=bool)
     kern, q_k, w_k, u = kernels, q, w[:, None, :], u_end
     p = np.full((n_prob, r), 1.0 / r)
+    kern_t = kern.transpose(0, 1, 3, 2)
+    # K^T u of the current u: the stopping test needs it, and so does the
+    # next sweep's v update.
+    ktu = _apply(kern_t, u)
     for it in range(1, max_iter + 1):
-        kern_t = kern.transpose(0, 1, 3, 2)
-        v = np.maximum(_apply(kern_t, u), _FLOOR)
+        v = np.maximum(ktu, _FLOOR)
         np.divide(q_k, v, out=v)
         kv = np.maximum(_apply(kern, v), _FLOOR)
         # Zero-weight measures add 0 * finite log terms, i.e. are skipped.
@@ -166,8 +169,8 @@ def _sweeps(kernels, q, w, max_iter, tol):
         # sums must reproduce q.  The estimate p alone can plateau (sharp
         # kernels converge very slowly) long before the scalings agree,
         # so a p-only test would stop on inconsistent plans.
-        gap = _apply(kern_t, u)
-        gap *= v
+        ktu = _apply(kern_t, u)
+        gap = ktu * v
         gap -= q_k
         residual = np.maximum(residual, np.abs(gap, out=gap).max(axis=(1, 2)))
         p = p_new
@@ -177,7 +180,8 @@ def _sweeps(kernels, q, w, max_iter, tol):
             iterations[done], converged[done] = it, True
             u_end[done], p_end[done] = u[stop], p[stop]
             keep = ~stop
-            todo, kern, q_k, w_k, u, p = (x[keep] for x in (todo, kern, q_k, w_k, u, p))
+            todo, kern, q_k, w_k, u, p, ktu = (x[keep] for x in (todo, kern, q_k, w_k, u, p, ktu))
+            kern_t = kern.transpose(0, 1, 3, 2)
             if todo.size == 0:
                 break
     u_end[todo], p_end[todo] = u, p

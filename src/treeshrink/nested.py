@@ -14,10 +14,10 @@ value from one product ``Q_a @ table @ Q_b.T`` of the sparse conditional
 matrices.  The pairs where both sides branch then get their exact values
 from the batched transport solver: a pair where one node has two children
 is a fractional knapsack, solved by one sort, and the rest are packed into
-HiGHS solves of at most a few hundred constraints.  The pairs are built in
-chunks of at most ``_PAIR_MAX_ENTRIES`` plan entries, so memory stays
-bounded on large trees; chunks end only between those HiGHS solves, so they
-change no value.
+HiGHS dual-simplex solves of at most a few hundred constraints, run
+without presolve.  The pairs are built in chunks of at most
+``_PAIR_MAX_ENTRIES`` plan entries, so memory stays bounded on large trees;
+chunks end only between those HiGHS solves, so they change no value.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def nested_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, order=2):
     """Exact process distance of the given order between two trees.
 
     Returns ``(nd, CostTable)`` where ``nd = tables[0][0, 0] ** (1/order)``;
-    ``order`` must be at least 1.
+    ``order`` must be finite and at least 1, and path costs that overflow
+    at that order raise ``ValueError`` (:func:`path_cost_table`).
     Each stage t fills its table in two steps.  First the product plan
     values ``Q_a @ tables[t+1] @ Q_b.T``, where ``Q`` is a tree's sparse
     stage-t to stage-(t+1) conditional matrix; they are exact for every pair

@@ -13,6 +13,8 @@ HiGHS binding at the first LP: the constraint matrices are assembled in
 CSC form, consecutive independent problems share one block-diagonal LP of
 at most ``_LP_MAX_ROWS`` constraints, each problem's costs are scaled to a
 largest magnitude in [0.5, 1) and feasibility tolerances are pinned to 1e-9.
+Transport LPs are solved without HiGHS's presolve, barycenter LPs with it
+(``_PRESOLVE``).
 Either way the returned plans are basic (vertex) solutions; on degenerate
 problems the greedy may pick another optimal vertex than HiGHS would.
 Transport problems have one entry point, :func:`transport_lp`, which
@@ -36,24 +38,30 @@ import numpy as np
 
 from .tree import _concat_ranges
 
-# Every HiGHS solve runs with the settings that SciPy's LP front end uses
-# for method="highs-ds" with these options (see _highs_binding).
-_LP_OPTIONS = {
-    "presolve": True,
-    "primal_feasibility_tolerance": 1e-9,
-    "dual_feasibility_tolerance": 1e-9,
-}
+# HiGHS's presolve per LP kind that _highs solves (see _highs_binding).
+# A transport LP is a small network LP that the dual simplex solves from the
+# slack basis faster than presolve can shrink it: without presolve, scoring
+# generate_random(4, 6, dim=2) against a [3,3,3,3] tree took 0.40-0.46 s
+# instead of 0.74 s on 2 cores.  Barycenter LPs keep it: without it, the
+# exact reduction of generate_random(3, 6, dim=2) onto [3,3,3] ran 15%
+# faster, but that of generate_random(4, 6, dim=2) onto [3,3,3,3], whose
+# last-stage problems exceed _LP_MAX_ROWS, 8% slower.
+_PRESOLVE = {"transport": "off", "barycenter": "on"}
+
+# Primal and dual feasibility tolerance of every HiGHS solve.
+_FEASIBILITY_TOL = 1e-9
 
 # Constraint rows per HiGHS LP.  HiGHS's working set grows by about 2 kB
 # a row and stays with the process allocator after the solve.  Scoring
 # generate_random(4, 6, dim=2) against a [3,3,3,3] tree (last stage: 5832
-# pairs, 52488 rows) with one LP per stage peaked at 251 MB of RSS and took
-# 3.6 s on 2 cores; in LPs of at most 512 rows, 89 MB and 1.5 s.
+# pairs, 52488 rows) with one LP per stage peaked at 189 MB of RSS and took
+# 1.57 s on 2 cores; in LPs of at most 512 rows, 88 MB and 0.40-0.46 s
+# (256 or 1024 rows: 0.55-0.63 s; 64 rows: 0.90 s).
 _LP_MAX_ROWS = 512
 
 # SciPy's acceptance tolerance on the bound and equality residuals of a
-# HiGHS solution: sqrt(1e-9) * 10.
-_RESIDUAL_TOL = math.sqrt(1e-9) * 10
+# HiGHS solution: sqrt(feasibility tolerance) * 10.
+_RESIDUAL_TOL = math.sqrt(_FEASIBILITY_TOL) * 10
 
 # Relative rounding tolerance of the greedy's split (see _fill_first).
 _DUST = 4 * np.finfo(np.float64).eps
@@ -435,35 +443,40 @@ def _block_diagonal_lp(row_mass, row_ptr, col_mass, col_ptr, cost):
 
 @functools.cache
 def _highs_binding():
-    """SciPy's HiGHS binding and the options of every solve, loaded once.
+    """SciPy's HiGHS binding and the options of each LP kind, loaded once.
 
-    The options are those SciPy's LP front end passes for
-    ``method="highs-ds"`` with ``_LP_OPTIONS``: dual simplex, presolve on,
-    both feasibility tolerances from ``_LP_OPTIONS``, no debugging and no
-    output.  Importing the binding imports ``scipy.optimize`` with it, so
-    a run that solves no LP never pays for that.
+    Every kind runs the dual simplex with both feasibility tolerances at
+    ``_FEASIBILITY_TOL``, no debugging and no output; presolve is on or off
+    by ``_PRESOLVE``.  Returns the binding and a dict of ``HighsOptions`` by
+    kind.  Importing the binding imports ``scipy.optimize`` with it, so a
+    run that solves no LP never pays for that.
     """
     from scipy.optimize._highspy import _core
 
-    options = _core.HighsOptions()
-    options.presolve = "on" if _LP_OPTIONS["presolve"] else "off"
-    options.solver = "simplex"
-    options.simplex_strategy = int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-    options.primal_feasibility_tolerance = _LP_OPTIONS["primal_feasibility_tolerance"]
-    options.dual_feasibility_tolerance = _LP_OPTIONS["dual_feasibility_tolerance"]
-    options.highs_debug_level = int(_core.HighsDebugLevel.kHighsDebugLevelNone)
-    options.output_flag = False
-    options.log_to_console = False
+    options = {}
+    for kind, presolve in _PRESOLVE.items():
+        opts = options[kind] = _core.HighsOptions()
+        opts.presolve = presolve
+        opts.solver = "simplex"
+        opts.simplex_strategy = int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+        opts.primal_feasibility_tolerance = _FEASIBILITY_TOL
+        opts.dual_feasibility_tolerance = _FEASIBILITY_TOL
+        opts.highs_debug_level = int(_core.HighsDebugLevel.kHighsDebugLevelNone)
+        opts.output_flag = False
+        opts.log_to_console = False
     return _core, options
 
 
 def _highs(kind, cost, start, index, value, b_eq, var_ptr):
     """One HiGHS dual-simplex solve of ``min cost @ x`` over ``A x = b_eq, x >= 0``.
 
-    ``A`` is given in CSC form (``start``, ``index``, ``value``, row indices
-    ascending within a column).  The model goes straight to SciPy's private
-    binding, ``scipy.optimize._highspy._core``, as a ``HighsLp`` on a fresh
-    solver, so no basis carries over between solves.  SciPy's LP front end
+    ``kind`` ("transport" or "barycenter") picks the options of the solve
+    (:func:`_highs_binding`) and names the LP in errors.  ``A`` is given in
+    CSC form (``start``, ``index``, ``value``, row indices ascending within
+    a column).  The model goes straight to SciPy's private binding,
+    ``scipy.optimize._highspy._core``, as a ``HighsLp`` on a fresh solver,
+    so no basis carries over between solves.  SciPy's LP front end
+    (``linprog(method="highs-ds")`` with the same presolve and tolerances)
     makes the same solve, but around it re-validates its inputs and
     options, re-stacks the matrix and builds bound duals in a Python loop
     over the columns: over half of its time on the LPs of the deep-lp
@@ -500,7 +513,7 @@ def _highs(kind, cost, start, index, value, b_eq, var_ptr):
     lp.a_matrix_.index_ = index.tolist()
     lp.a_matrix_.value_ = value
     highs = core._Highs()
-    highs.passOptions(options)
+    highs.passOptions(options[kind])
     ran = (highs.passModel(lp) != core.HighsStatus.kError
            and highs.run() != core.HighsStatus.kError)
     status = highs.getModelStatus()

@@ -505,24 +505,33 @@ def path_cost_table(tree_a, tree_b, order=2):
     loop is exactly optimal.  Other orders sum the per-stage Euclidean
     distances and raise the total to ``order``.  Each stage's squared
     distances are built in place in one scratch table (two for d > 1), so
-    the peak is two or three tables.  ``order`` must be at least 1.
+    the peak is two or three tables.  ``order`` must be finite and at least
+    1, and every cost finite: a table that overflows (a large ``order`` on
+    paths of cost above 1) raises ``ValueError`` before any solver sees it.
     """
     if tree_a.T != tree_b.T or tree_a.d != tree_b.d:
         raise ValueError("trees must share stage count and quantizer dimension")
-    if not order >= 1:
-        raise ValueError(f"order must be at least 1, got {order}")
+    if not 1 <= order < np.inf:
+        raise ValueError(f"order must be at least 1 and finite, got {order}")
     pa = tree_a.path_values()
     pb = tree_b.path_values()
     shape = (pa.shape[0], pb.shape[0])
     acc = np.zeros(shape)
     sq = np.empty(shape)
     diff = np.empty(shape) if tree_a.d > 1 else None
-    for t in range(tree_a.T + 1):
-        np.subtract(pa[:, t, 0][:, None], pb[None, :, t, 0], out=sq)
-        np.multiply(sq, sq, out=sq)
-        for k in range(1, tree_a.d):
-            np.subtract(pa[:, t, k][:, None], pb[None, :, t, k], out=diff)
-            np.multiply(diff, diff, out=diff)
-            sq += diff
-        acc += sq if order == 2 else np.sqrt(sq, out=sq)
-    return acc if order == 2 else acc ** order
+    # Overflow is caught below, on the finished table.
+    with np.errstate(over="ignore"):
+        for t in range(tree_a.T + 1):
+            np.subtract(pa[:, t, 0][:, None], pb[None, :, t, 0], out=sq)
+            np.multiply(sq, sq, out=sq)
+            for k in range(1, tree_a.d):
+                np.subtract(pa[:, t, k][:, None], pb[None, :, t, k], out=diff)
+                np.multiply(diff, diff, out=diff)
+                sq += diff
+            acc += sq if order == 2 else np.sqrt(sq, out=sq)
+        if order != 2:
+            np.power(acc, order, out=acc)
+    # Every cost is >= 0 or NaN, so the maximum is finite only if all are.
+    if not np.isfinite(acc.max()):
+        raise ValueError(f"path costs of order {order} are not finite")
+    return acc

@@ -280,6 +280,15 @@ class TestNd:
         assert run(["nd", "-a", str(path), "-b", str(path), "--order", order]) == 2
         assert capsys.readouterr().err.startswith("error: order must be at least 1")
 
+    def test_overflowing_order_exit_2(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        generate_random(2, 2, seed=1).save(a)
+        generate_random(2, 2, seed=2).save(b)
+        assert run(["nd", "-a", str(a), "-b", str(b), "--order", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: path costs of order 1000 are not finite")
+
     def test_dimension_zero_tree_exit_2(self, tmp_path, capsys):
         path = tmp_path / "d0.json"
         path.write_text(json.dumps({"T": 2, "d": 0, "nodes": [

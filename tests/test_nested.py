@@ -122,6 +122,23 @@ class TestErrorsAndOptions:
         with pytest.raises(ValueError, match="no children"):
             nested_distance(early, generate_random(2, 2, seed=0))
 
+    @pytest.mark.parametrize("order", [float("inf"), float("nan")])
+    def test_non_finite_order_raises(self, order):
+        a = generate_random(2, 2, seed=0)
+        with pytest.raises(ValueError, match="at least 1 and finite"):
+            nested_distance(a, a, order=order)
+
+    @pytest.mark.parametrize("branching", [2, 3])
+    def test_overflowing_order_raises_before_any_solve(self, branching, monkeypatch):
+        # Path costs above 1 raised to the power 1000 overflow.  With two
+        # children per node no pair reaches HiGHS, and the greedy used to
+        # turn the infinite costs into a nan distance.
+        a = generate_random(2, branching, seed=1)
+        b = generate_random(2, branching, seed=2)
+        monkeypatch.setattr(nested, "transport_lp", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match="not finite"):
+            nested_distance(a, b, order=1000)
+
     def test_root_value_property(self):
         a = generate_random(2, 2, seed=6)
         b = generate_random(2, 2, seed=7)
@@ -155,15 +172,16 @@ def reference_nd(tree_a, tree_b, order=2):
 
 
 @st.composite
-def ragged_trees(draw, big_t, dim):
-    """Valid trees with 1-3 children per node and some zero-mass subtrees."""
+def ragged_trees(draw, big_t, dim, children=(1, 3)):
+    """Valid trees with ``children`` (least, most) children per node and some
+    zero-mass subtrees."""
     parent, stage, prob = [-1], [0], [1.0]
     frontier = [0]
     for t in range(1, big_t + 1):
         nxt = []
         for node in frontier:
-            weights = np.array(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)),
-                               dtype=float)
+            weights = np.array(draw(st.lists(st.integers(0, 3), min_size=children[0],
+                                             max_size=children[1])), dtype=float)
             if weights.sum() == 0:
                 weights[0] = 1.0
             for w in weights / weights.sum():
@@ -179,10 +197,10 @@ def ragged_trees(draw, big_t, dim):
 
 
 @st.composite
-def tree_pairs(draw):
+def tree_pairs(draw, children=(1, 3)):
     big_t = draw(st.integers(1, 3))
     dim = draw(st.integers(1, 2))
-    return draw(ragged_trees(big_t, dim)), draw(ragged_trees(big_t, dim))
+    return draw(ragged_trees(big_t, dim, children)), draw(ragged_trees(big_t, dim, children))
 
 
 def relabel(tree, perm):
@@ -214,6 +232,17 @@ class TestProperties:
         assert nd_ab == pytest.approx(nd_ba, rel=1e-9, abs=1e-9)
         for x, y in zip(t_ab.tables, t_ba.tables):
             assert np.allclose(x, y.T, rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(tree_pairs(children=(3, 4)))
+    def test_symmetric_where_every_pair_is_an_lp(self, pair):
+        # With 3-4 children per node every branching pair is a HiGHS
+        # transport LP.  Swapping the trees transposes each one; HiGHS may
+        # pick another vertex, but not another optimum.
+        a, b = pair
+        nd_ab, _ = nested_distance(a, b)
+        nd_ba, _ = nested_distance(b, a)
+        assert nd_ab == pytest.approx(nd_ba, rel=1e-12, abs=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(tree_pairs())
@@ -341,6 +370,22 @@ def test_paper_scale_binary_scoring():
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"\npaper scale: nd {nd:.6f} in {seconds:.2f} s, peak RSS {peak_mb:.0f} MB")
     assert np.isfinite(nd) and nd > 0.0
+
+
+@pytest.mark.slow
+def test_transport_scale_scoring():
+    # 1,555 nodes against their exact [3,3,3,3] reduction: every branching
+    # pair is a HiGHS transport LP, 5,832 of them at the last stage.
+    a = generate_random(4, 6, dim=2, seed=1)
+    reduced, _ = reduce_tree(a, random_init([3, 3, 3, 3], dim=2, seed=1),
+                             ReductionConfig(solver="lp"))
+    tick = time.perf_counter()
+    nd, _ = nested_distance(a, reduced)
+    seconds = time.perf_counter() - tick
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"\ntransport scale: nd {nd:.6f} in {seconds:.2f} s, peak RSS {peak_mb:.0f} MB")
+    assert np.isfinite(nd) and nd > 0.0
+    assert nested_distance(reduced, a)[0] == pytest.approx(nd, rel=1e-12)
 
 
 @pytest.mark.slow

@@ -92,8 +92,16 @@ def highs_barycenter(q, D):
     return res.fun
 
 
-def scaled_linprog(c, a_eq, b_eq, var_ptr=None):
-    """The solve ``ot_core._highs`` makes, through scipy's public API.
+def lp_options(kind):
+    """The ``linprog`` options of the solve ``ot_core._highs`` makes for an LP kind."""
+    return {"presolve": ot_core._PRESOLVE[kind] == "on",
+            "primal_feasibility_tolerance": ot_core._FEASIBILITY_TOL,
+            "dual_feasibility_tolerance": ot_core._FEASIBILITY_TOL}
+
+
+def scaled_linprog(options, c, a_eq, b_eq, var_ptr=None):
+    """The solve ``ot_core._highs`` makes, through scipy's public API, with the
+    given ``linprog`` options (:func:`lp_options` of the LP kind).
 
     Each block of variables ``var_ptr[b]:var_ptr[b+1]`` (by default, all of
     them) has its costs scaled by the power of two that brings their largest
@@ -106,7 +114,7 @@ def scaled_linprog(c, a_eq, b_eq, var_ptr=None):
     scaled = np.concatenate([np.ldexp(c[lo:hi], -eb)
                              for lo, hi, eb in zip(var_ptr[:-1], var_ptr[1:], e)])
     res = linprog(scaled, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs-ds", options=ot_core._LP_OPTIONS)
+                  method="highs-ds", options=options)
     assert res.success
     return res.x, math.ldexp(res.fun, e[0]) if len(e) == 1 else None
 
@@ -154,7 +162,7 @@ def reference_highs_barycenter(problem):
     Returns ``(objective, p, plans)`` with the plans laid out like the costs.
     """
     c, a_eq, b_eq, point, atom = reference_barycenter_lp(problem)
-    x, fun = scaled_linprog(c, a_eq, b_eq)
+    x, fun = scaled_linprog(lp_options("barycenter"), c, a_eq, b_eq)
     r = problem.R
     plans = np.empty((r, problem.atom_ptr[-1]))
     plans[point, atom] = x[r:]
@@ -501,12 +509,12 @@ class TestHighsSolve:
 
     @staticmethod
     def assert_matches_scipy(call, result, a_eq):
-        (_, cost, start, index, value, b_eq, var_ptr), (x, objective) = call, result
+        (kind, cost, start, index, value, b_eq, var_ptr), (x, objective) = call, result
         a_eq.sort_indices()
         assert np.array_equal(start, a_eq.indptr)
         assert np.array_equal(index, a_eq.indices)
         assert np.array_equal(value, a_eq.data)
-        ref_x, ref_objective = scaled_linprog(cost, a_eq, b_eq, var_ptr)
+        ref_x, ref_objective = scaled_linprog(lp_options(kind), cost, a_eq, b_eq, var_ptr)
         assert x.tobytes() == ref_x.tobytes()
         assert objective == ref_objective
 
@@ -518,6 +526,7 @@ class TestHighsSolve:
         col_ptr = np.concatenate(([0], np.cumsum([s for _, s in sizes])))
         [(call, result)] = recorded_highs_calls(transport_lp, row_mass, row_ptr,
                                                 col_mass, col_ptr, cost)
+        assert call[0] == "transport"
         assert np.array_equal(call[1], cost)
         assert np.array_equal(call[5], np.concatenate([row_mass, col_mass]))
         assert np.array_equal(call[6], np.cumsum([0] + [r * s for r, s in sizes]))
@@ -528,10 +537,45 @@ class TestHighsSolve:
     def test_barycenter_lp(self, problems):
         [(call, result)] = recorded_highs_calls(barycenter_batch, stack(problems))
         c, a_eq, b_eq, _, _ = zip(*map(reference_barycenter_lp, problems))
+        assert call[0] == "barycenter"
         assert np.array_equal(call[1], np.concatenate(c))
         assert np.array_equal(call[5], np.concatenate(b_eq))
         assert np.array_equal(call[6], np.cumsum([0] + [ci.shape[0] for ci in c]))
         self.assert_matches_scipy(call, result, sparse.block_diag(a_eq, format="csc"))
+
+    def test_options_per_kind(self):
+        # Transport LPs run the dual simplex without presolve, barycenter
+        # LPs with it; everything else is the same for both.
+        core, options = ot_core._highs_binding()
+        assert set(options) == {"transport", "barycenter"}
+        dual = int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+        for kind, presolve in (("transport", "off"), ("barycenter", "on")):
+            opts = options[kind]
+            assert opts.presolve == presolve
+            assert opts.solver == "simplex" and opts.simplex_strategy == dual
+            assert opts.primal_feasibility_tolerance == 1e-9
+            assert opts.dual_feasibility_tolerance == 1e-9
+            assert not opts.output_flag and not opts.log_to_console
+        assert lp_options("transport") == {"presolve": False, "primal_feasibility_tolerance": 1e-9,
+                                           "dual_feasibility_tolerance": 1e-9}
+        assert lp_options("barycenter")["presolve"] is True
+
+    @settings(max_examples=60, deadline=None)
+    @given(transport_problem_sets())
+    def test_transport_values_match_presolved_reference(self, case):
+        # Each problem alone, scaled as _highs scales it, by linprog with
+        # presolve on: the optimum does not depend on presolve.
+        sizes, row_mass, col_mass, cost = case
+        row_ptr = np.concatenate(([0], np.cumsum([r for r, _ in sizes])))
+        col_ptr = np.concatenate(([0], np.cumsum([s for _, s in sizes])))
+        var_ptr = np.concatenate(([0], np.cumsum([r * s for r, s in sizes])))
+        values, _ = transport_lp(row_mass, row_ptr, col_mass, col_ptr, cost)
+        presolved = {**lp_options("transport"), "presolve": True}
+        for k, (r, s) in enumerate(sizes):
+            c = cost[var_ptr[k]:var_ptr[k + 1]]
+            _, ref = scaled_linprog(presolved, c, transport_matrix([(r, s)]), np.concatenate(
+                [row_mass[row_ptr[k]:row_ptr[k + 1]], col_mass[col_ptr[k]:col_ptr[k + 1]]]))
+            assert values[k] == pytest.approx(ref, rel=1e-12, abs=1e-12 * c.max())
 
     def test_infeasible_lp_raises(self):
         # One plan entry whose row sum asks for 1 and column sum for 2.

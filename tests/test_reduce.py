@@ -401,14 +401,15 @@ class TestReduceTree:
 
 
 @st.composite
-def ragged_tree(draw, stages, dim):
-    """Valid tree with 1-3 children per node and some zero-mass branches."""
+def ragged_tree(draw, stages, dim, children=(1, 3)):
+    """Valid tree with ``children`` (least, most) children per node and some
+    zero-mass branches."""
     parent, stage, prob = [-1], [0], [1.0]
     level = [0]
     for t in range(1, stages + 1):
         nxt = []
         for node in level:
-            raw = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+            raw = draw(st.lists(st.integers(0, 3), min_size=children[0], max_size=children[1]))
             if sum(raw) == 0:
                 raw[0] = 1
             for weight in raw:
@@ -425,8 +426,12 @@ def ragged_tree(draw, stages, dim):
 
 @st.composite
 def reduction_instance(draw):
+    """Trees of 1-3 children per node, or an original of 3-4 and a start of
+    3, where every barycenter and every scored pair is a HiGHS LP."""
     stages, dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    return draw(ragged_tree(stages, dim)), draw(ragged_tree(stages, dim))
+    wide = draw(st.booleans())
+    return (draw(ragged_tree(stages, dim, (3, 4) if wide else (1, 3))),
+            draw(ragged_tree(stages, dim, (3, 3) if wide else (1, 3))))
 
 
 class TestJointProperties:

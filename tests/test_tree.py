@@ -228,6 +228,20 @@ class TestPathCost:
         assert path_cost(a, 1, b, 1, order=1) == pytest.approx(2.0)
         assert path_cost_table(a, b, order=1)[0, 0] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("order", [float("inf"), float("nan"), 0.5])
+    def test_order_must_be_finite_and_at_least_one(self, order):
+        a = generate_random(2, 2, seed=0)
+        with pytest.raises(ValueError, match="at least 1 and finite"):
+            path_cost_table(a, a, order=order)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_overflowing_costs_raise(self, order):
+        # One stage apart by 1e200: the squared distance overflows.
+        a = ScenarioTree([-1, 0], [0, 1], [[0.0], [0.0]], [1.0, 1.0])
+        b = ScenarioTree([-1, 0], [0, 1], [[0.0], [1e200]], [1.0, 1.0])
+        with pytest.raises(ValueError, match="not finite"):
+            path_cost_table(a, b, order=order)
+
     @pytest.mark.parametrize("dim,order", [(1, 2), (2, 2), (3, 2), (1, 1), (2, 3)])
     def test_table_bitwise_equal_to_reference(self, dim, order):
         a = generate_random(3, 4, dim=dim, seed=dim)
