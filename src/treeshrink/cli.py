@@ -88,8 +88,7 @@ def _load_tree(path):
 
 def _emit_tree(tree, out_path, command, args, inputs, seed, seconds):
     if out_path is None:
-        json.dump(tree.to_json_dict(), sys.stdout, indent=1)
-        sys.stdout.write("\n")
+        sys.stdout.write(tree.to_json_text() + "\n")
     else:
         tree.save(out_path)
         _write_manifest(out_path, command, args, inputs, [str(out_path)], seed, seconds)
@@ -167,8 +166,7 @@ def cmd_reduce(args):
             fh.write("\n")
         outputs.append(str(args.report))
     if args.output is None:
-        json.dump(final.to_json_dict(), sys.stdout, indent=1)
-        sys.stdout.write("\n")
+        sys.stdout.write(final.to_json_text() + "\n")
     else:
         final.save(args.output)
         outputs.insert(0, str(args.output))

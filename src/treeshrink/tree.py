@@ -9,6 +9,19 @@ and of the reduction read it.  Instances are frozen after construction: the
 arrays are marked read-only and any change goes through whole-tree
 replacement (``with_quantizer`` / ``with_prob``), so cached per-stage
 indices never go stale.
+
+On disk a tree is one JSON object (:meth:`ScenarioTree.save`,
+:meth:`ScenarioTree.load`)::
+
+    {"T": last stage, "d": quantizer dimension,
+     "nodes": [{"id": int, "parent": int or null, "quantizer": [d floats],
+                "prob": float}, ...]}
+
+Ids are dense, 0..n-1, but may appear in any order; the root's parent is
+``null`` and stages are implied by the parent links (``T`` is written
+for readers; load does not read it).  Non-finite quantizers or
+probabilities are refused at load.  ``save`` writes the nodes in id
+order, laid out as ``json`` writes with ``indent=1``.
 """
 
 from __future__ import annotations
@@ -316,9 +329,37 @@ class ScenarioTree:
             })
         return {"T": self.T, "d": self.d, "nodes": nodes}
 
+    def to_json_text(self) -> str:
+        """The tree file text: ``json.dumps(self.to_json_dict(), indent=1)``.
+
+        Built from the arrays with one string template per node, byte for
+        byte what the pure-Python encoder (the one ``indent`` selects) writes
+        from :meth:`to_json_dict`, at a fraction of its time: floats in
+        ``float.__repr__`` form, non-finite ones as ``NaN``, ``Infinity``
+        and ``-Infinity``.
+        """
+        n, d = self.n_nodes, self.d
+        parents = list(map(int.__repr__, self.parent.tolist()))
+        for k in np.flatnonzero(self.parent < 0).tolist():
+            parents[k] = "null"
+        values = _float_texts(self.quantizer.ravel())
+        quantizer = ",\n    ".join(["%s"] * d).join(["[\n    ", "\n   ]"]) if d else "[]"
+        node = ('  {\n   "id": %d,\n   "parent": %s,\n   "quantizer": ' + quantizer
+                + ',\n   "prob": %s\n  }')
+        rows = zip(range(n), parents, *[values[k::d] for k in range(d)],
+                   _float_texts(self.prob))
+        body = ",\n".join([node % row for row in rows])
+        return '{\n "T": %d,\n "d": %d,\n "nodes": [\n%s\n ]\n}' % (self.T, d, body)
+
     def save(self, path) -> None:
+        """Write the tree as a JSON file (:meth:`to_json_text` and a newline).
+
+        The schema is the module docstring's: ``T``, ``d`` and one
+        ``nodes`` record per node, in id order, laid out as ``json`` writes
+        it with ``indent=1``.
+        """
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
+            fh.write(self.to_json_text())
             fh.write("\n")
 
     @classmethod
@@ -328,8 +369,11 @@ class ScenarioTree:
         Any document either gives a valid tree or raises
         :class:`TreeFormatError` (the document does not fit the schema) or
         :class:`TreeValidationError` (it describes no valid tree).  Ids,
-        parents and ``d`` must be integers; every quantizer's length is
-        checked against ``d`` before the (n, d) array is built.
+        parents and ``d`` must be integers; ids must be dense but may come
+        in any order.  The fields are checked as whole arrays, and a check
+        that fails names the first node in document order that breaks it:
+        its id, parent or quantizer length.  Every quantizer's length is
+        checked against ``d`` before an (n, d) array is trusted.
         """
         try:
             nodes = doc["nodes"]
@@ -337,27 +381,25 @@ class ScenarioTree:
             n = len(nodes)
             if n == 0:
                 raise TreeFormatError("a tree document needs at least one node")
-            parent = np.empty(n, dtype=np.int64)
-            quantizer = [None] * n
-            prob = np.empty(n, dtype=np.float64)
-            for rec in nodes:
-                i = _integer(rec["id"], "node id")
-                if not (0 <= i < n) or quantizer[i] is not None:
-                    raise TreeFormatError(f"node {rec['id']}: ids must be dense 0..{n - 1}")
-                par = -1 if rec["parent"] is None else _integer(rec["parent"], f"node {i}: parent")
-                if not -1 <= par < n:
-                    raise TreeFormatError(f"node {i}: parent index {par} out of range")
-                parent[i] = par
-                qz = np.asarray(rec["quantizer"], dtype=np.float64)
-                if qz.shape != (d,):
-                    raise TreeFormatError(f"node {i}: quantizer length {qz.shape} != d={d}")
-                quantizer[i] = qz
-                prob[i] = float(rec["prob"])
+            ids = [rec["id"] for rec in nodes]
+            parents = [rec["parent"] for rec in nodes]
+            quantizers = [rec["quantizer"] for rec in nodes]
+            probs = [rec["prob"] for rec in nodes]
+
+            if set(map(type, ids)) != {int}:
+                ids = [_integer(i, "node id") for i in ids]
+            order = _dense_order(ids, n)
+            if not set(map(type, parents)) <= {int, type(None)}:
+                parents = [p if p is None else _integer(p, f"node {i}: parent")
+                           for i, p in zip(ids, parents)]
+            parent = _parent_array(ids, [-1 if p is None else p for p in parents], n)
+            quantizer = _quantizer_array(ids, quantizers, d)
+            prob = np.fromiter(map(float, probs), dtype=np.float64, count=n)
         except TreeFormatError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TreeFormatError(f"malformed tree document: {exc}") from exc
-        quantizer = np.array(quantizer).reshape(n, d)
+        parent, quantizer, prob = parent[order], quantizer[order], prob[order]
 
         # Stages are implicit: depth below the root.
         stage = np.full(n, -1, dtype=np.int64)
@@ -379,12 +421,84 @@ class ScenarioTree:
 
     @classmethod
     def load(cls, path) -> "ScenarioTree":
+        """Read and validate a tree file written by :meth:`save`.
+
+        The file must hold the module docstring's schema; ids may come in
+        any order, and non-finite values are refused with
+        :class:`TreeValidationError` (see :meth:`from_json_dict`).
+        """
         with open(path) as fh:
             try:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise TreeFormatError(f"not valid JSON: {exc}") from exc
         return cls.from_json_dict(doc)
+
+
+_JSON_SPELLINGS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values) -> list:
+    """JSON texts of a 1-D float array's entries, as the ``json`` module writes them."""
+    texts = list(map(float.__repr__, values.tolist()))
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[k] = _JSON_SPELLINGS[texts[k]]
+    return texts
+
+
+def _dense_order(ids, n):
+    """Document position of every id 0..n-1.
+
+    Raises :class:`TreeFormatError` naming the first id, in document order,
+    that is out of range or repeated.
+    """
+    try:
+        index = np.array(ids, dtype=np.int64)
+    except OverflowError:  # an id past int64 is out of range
+        index = None
+    if index is None or not (((index >= 0) & (index < n)).all()
+                             and np.bincount(index, minlength=n).all()):
+        seen = set()
+        for i in ids:
+            if not 0 <= i < n or i in seen:
+                raise TreeFormatError(f"node {i}: ids must be dense 0..{n - 1}")
+            seen.add(i)
+    order = np.empty(n, dtype=np.int64)
+    order[index] = np.arange(n)
+    return order
+
+
+def _parent_array(ids, parents, n):
+    """Parent indices (root -1) in document order; raises
+    :class:`TreeFormatError` naming the first node whose parent is out of range.
+    """
+    try:
+        parent = np.array(parents, dtype=np.int64)
+    except OverflowError:  # a parent past int64 is out of range
+        parent = None
+    if parent is None or not ((parent >= -1) & (parent < n)).all():
+        for i, par in zip(ids, parents):
+            if not -1 <= par < n:
+                raise TreeFormatError(f"node {i}: parent index {par} out of range")
+    return parent
+
+
+def _quantizer_array(ids, quantizers, d):
+    """(n, d) quantizers in document order; raises :class:`TreeFormatError`
+    naming the first node whose quantizer is not a length-``d`` vector.
+    """
+    try:
+        quantizer = np.array(quantizers, dtype=np.float64)
+        if quantizer.shape == (len(quantizers), d):
+            return quantizer
+    except ValueError:
+        pass
+    rows = []
+    for i, values in zip(ids, quantizers):
+        rows.append(np.asarray(values, dtype=np.float64))
+        if rows[-1].shape != (d,):
+            raise TreeFormatError(f"node {i}: quantizer length {rows[-1].shape} != d={d}")
+    return np.array(rows)
 
 
 def generate_random(T, branching, dim=1, value_range=(-10.0, 10.0), seed=0):

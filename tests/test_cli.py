@@ -34,6 +34,14 @@ class TestGen:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["nodes"]) == 7
 
+    def test_stdout_bytes_match_output_file(self, tmp_path, capsys):
+        out = tmp_path / "tree.json"
+        argv = ["gen", "--stages", "3", "--branching", "3", "--dim", "2", "--seed", "4"]
+        assert run(argv) == 0
+        stdout = capsys.readouterr().out
+        assert run(argv + ["-o", str(out)]) == 0
+        assert out.read_bytes() == stdout.encode()
+
     def test_missing_required_flag_usage_error(self):
         with pytest.raises(SystemExit) as info:
             run(["gen", "--stages", "3"])
@@ -115,6 +123,16 @@ class TestReduce:
         nds = [float(r[2]) for r in rows[1:]]
         assert all(nds[i + 1] <= nds[i] + 1e-9 for i in range(len(nds) - 1))
         assert (tmp_path / "small.json.manifest.json").exists()
+
+    def test_stdout_bytes_match_output_file(self, tmp_path, capsys):
+        src = self.make_input(tmp_path)
+        out = tmp_path / "small.json"
+        argv = ["reduce", "-i", str(src), "--solver", "lp", "--seed", "3"]
+        assert run(argv) == 0
+        stdout = capsys.readouterr().out
+        assert run(argv + ["-o", str(out)]) == 0
+        assert out.read_bytes() == stdout.encode()
+        assert ScenarioTree.load(out).validate() == []
 
     def test_solver_auto_logs_choices(self, tmp_path, capsys):
         src = self.make_input(tmp_path)

@@ -466,3 +466,29 @@ class TestJointProperties:
         assert all(deltas[i + 1] <= deltas[i] + 1e-9 for i in range(len(deltas) - 1))
         nd, _ = nested_distance(orig, final)
         assert nd <= report.final_nd * (1 + 1e-9)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(reduction_instance(), st.sampled_from(["lp", "ibp", "mam"]))
+    def test_every_solver_reproduces_original_conditionals(self, trees, solver):
+        # The plan of every parent pair (m, n) sends P(i | m) times the
+        # pair's mass from each child i of m over the children of n,
+        # whatever the solver and whether or not it converged.
+        orig, red = trees
+        seen = []
+
+        def record_step(*args, **kwargs):
+            out = probability_step(*args, **kwargs)
+            seen.append(out[0])
+            return out
+
+        with mock.patch.object(reduce_module, "probability_step", record_step):
+            reduce_tree(orig, red, ReductionConfig(solver=solver, tol=1e-12, max_outer=3,
+                                                   ibp_max_iter=300, mam_max_iter=300))
+
+        for joints in seen:
+            for t in range(orig.T):
+                rows, cols = orig.stage_blocks(t), red.stage_blocks(t)
+                sent = (cols.indicator() @ joints[t + 1].T).T
+                expected = rows.by_child(rows.cond)[:, None] * joints[t][rows.parents()]
+                assert np.max(np.abs(sent - expected)) <= 1e-12

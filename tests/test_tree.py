@@ -1,9 +1,12 @@
 import json
+import re
+import resource
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treeshrink import tree as tr
 from treeshrink.init_filtration import random_init
@@ -327,6 +330,129 @@ def tree_documents(draw):
     return doc
 
 
+def reference_from_json_dict(doc):
+    """Reference: the parser as a loop over the nodes, one record at a time."""
+    try:
+        nodes = doc["nodes"]
+        d = tr._integer(doc["d"], "d")
+        n = len(nodes)
+        if n == 0:
+            raise TreeFormatError("a tree document needs at least one node")
+        parent = np.empty(n, dtype=np.int64)
+        quantizer = [None] * n
+        prob = np.empty(n, dtype=np.float64)
+        for rec in nodes:
+            i = tr._integer(rec["id"], "node id")
+            if not (0 <= i < n) or quantizer[i] is not None:
+                raise TreeFormatError(f"node {rec['id']}: ids must be dense 0..{n - 1}")
+            par = -1 if rec["parent"] is None else tr._integer(rec["parent"], f"node {i}: parent")
+            if not -1 <= par < n:
+                raise TreeFormatError(f"node {i}: parent index {par} out of range")
+            parent[i] = par
+            qz = np.asarray(rec["quantizer"], dtype=np.float64)
+            if qz.shape != (d,):
+                raise TreeFormatError(f"node {i}: quantizer length {qz.shape} != d={d}")
+            quantizer[i] = qz
+            prob[i] = float(rec["prob"])
+    except TreeFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise TreeFormatError(f"malformed tree document: {exc}") from exc
+    quantizer = np.array(quantizer).reshape(n, d)
+    stage = np.full(n, -1, dtype=np.int64)
+    stage[parent < 0] = 0
+    for _ in range(n):
+        todo = (stage < 0) & (parent >= 0)
+        if not todo.any():
+            break
+        idx = np.flatnonzero(todo)
+        ready = idx[stage[parent[idx]] >= 0]
+        if ready.size == 0:
+            raise TreeFormatError("parent links contain a cycle")
+        stage[ready] = stage[parent[ready]] + 1
+    tree = ScenarioTree(parent, stage, quantizer, prob)
+    violations = tree.validate()
+    if violations:
+        raise TreeValidationError(violations)
+    return tree
+
+
+def parse_or_error(parser, doc):
+    try:
+        return parser(doc)
+    except (TreeFormatError, TreeValidationError) as exc:
+        return exc
+
+
+def assert_bitwise_equal(a, b):
+    for name in ("parent", "stage", "quantizer", "prob"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+@st.composite
+def shuffled_documents(draw):
+    """A :func:`tree_documents` document whose node list, if any, is shuffled."""
+    doc = draw(tree_documents())
+    if isinstance(doc.get("nodes"), list):
+        doc["nodes"] = draw(st.permutations(doc["nodes"]))
+    return doc
+
+
+@st.composite
+def single_fault_documents(draw):
+    """A valid document, nodes shuffled, with one node's id, parent or
+    quantizer out of the schema: an id out of range or repeated, a parent
+    out of range (huge ones included), a quantizer of another length or nested."""
+    d = draw(st.integers(1, 2))
+    doc = generate_random(draw(st.integers(1, 2)), draw(st.integers(1, 3)), dim=d,
+                          seed=0).to_json_dict()
+    nodes = doc["nodes"] = draw(st.permutations(doc["nodes"]))
+    n = len(nodes)
+    rec = nodes[draw(st.integers(0, n - 1))]
+    field = draw(st.sampled_from(["id", "parent", "quantizer"]))
+    outside = st.one_of(st.integers(max_value=-1), st.integers(min_value=n))
+    if field == "id":
+        others = [r["id"] for r in nodes if r is not rec]
+        rec["id"] = draw(outside | st.sampled_from(others)) if others else draw(outside)
+    elif field == "parent":
+        rec["parent"] = draw(st.integers(max_value=-2) | st.integers(min_value=n))
+    else:
+        rec["quantizer"] = draw(st.one_of(
+            st.lists(st.floats(), max_size=3).filter(lambda q: len(q) != d),
+            st.just([rec["quantizer"]])))
+    return doc
+
+
+@st.composite
+def node_trees(draw):
+    """Valid trees of 1-3 stages, 1-3 children a node and d = 1-3, with any
+    finite quantizers: -0.0, the least subnormal and the largest double often."""
+    parent, stage, prob, frontier = [-1], [0], [1.0], [0]
+    for t in range(1, draw(st.integers(1, 3)) + 1):
+        nxt = []
+        for node in frontier:
+            weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+            if sum(weights) == 0:
+                weights[0] = 1
+            for w in weights:
+                parent.append(node)
+                stage.append(t)
+                prob.append(prob[node] * w / sum(weights))
+                nxt.append(len(parent) - 1)
+        frontier = nxt
+    d = draw(st.integers(1, 3))
+    extremes = st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                -1.7976931348623157e308])
+    values = st.one_of(extremes, st.floats(allow_nan=False, allow_infinity=False))
+    quantizer = draw(st.lists(values, min_size=len(parent) * d, max_size=len(parent) * d))
+    return ScenarioTree(parent, stage, np.reshape(quantizer, (len(parent), d)), prob)
+
+
+def reference_text(tree):
+    return json.dumps(tree.to_json_dict(), indent=1) + "\n"
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         t = generate_random(3, 3, dim=2, seed=7)
@@ -387,6 +513,13 @@ class TestSerialization:
         ("prob", float("nan"), TreeValidationError),
         ("quantizer", [float("nan")], TreeValidationError),
         ("quantizer", [float("inf")], TreeValidationError),
+        ("id", True, TreeFormatError),
+        ("id", "1", TreeFormatError),
+        ("parent", False, TreeFormatError),
+        ("parent", "0", TreeFormatError),
+        ("prob", None, TreeFormatError),
+        ("prob", [0.5], TreeFormatError),
+        ("quantizer", 1.0, TreeFormatError),
     ])
     def test_bad_node_field_rejected(self, field, value, error):
         doc = generate_random(1, 2, seed=0).to_json_dict()
@@ -420,6 +553,83 @@ class TestSerialization:
         except (TreeFormatError, TreeValidationError):
             return
         assert tree.validate() == []
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(tree_documents(), shuffled_documents()))
+    def test_parser_matches_the_node_loop(self, doc):
+        new = parse_or_error(ScenarioTree.from_json_dict, doc)
+        old = parse_or_error(reference_from_json_dict, doc)
+        assert type(new) is type(old)
+        if isinstance(old, ScenarioTree):
+            assert_bitwise_equal(new, old)
+        elif isinstance(old, TreeValidationError):
+            assert new.violations == old.violations
+
+    @settings(max_examples=200, deadline=None)
+    @given(single_fault_documents())
+    def test_format_errors_name_the_node(self, doc):
+        with pytest.raises(TreeFormatError) as new:
+            ScenarioTree.from_json_dict(doc)
+        with pytest.raises(TreeFormatError) as old:
+            reference_from_json_dict(doc)
+        assert str(new.value) == str(old.value)
+        assert re.match(r"node -?\d+: (ids must be dense|parent index|quantizer length)",
+                        str(new.value))
+
+    def test_shuffled_nodes_give_the_same_tree(self):
+        t = generate_random(2, 3, dim=2, seed=5)
+        doc = t.to_json_dict()
+        doc["nodes"].reverse()
+        assert_bitwise_equal(ScenarioTree.from_json_dict(doc), t)
+
+    def test_numpy_integers_accepted(self):
+        t = generate_random(2, 2, seed=6)
+        doc = t.to_json_dict()
+        for rec in doc["nodes"]:
+            rec["id"] = np.int32(rec["id"])
+            if rec["parent"] is not None:
+                rec["parent"] = np.uint8(rec["parent"])
+        assert_bitwise_equal(ScenarioTree.from_json_dict(doc), t)
+
+    @settings(max_examples=200, deadline=None)
+    @example(tree=ScenarioTree([-1, 0], [0, 1], [[np.nan, 1.0], [0.0, -0.0]], [1.0, 1.0]))
+    @example(tree=ScenarioTree([-1, 0, 0], [0, 1, 1], [[np.inf], [-np.inf], [2.0]],
+                               [1.0, 0.5, 0.5]))
+    @given(tree=node_trees())
+    def test_writer_matches_json_and_round_trips_bitwise(self, tree, tmp_path_factory):
+        path = tmp_path_factory.mktemp("trees") / "tree.json"
+        tree.save(path)
+        assert path.read_text() == reference_text(tree)
+        if not np.isfinite(tree.quantizer).all():
+            with pytest.raises(TreeValidationError, match="is not finite"):
+                ScenarioTree.load(path)
+            return
+        assert_bitwise_equal(ScenarioTree.load(path), tree)
+
+    @pytest.mark.parametrize("tree", [
+        ScenarioTree([-1, 0], [0, 1], [[np.nan], [-np.inf]], [np.inf, 1.0]),
+        ScenarioTree([-1, 0], [0, 1], np.zeros((2, 0)), [1.0, 1.0]),
+    ], ids=["non-finite-prob", "zero-dimension"])
+    def test_writer_matches_json_where_load_refuses(self, tree):
+        assert tree.to_json_text() == json.dumps(tree.to_json_dict(), indent=1)
+
+
+@pytest.mark.slow
+def test_paper_scale_io(tmp_path):
+    # The paper's 8-stage tree, 97,656 nodes, saved and loaded back.
+    t = generate_random(7, 5, seed=1)
+    path = tmp_path / "paper.json"
+    tick = time.perf_counter()
+    t.save(path)
+    save_s = time.perf_counter() - tick
+    tick = time.perf_counter()
+    back = ScenarioTree.load(path)
+    load_s = time.perf_counter() - tick
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"\npaper scale: save {save_s:.2f} s, load {load_s:.2f} s, peak RSS {peak_mb:.0f} MB")
+    assert_bitwise_equal(back, t)
+    assert path.read_text() == reference_text(t)
 
 
 class TestCsvIngestion:
