@@ -92,6 +92,8 @@ def ibp_batch(batch: BarycenterBatch, lam=DEFAULT_LAMBDA, max_iter=DEFAULT_MAX_I
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     batch.validate()
     q, kernels, live, alpha = batch.padded()
     w = alpha / alpha.sum(axis=1, keepdims=True)

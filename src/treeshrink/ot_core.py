@@ -1,5 +1,6 @@
 """Exact discrete optimal transport and barycenter LPs, plus the scaled-simplex
-projection kernel shared by the averaged-marginals solver.
+projection kernel of the averaged-marginals solver at three or more support
+points.
 
 Problems where one side has two atoms are solved in closed form.  A
 transport problem with two columns is a fractional knapsack: with
@@ -698,18 +699,13 @@ def project_columns_scaled_simplex(Y, tau):
     Euclidean projection of every column of ``Y`` onto {x >= 0 : sum(x) =
     tau[s]} by the exact sort-based algorithm, used by the averaged-marginals
     inner update where every column of every measure is projected in one
-    call per iteration; zero-mass columns come back zero.  Two rows take the
-    closed form instead of the sort.
+    call per iteration; zero-mass columns come back zero.
     """
     tau = np.asarray(tau, dtype=np.float64)
     if np.any(tau < 0):
         raise ValueError("target masses must be nonnegative")
     Y = np.asarray(Y, dtype=np.float64)
     r = Y.shape[0]
-    if r == 2:
-        # Closed form: x_1 = clip((y_1 - y_2 + tau) / 2, 0, tau), x_2 = tau - x_1.
-        first = np.minimum(np.maximum((Y[0] - Y[1] + tau) / 2.0, 0.0), tau)
-        return np.array([first, tau - first])
     u = -np.sort(-Y, axis=0)
     css = np.cumsum(u, axis=0)
     k = np.arange(1, r + 1)[:, None]

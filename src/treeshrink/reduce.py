@@ -39,6 +39,7 @@ upward.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -94,8 +95,10 @@ class ReductionConfig:
                 continue  # the solver picks rho per problem
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
+        for name in ("max_outer", "mam_max_iter", "ibp_max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass

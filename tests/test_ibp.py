@@ -154,3 +154,9 @@ class TestErrors:
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
             ibp_solve(random_problem(rng), lam=0.0)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_nonpositive_max_iter_rejected(self, max_iter):
+        rng = np.random.default_rng(7)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            ibp_batch(random_problem(rng), max_iter=max_iter)

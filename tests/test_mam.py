@@ -1,10 +1,18 @@
+import resource
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from batches import problem_lists, stack
+from treeshrink import mam
+from treeshrink.init_filtration import random_init
 from treeshrink.mam import mam_batch, mam_solve
 from treeshrink.ot_core import BarycenterProblem, barycenter_lp
+from treeshrink.reduce import ReductionConfig, reduce_tree
+from treeshrink.tree import generate_random
 
 
 # (support sizes, zero-mass entry): unequal supports exercise the padded
@@ -145,6 +153,12 @@ class TestInvariants:
         with pytest.raises(ValueError):
             mam_solve(random_problem(rng), rho=0.0)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_nonpositive_max_iter_rejected(self, max_iter):
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            mam_batch(random_problem(rng), max_iter=max_iter)
+
 
 def product_plans(rng, prob):
     """A feasible warm start: a random barycenter times each marginal."""
@@ -189,3 +203,56 @@ class TestBatch:
             assert np.array_equal(sol.p[k], res.plan_set.p)
             assert np.array_equal(sol.plans[:, 12 * k:12 * (k + 1)],
                                   np.concatenate(res.plan_set.plans, axis=1))
+
+
+class TestOneRowLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(problem_lists(r_values=(2,)), st.booleans(), st.sampled_from([None, 0.05]),
+           st.sampled_from([1e-6, 1e-9]))
+    def test_matches_general_loop(self, problems, warm, rho, tol):
+        # The general loop is the reference at R = 2.  The two round
+        # differently, so tol_marginal = 0, where only an exactly zero gap
+        # stops a problem, is not compared: on one degenerate example the
+        # one-row loop's gap reached 0.0 after 144 iterations and the
+        # general loop's never did within 300.
+        rng = np.random.default_rng(len(problems))
+        batch = stack(problems)
+        starts = (np.concatenate(sum((product_plans(rng, prob) for prob in problems), []),
+                                 axis=1) if warm else None)
+        args = dict(rho=rho, max_iter=150, tol_marginal=tol, init_plans=starts)
+        sol, gaps = mam_batch(batch, **args)
+        with mock.patch.object(mam, "_iterate_one_row", mam._iterate):
+            ref, ref_gaps = mam_batch(batch, **args)
+        assert np.array_equal(sol.iterations, ref.iterations)
+        assert np.array_equal(sol.converged, ref.converged)
+        for k, its in enumerate(ref.iterations):
+            assert np.max(np.abs(gaps[:its, k] - ref_gaps[:its, k])) <= 1e-12
+        assert np.max(np.abs(sol.p - ref.p)) <= 1e-12
+        assert np.max(np.abs(sol.plans - ref.plans)) <= 1e-12
+        # Every plan column is (x, q - x), clipped to [0, q].
+        assert np.array_equal(sol.plans[1], batch.mass - sol.plans[0])
+        assert np.all(sol.plans >= 0.0)
+        assert np.all(sol.plans[:, batch.mass == 0.0] == 0.0)
+
+
+@pytest.mark.slow
+def test_one_row_loop_at_scale():
+    # 19,531 nodes onto a binary tree of 127 by MAM: every problem has R = 2.
+    # The general loop, forced, must take the same iterations to the same
+    # tree.
+    orig = generate_random(6, 5, seed=1)
+    start = random_init([2] * 6, seed=1)
+    config = ReductionConfig(solver="mam", tol=1e-12, max_outer=3, mam_max_iter=300)
+    runs = {}
+    for name, loop in (("one-row", mam._iterate_one_row), ("general", mam._iterate)):
+        with mock.patch.object(mam, "_iterate_one_row", loop):
+            tick = time.perf_counter()
+            _, report = reduce_tree(orig, start, config)
+            seconds = time.perf_counter() - tick
+        runs[name] = (sum(r["iterations"] for r in report.solver_log), report.final_nd)
+        print(f"\n{name} loop: {seconds:.2f} s, {runs[name][0]} inner iterations, "
+              f"final_nd {report.final_nd:.12f}")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS {peak_mb:.0f} MB")
+    assert runs["one-row"][0] == runs["general"][0]
+    assert runs["one-row"][1] == pytest.approx(runs["general"][1], rel=1e-9)

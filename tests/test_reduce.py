@@ -356,6 +356,19 @@ class TestReduceTree:
         with pytest.raises(ValueError):
             reduce_tree(orig, red, ReductionConfig())
 
+    @pytest.mark.parametrize("name", ["max_outer", "mam_max_iter", "ibp_max_iter"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True, "3"])
+    def test_bad_iteration_cap_rejected(self, name, value):
+        # Unchecked, a cap of 0 gives zero-iteration plans, -1 and 2.5 fail
+        # deep inside numpy, and True runs as 1.
+        orig = generate_random(2, 3, seed=1)
+        red = random_init([2, 2], seed=1)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got "):
+            reduce_tree(orig, red, ReductionConfig(solver="ibp", **{name: value}))
+
+    def test_numpy_integer_cap_accepted(self):
+        ReductionConfig(max_outer=np.int64(2), mam_max_iter=np.int32(5)).validate()
+
     def test_invalid_tree_rejected(self):
         orig = generate_random(2, 2, seed=0)
         bad = ScenarioTree([-1, 0, 0, 1, 1, 2, 2], [0, 1, 1, 2, 2, 2, 2],
