@@ -19,8 +19,8 @@ per-problem or per-measure Python loop.  Weights, the cost shift and range
 and the stopping test are per problem: a problem that stops leaves the
 working arrays and is not moved again, so each problem gets the
 iterations, flag and plans it would get alone (up to rounding, as the
-padding changes the length of some sums).  :func:`ibp_solve` is the batch
-of one.
+padding changes the length of some sums).  :func:`ibp_batch` is the
+solver's one entry point.
 
 Accuracy is governed by ``lam``: larger values track the exact barycenter more
 closely but sharpen the kernels.  Kernel exponents are computed on the
@@ -33,11 +33,10 @@ costs.  Exponent underflow still ends the run with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .ot_core import BarycenterBatch, BarycenterProblem, BatchSolution, TransportPlanSet
+from .ot_core import BarycenterBatch, BatchSolution
+from .tree import check_count, check_positive
 
 DEFAULT_LAMBDA = 100.0
 DEFAULT_MAX_ITER = 10000
@@ -59,23 +58,6 @@ class RegularizationOverflowError(FloatingPointError):
             f"largest exponent {max_exponent}")
 
 
-@dataclass
-class IbpResult:
-    objective: float
-    plan_set: TransportPlanSet
-    iterations: int
-    converged: bool
-
-
-def ibp_solve(problem: BarycenterProblem, lam=DEFAULT_LAMBDA,
-              max_iter=DEFAULT_MAX_ITER, tol_fixed_point=DEFAULT_FIXED_POINT_TOL) -> IbpResult:
-    """Approximate one barycenter and its plans: :func:`ibp_batch` for a batch of one."""
-    sol = ibp_batch(problem, lam=lam, max_iter=max_iter, tol_fixed_point=tol_fixed_point)
-    return IbpResult(float(sol.objective[0]),
-                     TransportPlanSet(problem.split(sol.plans), sol.p[0]),
-                     int(sol.iterations[0]), bool(sol.converged[0]))
-
-
 def ibp_batch(batch: BarycenterBatch, lam=DEFAULT_LAMBDA, max_iter=DEFAULT_MAX_ITER,
               tol_fixed_point=DEFAULT_FIXED_POINT_TOL) -> BatchSolution:
     """Approximate every barycenter of a batch and its plans by Bregman projections.
@@ -90,10 +72,8 @@ def ibp_batch(batch: BarycenterBatch, lam=DEFAULT_LAMBDA, max_iter=DEFAULT_MAX_I
     sweep ends on a fresh ``v`` update); their row marginals agree with the
     returned ``p`` only up to the fixed-point tolerance.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    check_positive("lam", lam)
+    check_count("max_iter", max_iter)
     batch.validate()
     q, kernels, live, alpha = batch.padded()
     w = alpha / alpha.sum(axis=1, keepdims=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import ScenarioTree, fan_tree
+from .tree import ScenarioTree, check_count, fan_tree
 
 
 @dataclass
@@ -31,8 +31,8 @@ class ScenarioMatrix:
         self.prob = np.asarray(self.prob, dtype=np.float64)
         if self.prob.shape[0] != self.paths.shape[0]:
             raise ValueError("one probability per scenario required")
-        if np.any(self.prob < 0) or abs(self.prob.sum() - 1.0) > 1e-9:
-            raise ValueError("scenario probabilities must lie on the simplex")
+        if not (np.all(self.prob >= 0) and abs(self.prob.sum() - 1.0) <= 1e-9):
+            raise ValueError("prob: scenario probabilities must be finite and lie on the simplex")
 
     @property
     def S(self) -> int:
@@ -208,9 +208,11 @@ def random_init(branching, dim=1, value_range=(-10.0, 10.0), seed=0) -> Scenario
     probabilities are uniform draws normalized per node.  Deterministic for a
     fixed seed.
     """
-    branching = [int(b) for b in branching]
-    if len(branching) < 1 or any(b < 1 for b in branching):
-        raise ValueError("branching must list at least one stage, all entries >= 1")
+    branching = list(branching)
+    if not branching:
+        raise ValueError("branching must list at least one stage")
+    for t, b in enumerate(branching):
+        check_count(f"branching[{t}]", b)
     rng = np.random.default_rng(seed)
     counts = [1]
     for b in branching:

@@ -21,7 +21,8 @@ no say in the consensus and none in the stopping test.  The proximal
 parameter, the consensus weights, the warm start and the stopping test are
 per problem: a problem that stops leaves the working arrays and is not
 moved again, so each problem gets the iterations, flag and plans it would
-get alone (up to rounding).  :func:`mam_solve` is the batch of one.
+get alone (up to rounding).  :func:`mam_batch` is the solver's one entry
+point.
 
 With two support points a projected column is ``(x, q - x)``, so the same
 iterations run on row 0 of the plans and one shift per measure, with no
@@ -30,24 +31,13 @@ projection call and no shadow plans (see :func:`mam_batch`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .ot_core import (BarycenterBatch, BarycenterProblem, BatchSolution, TransportPlanSet,
-                      project_columns_scaled_simplex)
+from .ot_core import BarycenterBatch, BatchSolution, project_columns_scaled_simplex
+from .tree import check_count, check_positive
 
 DEFAULT_MAX_ITER = 5000
 DEFAULT_MARGINAL_TOL = 1e-6
-
-
-@dataclass
-class MamResult:
-    objective: float
-    plan_set: TransportPlanSet
-    iterations: int
-    converged: bool
-    marginal_gaps: list = field(default_factory=list, repr=False)
 
 
 def default_rho(problem: BarycenterBatch) -> np.ndarray:
@@ -61,29 +51,6 @@ def default_rho(problem: BarycenterBatch) -> np.ndarray:
     return np.where(mean > 0, mean / 50.0, 1.0)
 
 
-def mam_solve(problem: BarycenterProblem, rho=None, max_iter=DEFAULT_MAX_ITER,
-              tol_marginal=DEFAULT_MARGINAL_TOL, init_plans=None) -> MamResult:
-    """Solve one barycenter problem: :func:`mam_batch` for a batch of one.
-
-    ``init_plans``, if given, lists one (R, S^m) warm-start plan per measure
-    (a wrong shape is a ``ValueError``).
-    """
-    if init_plans is not None:
-        if len(init_plans) != problem.M:
-            raise ValueError("need one warm-start plan per measure")
-        init_plans = [np.asarray(pl, dtype=np.float64) for pl in init_plans]
-        for m, (pl, s) in enumerate(zip(init_plans, problem.support_sizes())):
-            if pl.shape != (problem.R, s):
-                raise ValueError(f"measure {m}: warm-start plan shape {pl.shape} "
-                                 f"!= ({problem.R}, {s})")
-        init_plans = np.concatenate(init_plans, axis=1)
-    sol, gaps = mam_batch(problem, rho=rho, max_iter=max_iter, tol_marginal=tol_marginal,
-                          init_plans=init_plans)
-    return MamResult(float(sol.objective[0]), TransportPlanSet(problem.split(sol.plans), sol.p[0]),
-                     int(sol.iterations[0]), bool(sol.converged[0]),
-                     gaps[:sol.iterations[0], 0].tolist())
-
-
 def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
               tol_marginal=DEFAULT_MARGINAL_TOL, init_plans=None):
     """Solve every barycenter problem of a batch by averaged-marginal splitting.
@@ -94,13 +61,13 @@ def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
         Weights are carried inside the cost matrices; zero-weight measures
         (all-zero cost) stay in the consensus and still constrain feasibility.
     rho : float, optional
-        Proximal parameter > 0 of every problem; defaults to each problem's
-        :func:`default_rho`.
+        Finite proximal parameter > 0 of every problem; defaults to each
+        problem's :func:`default_rho`.
     max_iter, tol_marginal :
         A problem stops when the largest infinity-norm gap between its
         consensus vector and any of its measures' row marginals drops to
-        ``tol_marginal``, or after ``max_iter`` >= 1 iterations (it is
-        then flagged unconverged).
+        ``tol_marginal``, or after ``max_iter`` iterations, an integer >= 1
+        (it is then flagged unconverged).
     init_plans : array, optional
         Warm-start plans laid out like the batch's costs, (R, A); defaults
         to the product of the uniform barycenter with each marginal.
@@ -134,12 +101,11 @@ def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
     is ``max(|g|, |h - g|) = |g - h / 2| + |h| / 2``.  The plans returned
     are ``(x, q - x)``, so their column sums are exact here too.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    check_count("max_iter", max_iter)
+    if rho is not None:
+        check_positive("rho", rho)
     batch.validate()
     rho = default_rho(batch) if rho is None else np.full(batch.P, float(rho))
-    if np.any(rho <= 0):
-        raise ValueError("rho must be positive")
     q, cost, live, _ = batch.padded()
     sizes = live.sum(axis=2)
     # Padded measures have no say in the consensus.

@@ -18,19 +18,20 @@ HiGHS dual-simplex solves of at most a few hundred constraints, run
 without presolve.  The pairs are built in chunks of at most
 ``_PAIR_MAX_ENTRIES`` plan entries, so memory stays bounded on large trees;
 chunks end only between those HiGHS solves, so they change no value.
+:func:`transport_lp` is the one transport solver; :func:`nested_distance`
+calls it once per chunk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ot_core import block_entries, transport_lp, transport_splits
-# No longer called here; perfbench/spans.py still wraps the per-pair
-# transport layer under this module's name, where it now counts zero calls.
-from .ot_core import wasserstein_lp  # noqa: F401
 from .tree import ScenarioTree, path_cost_table
+
+# Not called under this name: perfbench/spans.py still resolves its
+# per-pair transport layer here, and the layer counts zero calls.
+wasserstein_lp = transport_lp
 
 # Plan entries per chunk of branching pairs.  An entry takes about 110 bytes
 # of index, cost and plan arrays while its chunk is scored: against a binary
@@ -39,24 +40,6 @@ from .tree import ScenarioTree, path_cost_table
 # generate_random(7, 5) (10^7 entries) chunks of 2^18 add nothing to the
 # 120 MB the stage tables take, and run as fast as chunks of 2^16 or 2^20.
 _PAIR_MAX_ENTRIES = 1 << 18
-
-
-@dataclass
-class CostTable:
-    """Stage-indexed dense tables of node-pair costs delta(m, n).
-
-    ``tables[t]`` has one row per stage-t node of the first tree and one
-    column per stage-t node of the second; the leaf-stage table equals the
-    path-cost table and ``tables[0][0, 0]`` is the order-th power of the
-    process distance.
-    """
-
-    order: float
-    tables: list
-
-    @property
-    def root_value(self) -> float:
-        return float(self.tables[0][0, 0])
 
 
 def _branching_pairs(blocks_a, blocks_b, next_table):
@@ -100,9 +83,12 @@ def _branching_pairs(blocks_a, blocks_b, next_table):
 def nested_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, order=2):
     """Exact process distance of the given order between two trees.
 
-    Returns ``(nd, CostTable)`` where ``nd = tables[0][0, 0] ** (1/order)``;
-    ``order`` must be finite and at least 1, and path costs that overflow
-    at that order raise ``ValueError`` (:func:`path_cost_table`).
+    Returns ``(nd, tables)``.  ``tables[t]`` is the dense stage-t table of
+    node-pair costs, one row per stage-t node of ``tree_a`` and one column
+    per stage-t node of ``tree_b``; the leaf-stage table is the path-cost
+    table, and ``nd = tables[0][0, 0] ** (1/order)``.  ``order`` must be
+    finite and at least 1, and path costs that overflow at that order raise
+    ``ValueError`` (:func:`path_cost_table`).
     Each stage t fills its table in two steps.  First the product plan
     values ``Q_a @ tables[t+1] @ Q_b.T``, where ``Q`` is a tree's sparse
     stage-t to stage-(t+1) conditional matrix; they are exact for every pair
@@ -127,5 +113,4 @@ def nested_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, order=2):
         table[np.ix_(rows, cols)] = values
         tables[t] = table
 
-    table = CostTable(order, tables)
-    return table.root_value ** (1.0 / order), table
+    return float(tables[0][0, 0]) ** (1.0 / order), tables

@@ -18,13 +18,11 @@ Transport LPs are solved without HiGHS's presolve, barycenter LPs with it
 (``_PRESOLVE``).
 Either way the returned plans are basic (vertex) solutions; on degenerate
 problems the greedy may pick another optimal vertex than HiGHS would.
-Transport problems have one entry point, :func:`transport_lp`, which
-solves any number of independent problems at once; :func:`wasserstein_lp`
-is its one-block case.  Barycenter problems are held in one container,
-:class:`BarycenterBatch`: any number of problems on one support size, their
-marginals and costs concatenated, with :class:`BarycenterProblem` as the
-batch of one.  :func:`barycenter_batch` solves every problem of a batch
-exactly, and :func:`barycenter_lp` is its one-problem case.
+Each kind of problem has one entry point, which solves any number of
+independent problems at once: :func:`transport_lp` for transport problems
+and :func:`barycenter_batch` for barycenter problems, which are held in one
+container, :class:`BarycenterBatch` (problems on one support size, their
+marginals and costs concatenated).
 All functions are pure; callers may run any number of instances
 concurrently.
 """
@@ -74,8 +72,7 @@ class BarycenterBatch:
 
     Problem k owns the measures ``measure_ptr[k]:measure_ptr[k+1]``; measure m
     owns the atoms ``atom_ptr[m]:atom_ptr[m+1]``.  The solvers run on the
-    whole batch at once, and :meth:`split` cuts their (R, A) plans back into
-    one (R, S^m) block per measure.
+    whole batch at once and return plans laid out like ``cost``.
 
     Attributes
     ----------
@@ -83,8 +80,8 @@ class BarycenterBatch:
         Marginal of every measure, concatenated; each sums to 1 with entries
         >= 0.
     cost : array, shape (R, A)
-        Cost of every atom against every barycenter support point, the
-        measure's weight already applied.
+        Finite, nonnegative cost of every atom against every barycenter
+        support point, the measure's weight already applied.
     alpha : array, shape (M,)
         Raw nonnegative weight of every measure, not all zero within a
         problem.  The costs carry them already; solvers that need
@@ -113,10 +110,6 @@ class BarycenterBatch:
 
     def support_sizes(self) -> list:
         return np.diff(self.atom_ptr).tolist()
-
-    def split(self, values) -> list:
-        """Per-measure blocks of an array laid out like ``mass`` (last axis)."""
-        return np.split(values, self.atom_ptr[1:-1], axis=-1)
 
     def _live(self) -> np.ndarray:
         """(P, M_max, S_max) mask of the real atoms in the padded layout."""
@@ -171,57 +164,21 @@ class BarycenterBatch:
                 or self.cost.shape != (self.R, self.atom_ptr[-1])):
             raise ValueError("barycenter batch arrays do not match their pointers")
         # One pass over the concatenated marginals and costs; owner[i] is the
-        # measure of atom i.
+        # measure of atom i.  A non-finite mass makes its measure's sum
+        # non-finite, which fails the sum test.
         owner = np.repeat(np.arange(self.M), np.diff(self.atom_ptr))
-        bad = np.abs(np.bincount(owner, self.mass, self.M) - 1.0) > 1e-9
+        bad = ~(np.abs(np.bincount(owner, self.mass, self.M) - 1.0) <= 1e-9)
         bad[owner[self.mass < -1e-12]] = True
         if bad.any():
             raise ValueError(f"{self._name(np.argmax(bad))}: marginal is not a probability vector")
+        infinite = ~np.all(np.isfinite(self.cost), axis=0)
+        if infinite.any():
+            raise ValueError(f"{self._name(owner[np.argmax(infinite)])}: non-finite transport costs")
         negative = np.any(self.cost < 0, axis=0)
         if negative.any():
             raise ValueError(f"{self._name(owner[np.argmax(negative)])}: negative transport costs")
         if np.any(self.alpha < 0) or not np.all(np.maximum.reduceat(self.alpha, ptr[:-1]) > 0):
             raise ValueError("weights must be nonnegative and not all zero")
-
-
-class BarycenterProblem(BarycenterBatch):
-    """One fixed-support barycenter problem, given measure by measure.
-
-    A batch of one: ``q`` lists each measure's marginal (length S^m), ``D``
-    each measure's (R, S^m) cost matrix with the weight applied, ``alpha``
-    the raw weights.  Costs of the wrong shape are rejected here, naming the
-    first such measure; :meth:`validate` checks the rest.
-    """
-
-    def __init__(self, q, D, alpha):
-        q = [np.asarray(qm, dtype=np.float64) for qm in q]
-        D = [np.asarray(dm, dtype=np.float64) for dm in D]
-        alpha = np.asarray(alpha, dtype=np.float64)
-        if not (len(D) == len(q) == alpha.shape[0]) or not q:
-            raise ValueError("q, D and alpha must list the same nonzero number of measures")
-        sizes = [qm.shape[0] for qm in q]
-        r = D[0].shape[0]
-        for m, (dm, s) in enumerate(zip(D, sizes)):
-            if dm.shape != (r, s):
-                raise ValueError(f"measure {m}: cost shape {dm.shape} != ({r}, {s})")
-        super().__init__(np.concatenate(q), np.concatenate(D, axis=1), alpha,
-                         np.concatenate(([0], np.cumsum(sizes))), np.array([0, len(q)]))
-
-    @property
-    def q(self) -> list:
-        return self.split(self.mass)
-
-    @property
-    def D(self) -> list:
-        return self.split(self.cost)
-
-
-@dataclass
-class TransportPlanSet:
-    """Plans pi^m (R x S^m) coupling one barycenter p with each measure."""
-
-    plans: list
-    p: np.ndarray
 
 
 @dataclass
@@ -529,49 +486,6 @@ def _highs(kind, cost, start, index, value, b_eq, var_ptr):
         raise RuntimeError(f"{kind} LP failed: the solution misses its bounds or "
                            f"constraints by more than {_RESIDUAL_TOL:.2e}")
     return x, math.ldexp(objective, int(e[0])) if e.shape[0] == 1 else None
-
-
-def wasserstein_lp(q, q_other, D):
-    """Exact optimal transport between two discrete marginals.
-
-    Minimizes ``<D, pi>`` over plans with row sums ``q`` and column sums
-    ``q_other``; returns ``(cost, plan)`` with a vertex plan.  Entries of the
-    marginals may be zero (the corresponding plan line is forced to zero).
-    The one-block case of :func:`transport_lp`.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    q_other = np.asarray(q_other, dtype=np.float64)
-    D = np.asarray(D, dtype=np.float64)
-    r, s = q.shape[0], q_other.shape[0]
-    if D.shape != (r, s):
-        raise ValueError(f"cost shape {D.shape} does not match marginals ({r}, {s})")
-    if abs(q.sum() - q_other.sum()) > 1e-9:
-        raise ValueError("marginals carry different total mass")
-    # One-line marginals force the plan outright.
-    if r == 1:
-        return float(D[0] @ q_other), q_other[None, :].copy()
-    if s == 1:
-        return float(D[:, 0] @ q), q[:, None].copy()
-    values, x = transport_lp(q, [0, r], q_other, [0, s], D.ravel())
-    return float(values[0]), x.reshape(r, s)
-
-
-def barycenter_lp(problem: BarycenterBatch):
-    """Exact optimum of the coupled barycenter LP with free weights p.
-
-    Decision variables are the barycenter vector ``p`` on the R-simplex and
-    one plan per measure; every plan must reproduce its measure's marginal
-    column-wise and the shared ``p`` row-wise.  Returns ``(objective,
-    TransportPlanSet)``; the problem is always feasible (product plans).
-    :func:`barycenter_batch` for a batch of one: with two support points
-    the optimum is found in closed form, otherwise by one HiGHS LP.  The
-    plans are vertex solutions either way.
-    """
-    if problem.P != 1:
-        raise ValueError(f"barycenter_lp solves one problem, not {problem.P}")
-    solution = barycenter_batch(problem)
-    return float(solution.objective[0]), TransportPlanSet(problem.split(solution.plans),
-                                                          solution.p[0])
 
 
 def barycenter_batch(batch: BarycenterBatch) -> BatchSolution:

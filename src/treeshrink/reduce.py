@@ -38,8 +38,6 @@ upward.
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -47,13 +45,13 @@ import numpy as np
 
 from .ibp import ibp_batch
 from .mam import mam_batch
-# No longer called here; perfbench/spans.py still wraps the one-problem
-# solvers under this module's name, where they now count zero calls.
-from .ibp import ibp_solve  # noqa: F401
-from .mam import mam_solve  # noqa: F401
-from .ot_core import barycenter_lp  # noqa: F401
 from .ot_core import BarycenterBatch, barycenter_batch
-from .tree import ScenarioTree, TreeValidationError, path_cost_table
+from .tree import (ScenarioTree, TreeValidationError, check_count, check_positive,
+                   path_cost_table)
+
+# Not called under these names: perfbench/spans.py still resolves its
+# solver layers here, and the layers count zero calls.
+barycenter_lp, mam_solve, ibp_solve = barycenter_batch, mam_batch, ibp_batch
 
 SOLVERS = ("lp", "mam", "ibp", "auto")
 
@@ -89,16 +87,12 @@ class ReductionConfig:
     def validate(self) -> None:
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
-        for name in ("tol", "rho", "lam"):
-            value = getattr(self, name)
-            if value is None and name == "rho":
-                continue  # the solver picks rho per problem
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        check_positive("tol", self.tol)
+        if self.rho is not None:  # else the solver picks rho per problem
+            check_positive("rho", self.rho)
+        check_positive("lam", self.lam)
         for name in ("max_outer", "mam_max_iter", "ibp_max_iter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            check_count(name, getattr(self, name))
 
 
 @dataclass

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -62,6 +64,18 @@ def _integer(value, what) -> int:
     except TypeError:
         pass
     raise TreeFormatError(f"{what} must be an integer, got {value!r}")
+
+
+def check_count(name, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer >= 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def check_positive(name, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _concat_ranges(starts, lengths):
@@ -508,8 +522,8 @@ def generate_random(T, branching, dim=1, value_range=(-10.0, 10.0), seed=0):
     including the root; conditional child probabilities are all
     ``1/branching``.  Bit-identical output for equal seeds.
     """
-    if T < 1 or branching < 1:
-        raise ValueError("need T >= 1 and branching >= 1")
+    check_count("T", T)
+    check_count("branching", branching)
     if dim < 1:
         raise ValueError(f"need dim >= 1, got dim={dim}")
     rng = np.random.default_rng(seed)

@@ -1,9 +1,52 @@
-"""Hypothesis strategies for barycenter problems, shared by the solver tests."""
+"""Builders and hypothesis strategies of solver problems, shared by the tests."""
 
 import numpy as np
 from hypothesis import strategies as st
 
-from treeshrink.ot_core import BarycenterBatch, BarycenterProblem
+from treeshrink.ot_core import BarycenterBatch, transport_lp
+
+
+class BarycenterProblem(BarycenterBatch):
+    """One fixed-support barycenter problem, given measure by measure.
+
+    A batch of one: ``q`` lists each measure's marginal (length S^m), ``D``
+    each measure's (R, S^m) cost matrix with the weight applied, ``alpha``
+    the raw weights.  Costs of the wrong shape are rejected here, naming the
+    first such measure; :meth:`validate` checks the rest.
+    """
+
+    def __init__(self, q, D, alpha):
+        q = [np.asarray(qm, dtype=np.float64) for qm in q]
+        D = [np.asarray(dm, dtype=np.float64) for dm in D]
+        alpha = np.asarray(alpha, dtype=np.float64)
+        if not (len(D) == len(q) == alpha.shape[0]) or not q:
+            raise ValueError("q, D and alpha must list the same nonzero number of measures")
+        sizes = [qm.shape[0] for qm in q]
+        r = D[0].shape[0]
+        for m, (dm, s) in enumerate(zip(D, sizes)):
+            if dm.shape != (r, s):
+                raise ValueError(f"measure {m}: cost shape {dm.shape} != ({r}, {s})")
+        super().__init__(np.concatenate(q), np.concatenate(D, axis=1), alpha,
+                         np.concatenate(([0], np.cumsum(sizes))), np.array([0, len(q)]))
+
+    def split(self, values) -> list:
+        """Per-measure blocks of an array laid out like ``mass`` (last axis)."""
+        return np.split(values, self.atom_ptr[1:-1], axis=-1)
+
+    @property
+    def q(self) -> list:
+        return self.split(self.mass)
+
+    @property
+    def D(self) -> list:
+        return self.split(self.cost)
+
+
+def lone_transport(q, q_other, D):
+    """One transport problem by :func:`transport_lp`: ``(cost, (r, s) plan)``."""
+    D = np.asarray(D, dtype=np.float64)
+    values, x = transport_lp(q, [0, len(q)], q_other, [0, len(q_other)], D.ravel())
+    return float(values[0]), x.reshape(D.shape)
 
 
 def weights(draw, n):

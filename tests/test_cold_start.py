@@ -39,6 +39,6 @@ def test_bregman_reduction_and_scoring_load_no_lp_solver():
 
 def test_first_lp_loads_the_solver():
     loaded = loaded_scipy_modules(
-        "from treeshrink import wasserstein_lp\n"
-        "wasserstein_lp([0.2, 0.3, 0.5], [0.5, 0.25, 0.25], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])")
+        "from treeshrink.ot_core import transport_lp\n"
+        "transport_lp([0.2, 0.3, 0.5], [0, 3], [0.5, 0.25, 0.25], [0, 3], [0, 1, 2, 1, 0, 1, 2, 1, 0])")
     assert "scipy.optimize" in loaded

@@ -121,6 +121,17 @@ class TestKmeans:
             kmeans_init(sm, 3)
 
 
+class TestScenarioMatrix:
+    @pytest.mark.parametrize("prob", [[np.nan, 1.0], [np.inf, 1.0], [-0.5, 1.5], [0.5, 0.6]])
+    def test_probabilities_must_be_finite_and_on_the_simplex(self, prob):
+        with pytest.raises(ValueError, match="^prob: "):
+            ScenarioMatrix(np.zeros((2, 2)), prob)
+
+    def test_probability_count_must_match(self):
+        with pytest.raises(ValueError, match="one probability per scenario"):
+            ScenarioMatrix(np.zeros((2, 2)), [1.0])
+
+
 class TestFfs:
     def test_k_equals_s_keeps_fan(self):
         sm = matrix_from_values([0.0, 3.0, 8.0], [0.2, 0.5, 0.3])
@@ -365,6 +376,20 @@ class TestRandomInit:
     def test_range(self):
         t = random_init([2, 2], value_range=(3.0, 4.0), seed=2)
         assert t.quantizer.min() >= 3.0 and t.quantizer.max() <= 4.0
+
+    @pytest.mark.parametrize("branching, index", [([2.5, 2], 0), ([True, 2], 0), ([2, 0], 1)])
+    def test_branching_entries_must_be_integers_at_least_one(self, branching, index):
+        with pytest.raises(ValueError, match=rf"^branching\[{index}\] must be an integer >= 1"):
+            random_init(branching)
+
+    def test_numpy_integer_branching_accepted(self):
+        tree = random_init(np.array([2, 3]), seed=0)
+        assert tree.n_nodes == 9
+        assert tree.validate() == []
+
+    def test_empty_branching_rejected(self):
+        with pytest.raises(ValueError, match="at least one stage"):
+            random_init([])
 
 
 class TestMergePrefixes:

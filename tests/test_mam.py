@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batches import problem_lists, stack
+from batches import BarycenterProblem, problem_lists, stack
 from treeshrink import mam
 from treeshrink.init_filtration import random_init
-from treeshrink.mam import mam_batch, mam_solve
-from treeshrink.ot_core import BarycenterProblem, barycenter_lp
+from treeshrink.mam import mam_batch
+from treeshrink.ot_core import barycenter_batch
 from treeshrink.reduce import ReductionConfig, reduce_tree
 from treeshrink.tree import generate_random
 
@@ -35,21 +35,21 @@ class TestTrivialInstances:
     def test_single_measure_zero_cost(self):
         q = np.array([0.2, 0.3, 0.5])
         prob = BarycenterProblem(q=[q], D=[np.zeros((4, 3))], alpha=np.array([1.0]))
-        res = mam_solve(prob)
-        assert res.objective == pytest.approx(0.0, abs=1e-12)
-        assert res.converged
+        sol, _ = mam_batch(prob)
+        assert sol.objective[0] == pytest.approx(0.0, abs=1e-12)
+        assert sol.converged[0]
         # the consensus vector is the row marginal of the projected plan
-        assert res.plan_set.p == pytest.approx(res.plan_set.plans[0].sum(axis=1))
+        assert sol.p[0] == pytest.approx(sol.plans.sum(axis=1))
 
     def test_single_support_point(self):
         rng = np.random.default_rng(0)
         q = [rng.dirichlet(np.ones(5)) for _ in range(3)]
         D = [rng.uniform(0, 1, (1, 5)) for _ in range(3)]
         prob = BarycenterProblem(q=q, D=D, alpha=np.ones(3))
-        res = mam_solve(prob)
-        assert res.plan_set.p == pytest.approx([1.0])
+        sol, _ = mam_batch(prob)
+        assert sol.p[0] == pytest.approx([1.0])
         expected = sum(float(d[0] @ qm) for d, qm in zip(D, q))
-        assert res.objective == pytest.approx(expected, abs=1e-9)
+        assert sol.objective[0] == pytest.approx(expected, abs=1e-9)
 
 
 class TestAgainstLP:
@@ -58,18 +58,18 @@ class TestAgainstLP:
             rng = np.random.default_rng(1)
             for _ in range(5):
                 prob = random_problem(rng, s=s, zero_mass=zero_mass)
-                obj_lp, _ = barycenter_lp(prob)
-                res = mam_solve(prob, max_iter=20000)
-                assert res.converged
-                assert res.objective == pytest.approx(obj_lp, rel=1e-4)
+                obj_lp = barycenter_batch(prob).objective[0]
+                sol, _ = mam_batch(prob, max_iter=20000)
+                assert sol.converged[0]
+                assert sol.objective[0] == pytest.approx(obj_lp, rel=1e-4)
 
     def test_never_below_optimum(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             prob = random_problem(rng, m=2, r=3, s=3)
-            obj_lp, _ = barycenter_lp(prob)
-            res = mam_solve(prob, max_iter=20000)
-            assert res.objective >= obj_lp - 1e-6
+            obj_lp = barycenter_batch(prob).objective[0]
+            sol, _ = mam_batch(prob, max_iter=20000)
+            assert sol.objective[0] >= obj_lp - 1e-6
 
 
 class TestInvariants:
@@ -80,8 +80,8 @@ class TestInvariants:
             rng = np.random.default_rng(3)
             prob = random_problem(rng, s=s, zero_mass=zero_mass)
             for budget in (1, 2, 5, 20, 100):
-                res = mam_solve(prob, max_iter=budget, tol_marginal=0.0)
-                for pl, qm in zip(res.plan_set.plans, prob.q):
+                sol, _ = mam_batch(prob, max_iter=budget, tol_marginal=0.0)
+                for pl, qm in zip(prob.split(sol.plans), prob.q):
                     assert pl.shape == (prob.R, qm.shape[0])
                     assert pl.sum(axis=0) == pytest.approx(qm, abs=1e-12)
                     assert np.all(pl >= 0)
@@ -91,8 +91,8 @@ class TestInvariants:
         # in 50-iteration window medians along a converging trajectory.
         rng = np.random.default_rng(4)
         prob = random_problem(rng, m=4, r=5, s=5)
-        res = mam_solve(prob, rho=0.3, max_iter=600, tol_marginal=0.0)
-        gaps = np.array(res.marginal_gaps)
+        sol, gaps = mam_batch(prob, rho=0.3, max_iter=600, tol_marginal=0.0)
+        gaps = gaps[:sol.iterations[0], 0]
         medians = [np.median(gaps[i:i + 50]) for i in range(0, 600, 50)]
         assert all(medians[i + 1] <= medians[i] * 1.001
                    for i in range(len(medians) - 1))
@@ -108,55 +108,66 @@ class TestInvariants:
             prob_perm = BarycenterProblem(q=[prob.q[i] for i in perm],
                                           D=[prob.D[i] for i in perm],
                                           alpha=prob.alpha[perm])
-            res = mam_solve(prob, max_iter=300, tol_marginal=0.0)
-            res_perm = mam_solve(prob_perm, max_iter=300, tol_marginal=0.0)
-            assert res_perm.objective == pytest.approx(res.objective, abs=1e-12)
-            assert res_perm.plan_set.p == pytest.approx(res.plan_set.p, abs=1e-12)
+            sol, _ = mam_batch(prob, max_iter=300, tol_marginal=0.0)
+            sol_perm, _ = mam_batch(prob_perm, max_iter=300, tol_marginal=0.0)
+            assert sol_perm.objective[0] == pytest.approx(sol.objective[0], abs=1e-12)
+            assert sol_perm.p[0] == pytest.approx(sol.p[0], abs=1e-12)
+            plans, plans_perm = prob.split(sol.plans), prob_perm.split(sol_perm.plans)
             for i, j in enumerate(perm):
-                assert res_perm.plan_set.plans[i] == pytest.approx(
-                    res.plan_set.plans[j], abs=1e-12)
+                assert plans_perm[i] == pytest.approx(plans[j], abs=1e-12)
 
     def test_unconverged_flagged(self):
         rng = np.random.default_rng(6)
         prob = random_problem(rng)
-        res = mam_solve(prob, max_iter=3)
-        assert not res.converged
-        assert res.iterations == 3
+        sol, _ = mam_batch(prob, max_iter=3)
+        assert not sol.converged[0]
+        assert sol.iterations[0] == 3
 
     def test_zero_weight_measure_kept_in_consensus(self):
         rng = np.random.default_rng(7)
         q = [rng.dirichlet(np.ones(3)) for _ in range(2)]
         D = [rng.uniform(0, 1, (3, 3)), np.zeros((3, 3))]
         prob = BarycenterProblem(q=q, D=D, alpha=np.array([1.0, 0.0]))
-        res = mam_solve(prob, max_iter=20000)
-        assert res.converged
+        sol, _ = mam_batch(prob, max_iter=20000)
+        assert sol.converged[0]
         # the zero-weight measure still constrains the shared marginal
-        assert res.plan_set.plans[1].sum(axis=0) == pytest.approx(q[1], abs=1e-12)
+        assert prob.split(sol.plans)[1].sum(axis=0) == pytest.approx(q[1], abs=1e-12)
 
     def test_warm_start_converges_faster_at_optimum(self):
         rng = np.random.default_rng(8)
         prob = random_problem(rng)
-        first = mam_solve(prob, max_iter=20000)
-        warm = mam_solve(prob, init_plans=first.plan_set.plans, max_iter=20000)
-        assert warm.iterations <= first.iterations
+        first, _ = mam_batch(prob, max_iter=20000)
+        warm, _ = mam_batch(prob, init_plans=first.plans, max_iter=20000)
+        assert warm.iterations[0] <= first.iterations[0]
 
     def test_warm_start_shape_checked(self):
         rng = np.random.default_rng(10)
         prob = random_problem(rng, s=(1, 3, 7))
-        plans = mam_solve(prob, max_iter=5).plan_set.plans
-        plans[1] = plans[1].T
-        with pytest.raises(ValueError, match=r"measure 1: .*\(4, 3\)"):
-            mam_solve(prob, init_plans=plans)
+        plans = mam_batch(prob, max_iter=5)[0].plans
+        with pytest.raises(ValueError, match=r"warm-start plans shape \(11, 4\) != \(4, 11\)"):
+            mam_batch(prob, init_plans=plans.T)
 
     def test_invalid_rho_rejected(self):
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError):
-            mam_solve(random_problem(rng), rho=0.0)
+            mam_batch(random_problem(rng), rho=0.0)
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_nonpositive_max_iter_rejected(self, max_iter):
         rng = np.random.default_rng(9)
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            mam_batch(random_problem(rng), max_iter=max_iter)
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rho_rejected(self, rho):
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError, match="^rho must be finite and positive"):
+            mam_batch(random_problem(rng), rho=rho)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True])
+    def test_non_integer_max_iter_rejected(self, max_iter):
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError, match="^max_iter must be an integer >= 1"):
             mam_batch(random_problem(rng), max_iter=max_iter)
 
 
@@ -177,16 +188,17 @@ class TestBatch:
                               init_plans=np.concatenate(sum(starts, []), axis=1)
                               if warm else None)
         for k, prob in enumerate(problems):
-            res = mam_solve(prob, rho=rho, max_iter=120, tol_marginal=1e-6,
-                            init_plans=starts[k])
+            one, one_gaps = mam_batch(prob, rho=rho, max_iter=120, tol_marginal=1e-6,
+                                      init_plans=np.concatenate(starts[k], axis=1)
+                                      if warm else None)
+            its = one.iterations[0]
             lo, hi = batch.atom_ptr[batch.measure_ptr[k:k + 2]]
-            assert sol.iterations[k] == res.iterations
-            assert gaps[:res.iterations, k].tolist() == pytest.approx(res.marginal_gaps,
-                                                                      abs=1e-12)
-            assert sol.converged[k] == res.converged
-            assert np.max(np.abs(sol.p[k] - res.plan_set.p)) <= 1e-12
-            plans = np.concatenate(res.plan_set.plans, axis=1)
-            assert np.max(np.abs(sol.plans[:, lo:hi] - plans)) <= 1e-12
+            assert sol.iterations[k] == its
+            assert gaps[:its, k].tolist() == pytest.approx(one_gaps[:its, 0].tolist(),
+                                                           abs=1e-12)
+            assert sol.converged[k] == one.converged[0]
+            assert np.max(np.abs(sol.p[k] - one.p[0])) <= 1e-12
+            assert np.max(np.abs(sol.plans[:, lo:hi] - one.plans)) <= 1e-12
 
     def test_converged_problem_is_frozen(self):
         # Three problems of one shape that converge after 1809, 495 and 1164
@@ -197,12 +209,12 @@ class TestBatch:
         sol, gaps = mam_batch(stack(problems), max_iter=2000)
         assert sol.converged.all() and len(set(sol.iterations.tolist())) == 3
         for k, prob in enumerate(problems):
-            res = mam_solve(prob, max_iter=2000)
-            assert (sol.iterations[k], sol.converged[k]) == (res.iterations, res.converged)
-            assert gaps[:res.iterations, k].tolist() == res.marginal_gaps
-            assert np.array_equal(sol.p[k], res.plan_set.p)
-            assert np.array_equal(sol.plans[:, 12 * k:12 * (k + 1)],
-                                  np.concatenate(res.plan_set.plans, axis=1))
+            one, one_gaps = mam_batch(prob, max_iter=2000)
+            its = one.iterations[0]
+            assert (sol.iterations[k], sol.converged[k]) == (its, one.converged[0])
+            assert gaps[:its, k].tolist() == one_gaps[:its, 0].tolist()
+            assert np.array_equal(sol.p[k], one.p[0])
+            assert np.array_equal(sol.plans[:, 12 * k:12 * (k + 1)], one.plans)
 
 
 class TestOneRowLoop:

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from batches import lone_transport
 from treeshrink import nested, ot_core
 from treeshrink.init_filtration import random_init
 from treeshrink.nested import nested_distance
-from treeshrink.ot_core import wasserstein_lp
 from treeshrink.reduce import ReductionConfig, reduce_tree
 from treeshrink.tree import ScenarioTree, generate_random, fan_tree, path_cost_table
 
@@ -31,8 +31,8 @@ class TestIdentity:
     def test_leaf_table_equals_path_costs(self):
         a = generate_random(2, 2, seed=0)
         b = generate_random(2, 3, seed=1)
-        _, table = nested_distance(a, b)
-        assert np.allclose(table.tables[a.T], path_cost_table(a, b))
+        _, tables = nested_distance(a, b)
+        assert np.allclose(tables[a.T], path_cost_table(a, b))
 
 
 class TestTwoStageFans:
@@ -48,7 +48,7 @@ class TestTwoStageFans:
         b = fan(vals_b, pb)
         nd, _ = nested_distance(a, b)
         D = (vals_a[:, None] - vals_b[None, :]) ** 2
-        cost, _ = wasserstein_lp(pa, pb, D)
+        cost, _ = lone_transport(pa, pb, D)
         assert nd ** 2 == pytest.approx(cost, abs=1e-9)
 
     def test_half_half_versus_point(self):
@@ -83,7 +83,7 @@ class TestMetricProperties:
                                 seed=int(rng.integers(1000)))
             nd, _ = nested_distance(a, b)
             costs = path_cost_table(a, b)
-            w, _ = wasserstein_lp(a.prob[a.leaves()], b.prob[b.leaves()], costs)
+            w, _ = lone_transport(a.prob[a.leaves()], b.prob[b.leaves()], costs)
             assert nd ** 2 >= w - 1e-7
 
     def test_triangle_inequality_spot_checks(self):
@@ -142,8 +142,8 @@ class TestErrorsAndOptions:
     def test_root_value_property(self):
         a = generate_random(2, 2, seed=6)
         b = generate_random(2, 2, seed=7)
-        nd, table = nested_distance(a, b)
-        assert nd == pytest.approx(table.root_value ** 0.5)
+        nd, tables = nested_distance(a, b)
+        assert nd == pytest.approx(tables[0][0, 0] ** 0.5)
 
 
 def highs_transport(q, q_other, D):
@@ -230,7 +230,7 @@ class TestProperties:
         nd_ab, t_ab = nested_distance(a, b)
         nd_ba, t_ba = nested_distance(b, a)
         assert nd_ab == pytest.approx(nd_ba, rel=1e-9, abs=1e-9)
-        for x, y in zip(t_ab.tables, t_ba.tables):
+        for x, y in zip(t_ab, t_ba):
             assert np.allclose(x, y.T, rtol=1e-9, atol=1e-9)
 
     @settings(max_examples=30, deadline=None)
@@ -248,8 +248,8 @@ class TestProperties:
     @given(tree_pairs())
     def test_zero_on_identical_trees(self, pair):
         a, _ = pair
-        _, table = nested_distance(a, a)
-        assert table.root_value == pytest.approx(0.0, abs=1e-12)
+        _, tables = nested_distance(a, a)
+        assert tables[0][0, 0] == pytest.approx(0.0, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(tree_pairs(), st.randoms(use_true_random=False))
@@ -267,21 +267,21 @@ class TestProperties:
         # Pairs where a node has two children take the greedy; scored with
         # every branching pair sent to HiGHS instead, each stage table agrees.
         a, b = pair
-        nd, table = nested_distance(a, b)
+        nd, tables = nested_distance(a, b)
         with mock.patch.object(nested, "transport_lp", ot_core._packed_lps):
-            nd_lp, table_lp = nested_distance(a, b)
+            nd_lp, tables_lp = nested_distance(a, b)
         assert nd == pytest.approx(nd_lp, rel=1e-9, abs=1e-9)
-        for x, y in zip(table.tables, table_lp.tables):
+        for x, y in zip(tables, tables_lp):
             assert np.allclose(x, y, rtol=1e-9, atol=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(tree_pairs())
     def test_pair_chunks_do_not_change_tables(self, pair):
         a, b = pair
-        _, table = nested_distance(a, b)
+        _, tables = nested_distance(a, b)
         with mock.patch.object(nested, "_PAIR_MAX_ENTRIES", 7):
             _, chunked = nested_distance(a, b)
-        for x, y in zip(table.tables, chunked.tables):
+        for x, y in zip(tables, chunked):
             assert np.array_equal(x, y)
 
 
@@ -294,10 +294,10 @@ def test_pair_chunks_end_between_lps():
                      np.zeros(9), [1, .5, .5] + [1 / 6] * 6)
     b = ScenarioTree([-1, 0, 1, 1, 1], [0, 1, 2, 2, 2], [0, 0, .25, .25, .25],
                      [1, 1, .25, .25, .5])
-    _, table = nested_distance(a, b)
+    _, tables = nested_distance(a, b)
     with mock.patch.object(nested, "_PAIR_MAX_ENTRIES", 7):
         _, chunked = nested_distance(a, b)
-    for x, y in zip(table.tables, chunked.tables):
+    for x, y in zip(tables, chunked):
         assert x.tobytes() == y.tobytes()
 
 

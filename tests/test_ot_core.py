@@ -9,12 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from batches import barycenter_problems, costs, problem_lists, stack, weights
+from batches import (BarycenterProblem, barycenter_problems, costs, lone_transport,
+                     problem_lists, stack, weights)
 from treeshrink import ot_core
-from treeshrink.ot_core import (BarycenterBatch, BarycenterProblem, barycenter_batch,
-                                barycenter_lp, block_entries,
+from treeshrink.ibp import ibp_batch
+from treeshrink.mam import mam_batch
+from treeshrink.ot_core import (BarycenterBatch, barycenter_batch, block_entries,
                                 project_columns_scaled_simplex, transport_lp,
-                                two_atom_barycenter, wasserstein_lp)
+                                two_atom_barycenter)
 
 
 def project_scaled_simplex(y, tau):
@@ -36,15 +38,22 @@ def project_scaled_simplex(y, tau):
     return np.maximum(y - theta, 0.0)
 
 
-def column_marginal_error(plan_set, problem):
+def lone_barycenter(problem):
+    """:func:`barycenter_batch` on one problem: ``(objective, plans, p)``, one
+    (R, S^m) plan per measure."""
+    sol = barycenter_batch(problem)
+    return float(sol.objective[0]), problem.split(sol.plans), sol.p[0]
+
+
+def column_marginal_error(plans, problem):
     """Largest gap between a plan's column sums and its measure's marginal."""
     return max(float(np.max(np.abs(pl.sum(axis=0) - qm)))
-               for pl, qm in zip(plan_set.plans, problem.q))
+               for pl, qm in zip(plans, problem.q))
 
 
-def row_marginal_error(plan_set):
+def row_marginal_error(plans, p):
     """Largest gap between a plan's row sums and the barycenter."""
-    return max(float(np.max(np.abs(pl.sum(axis=1) - plan_set.p))) for pl in plan_set.plans)
+    return max(float(np.max(np.abs(pl.sum(axis=1) - p))) for pl in plans)
 
 
 # The references solve at HiGHS's tightest tolerances: at its defaults
@@ -228,18 +237,18 @@ def brute_force_projection(y, tau):
 
 class TestWassersteinLP:
     def test_point_masses_same_support(self):
-        cost, plan = wasserstein_lp([1.0], [1.0], np.array([[0.0]]))
+        cost, plan = lone_transport([1.0], [1.0], np.array([[0.0]]))
         assert cost == 0.0
         assert plan == pytest.approx(np.array([[1.0]]))
 
     def test_forced_plan(self):
-        cost, _ = wasserstein_lp([1.0], [1.0], np.array([[9.0]]))
+        cost, _ = lone_transport([1.0], [1.0], np.array([[9.0]]))
         assert cost == pytest.approx(9.0)
 
     def test_shifted_halves(self):
         # supports {0,1} vs {1,2}, squared ground cost
         D = np.array([[1.0, 4.0], [0.0, 1.0]])
-        cost, plan = wasserstein_lp([0.5, 0.5], [0.5, 0.5], D)
+        cost, plan = lone_transport([0.5, 0.5], [0.5, 0.5], D)
         assert cost == pytest.approx(1.0)
         assert plan.sum(axis=1) == pytest.approx([0.5, 0.5])
         assert plan.sum(axis=0) == pytest.approx([0.5, 0.5])
@@ -250,7 +259,7 @@ class TestWassersteinLP:
             q = rng.dirichlet([1, 1])
             q2 = rng.dirichlet([1, 1])
             D = rng.uniform(0, 5, (2, 2))
-            cost, _ = wasserstein_lp(q, q2, D)
+            cost, _ = lone_transport(q, q2, D)
             assert cost == pytest.approx(brute_force_transport_2x2(q, q2, D), abs=1e-9)
 
     def test_transport_symmetry(self):
@@ -259,21 +268,21 @@ class TestWassersteinLP:
             q = rng.dirichlet(np.ones(4))
             q2 = rng.dirichlet(np.ones(3))
             D = rng.uniform(0, 1, (4, 3))
-            c1, _ = wasserstein_lp(q, q2, D)
-            c2, _ = wasserstein_lp(q2, q, D.T)
+            c1, _ = lone_transport(q, q2, D)
+            c2, _ = lone_transport(q2, q, D.T)
             assert c1 == pytest.approx(c2, abs=1e-9)
 
     def test_zero_mass_entries_kept(self):
         q = np.array([0.0, 1.0])
         q2 = np.array([0.5, 0.5])
         D = np.array([[5.0, 5.0], [1.0, 2.0]])
-        cost, plan = wasserstein_lp(q, q2, D)
+        cost, plan = lone_transport(q, q2, D)
         assert plan[0] == pytest.approx([0.0, 0.0])
         assert cost == pytest.approx(1.5)
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            wasserstein_lp([0.5, 0.5], [1.0], np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="3 costs for 2 plan entries"):
+            transport_lp([0.5, 0.5], [0, 2], [1.0], [0, 1], np.zeros(3))
 
 
 class TestTransportBlocks:
@@ -347,7 +356,7 @@ class TestBarycenterLP:
     def test_single_measure_zero_cost(self):
         prob = BarycenterProblem(q=[np.array([0.3, 0.7])],
                                  D=[np.zeros((3, 2))], alpha=np.array([1.0]))
-        obj, _ = barycenter_lp(prob)
+        obj, _, _ = lone_barycenter(prob)
         assert obj == pytest.approx(0.0, abs=1e-12)
 
     def test_single_support_point_fully_constrained(self):
@@ -355,10 +364,10 @@ class TestBarycenterLP:
         q = [rng.dirichlet(np.ones(4)) for _ in range(3)]
         D = [rng.uniform(0, 1, (1, 4)) for _ in range(3)]
         prob = BarycenterProblem(q=q, D=D, alpha=np.ones(3))
-        obj, plan_set = barycenter_lp(prob)
+        obj, _, p = lone_barycenter(prob)
         expected = sum(float(d[0] @ qm) for d, qm in zip(D, q))
         assert obj == pytest.approx(expected, abs=1e-9)
-        assert plan_set.p == pytest.approx([1.0])
+        assert p == pytest.approx([1.0])
 
     def test_matches_grid_oracle_2x2x2(self):
         # Grid p over the 2-simplex and solve both transports per grid point
@@ -368,7 +377,7 @@ class TestBarycenterLP:
             q = [rng.dirichlet([1, 1]) for _ in range(2)]
             D = [rng.uniform(0, 1, (2, 2)) for _ in range(2)]
             prob = BarycenterProblem(q=q, D=D, alpha=np.ones(2))
-            obj, _ = barycenter_lp(prob)
+            obj, _, _ = lone_barycenter(prob)
             best = np.inf
             for p1 in np.arange(0.0, 1.0 + 1e-12, 1e-3):
                 p = np.array([p1, 1.0 - p1])
@@ -381,19 +390,19 @@ class TestBarycenterLP:
         rng = np.random.default_rng(4)
         for _ in range(10):
             prob = random_problem(rng)
-            obj, ps = barycenter_lp(prob)
-            assert column_marginal_error(ps, prob) < 1e-9
-            assert row_marginal_error(ps) < 1e-9
-            assert ps.p.sum() == pytest.approx(1.0, abs=1e-9)
+            obj, plans, p = lone_barycenter(prob)
+            assert column_marginal_error(plans, prob) < 1e-9
+            assert row_marginal_error(plans, p) < 1e-9
+            assert p.sum() == pytest.approx(1.0, abs=1e-9)
             assert obj >= -1e-12
 
     def test_upper_bounded_by_any_fixed_p(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             prob = random_problem(rng)
-            obj, _ = barycenter_lp(prob)
+            obj, _, _ = lone_barycenter(prob)
             p = rng.dirichlet(np.ones(prob.R))
-            fixed = sum(wasserstein_lp(p, qm, dm)[0]
+            fixed = sum(lone_transport(p, qm, dm)[0]
                         for qm, dm in zip(prob.q, prob.D))
             assert obj <= fixed + 1e-9
 
@@ -472,7 +481,7 @@ class TestBarycenterBatch:
             for k, prob in enumerate(problems):
                 lo, hi = batch.atom_ptr[batch.measure_ptr[k:k + 2]]
                 plans = sol.plans[:, lo:hi]
-                obj, _ = barycenter_lp(prob)
+                obj, _, _ = lone_barycenter(prob)
                 # Each solve stops at a basis whose scaled reduced costs are
                 # >= -tol, so it is within tol * 2**e per unit of variable
                 # mass of the optimum: M plans and p, of mass 1 each.
@@ -709,6 +718,35 @@ class TestValidate:
         with pytest.raises(ValueError, match="measure 1: negative transport costs"):
             self.problem(3, D=D).validate()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_marginal_names_measure(self, bad):
+        q = list(self.Q)
+        q[2] = np.array([0.5, bad, 0.5])
+        with pytest.raises(ValueError, match="measure 2: marginal"):
+            self.problem(q=q).validate()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cost_names_first_measure(self, bad):
+        D = [np.ones((3, qm.shape[0])) for qm in self.Q]
+        D[2][1, 2] = np.nan
+        D[1][2, 0] = bad
+        D[0][0, 0] = -1.0
+        with pytest.raises(ValueError, match="measure 1: non-finite transport costs"):
+            self.problem(3, D=D).validate()
+
+    @pytest.mark.parametrize("solve", [barycenter_batch, mam_batch, ibp_batch])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_solvers_reject_non_finite_input(self, solve, r):
+        q = list(self.Q)
+        q[0] = np.array([np.nan, 1.0])
+        with pytest.raises(ValueError, match="measure 0: marginal"):
+            solve(self.problem(r, q=q))
+        for bad in (np.nan, np.inf):
+            D = [np.ones((r, qm.shape[0])) for qm in self.Q]
+            D[1][0, 0] = bad
+            with pytest.raises(ValueError, match="measure 1: non-finite transport costs"):
+                solve(self.problem(r, D=D))
+
     def test_batch_names_problem_and_measure(self):
         q = list(self.Q)
         q[2] = np.array([0.2, 0.3, 0.4])
@@ -786,7 +824,7 @@ class TestTwoAtomTransport:
 
     def test_no_lp_for_two_atom_sides(self, monkeypatch):
         monkeypatch.setattr(ot_core, "_highs", None)
-        cost, plan = wasserstein_lp([0.5, 0.5], [0.2, 0.3, 0.5],
+        cost, plan = lone_transport([0.5, 0.5], [0.2, 0.3, 0.5],
                                     np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]]))
         assert cost == pytest.approx(0.3)
         assert plan == pytest.approx(np.array([[0.2, 0.3, 0.0], [0.0, 0.0, 0.5]]))
@@ -799,12 +837,12 @@ class TestTwoPointBarycenter:
     @settings(max_examples=150, deadline=None)
     @given(two_point_barycenters())
     def test_plans_feasible(self, prob):
-        obj, ps = barycenter_lp(prob)
-        assert np.all(ps.p >= 0.0) and abs(ps.p.sum() - 1.0) <= 1e-15
-        assert all(np.all(plan >= 0.0) for plan in ps.plans)
-        assert column_marginal_error(ps, prob) <= 1e-15
-        assert row_marginal_error(ps) <= 1e-15
-        assert obj == pytest.approx(sum(np.sum(d * pl) for d, pl in zip(prob.D, ps.plans)),
+        obj, plans, p = lone_barycenter(prob)
+        assert np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-15
+        assert all(np.all(plan >= 0.0) for plan in plans)
+        assert column_marginal_error(plans, prob) <= 1e-15
+        assert row_marginal_error(plans, p) <= 1e-15
+        assert obj == pytest.approx(sum(np.sum(d * pl) for d, pl in zip(prob.D, plans)),
                                     rel=1e-15, abs=1e-15)
 
     @settings(max_examples=150, deadline=None)
@@ -812,7 +850,7 @@ class TestTwoPointBarycenter:
     def test_matches_breakpoint_enumeration_and_highs(self, prob):
         # The summed cost is piecewise linear in p_1 with breaks at subset
         # sums of each marginal, so its minimum is at one of them.
-        obj, _ = barycenter_lp(prob)
+        obj, _, _ = lone_barycenter(prob)
         candidates = {min(float(sum(c)), 1.0) for qm in prob.q
                       for k in range(qm.shape[0] + 1)
                       for c in itertools.combinations(qm, k)}
@@ -842,8 +880,8 @@ class TestTwoPointBarycenter:
         prob = BarycenterProblem(q=[np.array([0.5, 0.5]), np.array([1.0])],
                                  D=[np.array([[0.0, 4.0], [4.0, 0.0]]), np.array([[0.0], [1.0]])],
                                  alpha=np.ones(2))
-        obj, ps = barycenter_lp(prob)
+        obj, _, p = lone_barycenter(prob)
         # The summed slope in p_1 is -4 - 1 up to 0.5 and 4 - 1 beyond.
         assert obj == pytest.approx(0.5)
-        assert ps.p == pytest.approx([0.5, 0.5])
+        assert p == pytest.approx([0.5, 0.5])
 

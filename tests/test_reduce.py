@@ -5,11 +5,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from batches import lone_transport
 from treeshrink import ot_core
 from treeshrink import reduce as reduce_module
 from treeshrink.init_filtration import random_init
 from treeshrink.nested import nested_distance
-from treeshrink.ot_core import wasserstein_lp
 from treeshrink.reduce import (ReductionConfig, evaluate_plan, extract_probabilities,
                                init_plan, probability_step, quantizer_step, reduce_tree)
 from treeshrink.tree import ScenarioTree, generate_random, path_cost_table
@@ -171,7 +171,7 @@ class TestProbabilityStep:
             assert tables[0][0, 0] == pytest.approx(oracle, abs=1e-9)
             # and the per-pair value agrees with a transport solve toward p
             p = conditional_block(joints, orig, red, 1, 1, 1).sum(axis=0)
-            cost, _ = wasserstein_lp(q, p, leaf)
+            cost, _ = lone_transport(q, p, leaf)
             assert tables[0][0, 0] == pytest.approx(cost, abs=1e-9)
 
     def test_identity_concentrated_plan_zero_diag(self):

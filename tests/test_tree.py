@@ -299,6 +299,12 @@ class TestGenerateRandom:
         with pytest.raises(ValueError, match=f"dim={dim}"):
             generate_random(2, 2, dim=dim)
 
+    @pytest.mark.parametrize("args, name", [((2, 2.5), "branching"), ((2, True), "branching"),
+                                            ((0, 2), "T"), ((2.0, 2), "T")])
+    def test_counts_must_be_integers_at_least_one(self, args, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got "):
+            generate_random(*args)
+
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
