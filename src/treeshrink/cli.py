@@ -259,12 +259,13 @@ def build_parser():
                    help="barycenter solver: exact (closed form at two children, "
                    "else a HiGHS LP), averaged marginals, Bregman projections, "
                    "or auto: exact, the default")
-    p.add_argument("--tol", type=float, default=0.1)
+    defaults = ReductionConfig()
+    p.add_argument("--tol", type=float, default=defaults.tol)
     p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--lambda", type=float, default=100.0)
+    p.add_argument("--lambda", type=float, default=defaults.lam)
     p.add_argument("--init", choices=["random", "kmeans", "ffs"], default="random")
     p.add_argument("--init-range", type=_parse_range, default=None, metavar="LO,HI")
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--max-iter", type=int, default=defaults.max_outer)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--trace", default=None, help="per-iteration CSV trace")

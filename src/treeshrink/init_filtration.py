@@ -213,6 +213,7 @@ def random_init(branching, dim=1, value_range=(-10.0, 10.0), seed=0) -> Scenario
         raise ValueError("branching must list at least one stage")
     for t, b in enumerate(branching):
         check_count(f"branching[{t}]", b)
+    check_count("dim", dim)
     rng = np.random.default_rng(seed)
     counts = [1]
     for b in branching:

@@ -10,12 +10,12 @@ costs.  The root entry of the stage-0 table is the distance raised to
 A stage's pair problems are independent, so each stage is scored in two
 array passes over the trees' stage-block indices.  When m or n has a single
 child, the product plan is the only feasible coupling; all pairs take its
-value from one product ``Q_a @ table @ Q_b.T`` of the sparse conditional
-matrices.  The pairs where both sides branch then get their exact values
-from the batched transport solver: a pair where one node has two children
-is a fractional knapsack, solved by one sort, and the rest are packed into
-HiGHS dual-simplex solves of at most a few hundred constraints, run
-without presolve.  The pairs are built in chunks of at most
+value from the next table's blockwise sums, weighted by the conditional
+probabilities on both sides.  The pairs where both sides branch then get
+their exact values from the batched transport solver: a pair where one node
+has two children is a fractional knapsack, solved by one sort, and the rest
+are packed into HiGHS dual-simplex solves of at most a few hundred
+constraints, run without presolve.  The pairs are built in chunks of at most
 ``_PAIR_MAX_ENTRIES`` plan entries, so memory stays bounded on large trees;
 chunks end only between those HiGHS solves, so they change no value.
 :func:`transport_lp` is the one transport solver; :func:`nested_distance`
@@ -90,10 +90,11 @@ def nested_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, order=2):
     finite and at least 1, and path costs that overflow at that order raise
     ``ValueError`` (:func:`path_cost_table`).
     Each stage t fills its table in two steps.  First the product plan
-    values ``Q_a @ tables[t+1] @ Q_b.T``, where ``Q`` is a tree's sparse
-    stage-t to stage-(t+1) conditional matrix; they are exact for every pair
-    in which one node has a single child.  Then the pairs where both nodes
-    branch are overwritten by their optimal transport values, from
+    values: the sums of ``tables[t+1]`` over each pair's children blocks,
+    weighted by both sides' conditional probabilities, rows first
+    (:meth:`~treeshrink.tree.StageBlocks.sums`); they are exact for every
+    pair in which one node has a single child.  Then the pairs where both
+    nodes branch are overwritten by their optimal transport values, from
     :func:`~treeshrink.ot_core.transport_lp` (one call per chunk of pairs).
     """
     if tree_a.T != tree_b.T or tree_a.d != tree_b.d:
@@ -108,7 +109,8 @@ def nested_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, order=2):
         if not (blocks_a.sizes.all() and blocks_b.sizes.all()):
             raise ValueError(f"a stage-{t} node has no children, but leaves must "
                              f"sit at stage {big_t}")
-        table = blocks_a.matrix() @ (blocks_b.matrix() @ tables[t + 1].T).T
+        table = blocks_b.sums(blocks_a.sums(tables[t + 1], weights=blocks_a.cond),
+                              axis=1, weights=blocks_b.cond)
         rows, cols, values = _branching_pairs(blocks_a, blocks_b, tables[t + 1])
         table[np.ix_(rows, cols)] = values
         tables[t] = table

@@ -356,7 +356,7 @@ def _sorted_blocks(ptr, key, mass):
     dense row, so its prefix sums run within the block alone.
     """
     sizes = np.diff(ptr)
-    for n in np.unique(sizes[sizes > 0]):
+    for n in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
         blocks = np.flatnonzero(sizes == n)
         idx = ptr[blocks, None] + np.arange(n)
         idx = np.take_along_axis(idx, np.argsort(key[idx], axis=1, kind="stable"), axis=1)

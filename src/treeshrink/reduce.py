@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ibp, mam
 from .ibp import ibp_batch
 from .mam import mam_batch
 from .ot_core import BarycenterBatch, barycenter_batch
@@ -80,9 +81,9 @@ class ReductionConfig:
     tol: float = 0.1            # stop when the root cost improves by less
     max_outer: int = 50
     rho: float | None = None    # averaged-marginals proximal parameter
-    lam: float = 100.0          # Bregman regularization strength
-    mam_max_iter: int = 5000
-    ibp_max_iter: int = 10000
+    lam: float = ibp.DEFAULT_LAMBDA  # Bregman regularization strength
+    mam_max_iter: int = mam.DEFAULT_MAX_ITER
+    ibp_max_iter: int = ibp.DEFAULT_MAX_ITER
 
     def validate(self) -> None:
         if self.solver not in SOLVERS:
@@ -254,9 +255,10 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
     Exact solves at R >= 3 pack consecutive problems of the call into
     block-diagonal HiGHS LPs (:func:`ot_core.barycenter_batch`).
 
-    The stage-t table is the blockwise sum of ``C_t * tables[t+1]``: one
-    sparse product with the 0/1 block indicators on each side.  The new
-    joints are composed from the root down once every stage is done.
+    The stage-t table is the blockwise sum of ``C_t * tables[t+1]``, over
+    the original children blocks first and the reduced ones second
+    (:meth:`~treeshrink.tree.StageBlocks.sums`).  The new joints are
+    composed from the root down once every stage is done.
 
     Returns ``(new joints, stage tables, solver records, stage seconds)``.
     """
@@ -325,7 +327,7 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
                                 "converged": bool(solution.converged[k]),
                                 "batch": batch.P, "seconds": share})
 
-        tables[t] = rows.indicator() @ (cols.indicator() @ (cond * next_table).T).T
+        tables[t] = cols.sums(rows.sums(cond * next_table), axis=1)
         conditionals[t] = cond
         stage_secs[t] = time.perf_counter() - tick
 
@@ -337,14 +339,14 @@ def extract_probabilities(reduced: ScenarioTree, joints) -> ScenarioTree:
 
     Leaf probabilities are the reduced-side marginals of the leaf-stage joint
     (renormalized against float drift, which stays below 1e-12); each
-    earlier stage sums its children, one sparse product per stage.
+    earlier stage sums its children, one block sum per stage.
     """
     leaf_mass = joints[reduced.T].sum(axis=0)
     prob = np.zeros(reduced.n_nodes)
     prob[reduced.stage_nodes(reduced.T)] = leaf_mass / leaf_mass.sum()
     for t in range(reduced.T - 1, -1, -1):
-        prob[reduced.stage_nodes(t)] = (reduced.stage_blocks(t).indicator()
-                                        @ prob[reduced.stage_nodes(t + 1)])
+        prob[reduced.stage_nodes(t)] = reduced.stage_blocks(t).sums(
+            prob[reduced.stage_nodes(t + 1)])
     return reduced.with_prob(prob)
 
 

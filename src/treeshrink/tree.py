@@ -32,12 +32,8 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 # Mass-balance tolerances used by validate().
 PARENT_SUM_TOL = 1e-9
@@ -121,23 +117,20 @@ class StageBlocks:
         """Block of every stage-(t+1) node, in stage-(t+1) node order."""
         return self.by_child(np.repeat(np.arange(self.sizes.shape[0]), self.sizes))
 
-    def matrix(self, values=None) -> sparse.csr_matrix:
-        """Sparse block matrix with one entry (k, i) per child i of block k.
+    def sums(self, values, axis=0, weights=None) -> np.ndarray:
+        """Sum of stage-(t+1) ``values`` over each block, along ``axis``.
 
-        The entries hold ``values`` (one per entry, in block order), by
-        default the conditional probabilities P(stage-(t+1) node i | node k).
-        ``scipy.sparse`` is imported here, not with the package, so that
-        ``import treeshrink`` stays cheap.
+        ``values`` runs over the stage-(t+1) nodes along ``axis``; the result
+        runs over the blocks there instead.  ``weights`` (one per entry, in
+        block order) scale each child's slice first.  A childless block
+        raises ``ValueError``, since ``np.add.reduceat`` has no empty sum.
         """
-        from scipy import sparse
-
-        data = self.cond if values is None else values
-        return sparse.csr_matrix((data, self.local, self.ptr),
-                                 shape=(self.ptr.shape[0] - 1, self.local.shape[0]))
-
-    def indicator(self) -> sparse.csr_matrix:
-        """0/1 block matrix: sums stage-(t+1) values over each block."""
-        return self.matrix(np.ones(self.local.shape[0]))
+        if not self.sizes.all():
+            raise ValueError("a block has no children")
+        gathered = np.take(values, self.local, axis=axis)
+        if weights is not None:
+            gathered *= weights.reshape((-1,) + (1,) * (gathered.ndim - 1 - axis))
+        return np.add.reduceat(gathered, self.ptr[:-1], axis=axis)
 
 
 class ScenarioTree:
@@ -524,8 +517,7 @@ def generate_random(T, branching, dim=1, value_range=(-10.0, 10.0), seed=0):
     """
     check_count("T", T)
     check_count("branching", branching)
-    if dim < 1:
-        raise ValueError(f"need dim >= 1, got dim={dim}")
+    check_count("dim", dim)
     rng = np.random.default_rng(seed)
     counts = [branching ** t for t in range(T + 1)]
     offsets = np.concatenate(([0], np.cumsum(counts)))

@@ -1,9 +1,12 @@
-"""Builders and hypothesis strategies of solver problems, shared by the tests."""
+"""Builders, references and hypothesis strategies of solver problems and
+trees, shared by the tests."""
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy import sparse
 
 from treeshrink.ot_core import BarycenterBatch, transport_lp
+from treeshrink.tree import ScenarioTree
 
 
 class BarycenterProblem(BarycenterBatch):
@@ -47,6 +50,25 @@ def lone_transport(q, q_other, D):
     D = np.asarray(D, dtype=np.float64)
     values, x = transport_lp(q, [0, len(q)], q_other, [0, len(q_other)], D.ravel())
     return float(values[0]), x.reshape(D.shape)
+
+
+def block_matrix(blocks, values):
+    """Reference: the sparse (blocks x stage-(t+1) nodes) matrix of a
+    :class:`~treeshrink.tree.StageBlocks` with ``values`` (one per entry, in
+    block order) at (k, child of k)."""
+    return sparse.csr_matrix((values, blocks.local, blocks.ptr),
+                             shape=(blocks.ptr.shape[0] - 1, blocks.local.shape[0]))
+
+
+def relabel(tree, perm):
+    """The same tree with node i renamed perm[i]."""
+    n = tree.n_nodes
+    parent = np.full(n, -1)
+    nonroot = tree.parent >= 0
+    parent[perm[nonroot]] = perm[tree.parent[nonroot]]
+    stage, quantizer, prob = (np.empty_like(x) for x in (tree.stage, tree.quantizer, tree.prob))
+    stage[perm], quantizer[perm], prob[perm] = tree.stage, tree.quantizer, tree.prob
+    return ScenarioTree(parent, stage, quantizer, prob)
 
 
 def weights(draw, n):

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from treeshrink.cli import _bench_tree, main
+from treeshrink.cli import _bench_tree, build_parser, main
+from treeshrink.reduce import ReductionConfig
 from treeshrink.tree import ScenarioTree, generate_random
 
 
@@ -70,7 +71,7 @@ class TestGen:
         out = tmp_path / "d0.json"
         assert run(["gen", "--stages", "3", "--branching", "2", "--dim", "0",
                     "-o", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: need dim >= 1, got dim=0")
+        assert capsys.readouterr().err.startswith("error: dim must be an integer >= 1, got 0")
         assert not out.exists()
 
     def test_manifest_written(self, tmp_path):
@@ -263,6 +264,12 @@ class TestReduce:
         assert capsys.readouterr().err.startswith(
             f"error: --target-scenarios must be at least 1, got {value}")
         assert not out.exists()
+
+    def test_run_defaults_come_from_the_config(self):
+        args = build_parser().parse_args(["reduce", "-i", "t.json"])
+        defaults = ReductionConfig()
+        assert (args.solver, args.tol, args.max_iter, args.rho, getattr(args, "lambda")) == (
+            defaults.solver, defaults.tol, defaults.max_outer, defaults.rho, defaults.lam)
 
 
 class TestNd:

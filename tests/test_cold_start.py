@@ -1,4 +1,5 @@
-"""Start-up cost: scipy's LP solver and sparse matrices load only when used."""
+"""Start-up cost: scipy's LP solver loads only at the first LP, and neither
+``scipy.sparse`` nor ``numpy.ma`` loads at all."""
 
 import os
 import subprocess
@@ -11,10 +12,12 @@ SRC = str(Path(treeshrink.__file__).resolve().parents[1])
 
 
 def loaded_scipy_modules(code):
-    """Run ``code`` in a fresh interpreter; return the scipy submodules it loaded."""
+    """Run ``code`` in a fresh interpreter; return the scipy submodules it
+    loaded, and ``numpy.ma`` if it loaded that."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    report = "import sys; print(' '.join(m for m in sys.modules if m.startswith('scipy.')))"
+    report = ("import sys; print(' '.join(m for m in sys.modules "
+              "if m.startswith('scipy.') or m == 'numpy.ma'))")
     out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=env,
                          capture_output=True, text=True, check=True)
     return set(out.stdout.split())
@@ -22,19 +25,20 @@ def loaded_scipy_modules(code):
 
 def test_import_loads_no_solver_or_sparse_module():
     loaded = loaded_scipy_modules("import treeshrink, treeshrink.cli")
-    assert "scipy.optimize" not in loaded
-    assert "scipy.sparse" not in loaded
+    assert not loaded & {"scipy.optimize", "scipy.sparse", "numpy.ma"}
 
 
 def test_bregman_reduction_and_scoring_load_no_lp_solver():
     # Every barycenter has two support points and every transport problem a
-    # two-atom or one-atom side, so nothing reaches HiGHS.
+    # two-atom or one-atom side, so nothing reaches HiGHS; the stage tables
+    # are numpy block sums, so no sparse matrix is built either.
     loaded = loaded_scipy_modules(
         "from treeshrink import ReductionConfig, cli, nested_distance, random_init, reduce_tree\n"
         "original = cli._bench_tree(2, 3, 1, 0)\n"
-        "final, _ = reduce_tree(original, random_init([2, 2, 2]), ReductionConfig(solver='ibp'))\n"
-        "nested_distance(original, final)")
-    assert "scipy.optimize" not in loaded
+        "for solver in ('ibp', 'mam'):\n"
+        "    final, _ = reduce_tree(original, random_init([2, 2, 2]), ReductionConfig(solver))\n"
+        "    nested_distance(original, final)")
+    assert not loaded & {"scipy.optimize", "scipy.sparse", "numpy.ma"}
 
 
 def test_first_lp_loads_the_solver():

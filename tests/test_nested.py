@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from batches import lone_transport
+from batches import block_matrix, lone_transport, relabel
 from treeshrink import nested, ot_core
 from treeshrink.init_filtration import random_init
 from treeshrink.nested import nested_distance
@@ -203,17 +203,6 @@ def tree_pairs(draw, children=(1, 3)):
     return draw(ragged_trees(big_t, dim, children)), draw(ragged_trees(big_t, dim, children))
 
 
-def relabel(tree, perm):
-    """The same tree with node i renamed perm[i]."""
-    n = tree.n_nodes
-    parent = np.full(n, -1)
-    nonroot = tree.parent >= 0
-    parent[perm[nonroot]] = perm[tree.parent[nonroot]]
-    stage, quantizer, prob = (np.empty_like(x) for x in (tree.stage, tree.quantizer, tree.prob))
-    stage[perm], quantizer[perm], prob[perm] = tree.stage, tree.quantizer, tree.prob
-    return ScenarioTree(parent, stage, quantizer, prob)
-
-
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(tree_pairs())
@@ -273,6 +262,21 @@ class TestProperties:
         assert nd == pytest.approx(nd_lp, rel=1e-9, abs=1e-9)
         for x, y in zip(tables, tables_lp):
             assert np.allclose(x, y, rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree_pairs(), st.randoms(use_true_random=False))
+    def test_product_values_match_sparse_reference(self, pair, rnd):
+        # Where one node of a pair has a single child, its table entry is
+        # the product plan value Q_a @ tables[t+1] @ Q_b.T, here computed
+        # with the sparse conditional matrices.
+        a, b = (relabel(x, np.array(rnd.sample(range(x.n_nodes), x.n_nodes))) for x in pair)
+        _, tables = nested_distance(a, b)
+        for t in range(a.T):
+            blocks_a, blocks_b = a.stage_blocks(t), b.stage_blocks(t)
+            reference = block_matrix(blocks_a, blocks_a.cond) @ (
+                block_matrix(blocks_b, blocks_b.cond) @ tables[t + 1].T).T
+            single = (blocks_a.sizes == 1)[:, None] | (blocks_b.sizes == 1)[None, :]
+            np.testing.assert_allclose(tables[t][single], reference[single], rtol=1e-12, atol=0)
 
     @settings(max_examples=30, deadline=None)
     @given(tree_pairs())

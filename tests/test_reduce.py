@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from batches import lone_transport
+from batches import block_matrix, lone_transport, relabel
 from treeshrink import ot_core
 from treeshrink import reduce as reduce_module
 from treeshrink.init_filtration import random_init
@@ -480,6 +480,27 @@ class TestJointProperties:
         nd, _ = nested_distance(orig, final)
         assert nd <= report.final_nd * (1 + 1e-9)
 
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(reduction_instance(), st.sampled_from(["lp", "ibp", "mam"]),
+           st.randoms(use_true_random=False))
+    def test_stage_tables_match_sparse_reference(self, trees, solver, rnd):
+        # Each stage table is the blockwise sum of C_t * tables[t+1], here
+        # computed as a product with sparse 0/1 block matrices on each side.
+        orig, red = (relabel(x, np.array(rnd.sample(range(x.n_nodes), x.n_nodes)))
+                     for x in trees)
+        config = ReductionConfig(solver=solver, ibp_max_iter=300, mam_max_iter=300)
+        with mock.patch.object(reduce_module, "_compose", wraps=reduce_module._compose) as compose:
+            _, tables, _, _ = probability_step(orig, red, init_plan(orig, red),
+                                               path_cost_table(orig, red), config)
+        conditionals = compose.call_args.args[2]
+        for t in range(orig.T):
+            rows, cols = orig.stage_blocks(t), red.stage_blocks(t)
+            reference = block_matrix(rows, np.ones(rows.local.size)) @ (
+                block_matrix(cols, np.ones(cols.local.size))
+                @ (conditionals[t] * tables[t + 1]).T).T
+            np.testing.assert_allclose(tables[t], reference, rtol=1e-12, atol=0)
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(reduction_instance(), st.sampled_from(["lp", "ibp", "mam"]))
@@ -502,6 +523,6 @@ class TestJointProperties:
         for joints in seen:
             for t in range(orig.T):
                 rows, cols = orig.stage_blocks(t), red.stage_blocks(t)
-                sent = (cols.indicator() @ joints[t + 1].T).T
+                sent = cols.sums(joints[t + 1], axis=1)
                 expected = rows.by_child(rows.cond)[:, None] * joints[t][rows.parents()]
                 assert np.max(np.abs(sent - expected)) <= 1e-12

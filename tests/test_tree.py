@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import resource
 import time
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from batches import relabel
 from treeshrink import tree as tr
 from treeshrink.init_filtration import random_init
 from treeshrink.tree import (ScenarioTree, TreeFormatError, TreeValidationError,
@@ -294,16 +296,75 @@ class TestGenerateRandom:
     def test_valid(self):
         assert generate_random(4, 5, seed=9).validate() == []
 
-    @pytest.mark.parametrize("dim", [0, -1])
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, True])
     def test_dimension_below_one_rejected(self, dim):
-        with pytest.raises(ValueError, match=f"dim={dim}"):
+        message = rf"^dim must be an integer >= 1, got {dim!r}$"
+        with pytest.raises(ValueError, match=message):
             generate_random(2, 2, dim=dim)
+        with pytest.raises(ValueError, match=message):
+            random_init([2, 2], dim=dim)
 
     @pytest.mark.parametrize("args, name", [((2, 2.5), "branching"), ((2, True), "branching"),
                                             ((0, 2), "T"), ((2.0, 2), "T")])
     def test_counts_must_be_integers_at_least_one(self, args, name):
         with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got "):
             generate_random(*args)
+
+
+@st.composite
+def relabelled_trees(draw):
+    """A valid tree of 1-3 stages and 1-3 children per node, its nodes renamed
+    by a random permutation, so that a block's children need not be
+    neighbours in their stage's node order."""
+    parent, stage, prob = [-1], [0], [1.0]
+    level = [0]
+    for t in range(1, draw(st.integers(1, 3)) + 1):
+        nxt = []
+        for node in level:
+            k = draw(st.integers(1, 3))
+            for _ in range(k):
+                parent.append(node)
+                stage.append(t)
+                prob.append(prob[node] / k)
+                nxt.append(len(parent) - 1)
+        level = nxt
+    tree = ScenarioTree(parent, stage, np.zeros((len(parent), 1)), prob)
+    return relabel(tree, np.array(draw(st.permutations(range(tree.n_nodes)))))
+
+
+class TestStageBlockSums:
+    @settings(max_examples=100, deadline=None)
+    @given(relabelled_trees(), st.sampled_from(["1-D", 0, 1]), st.booleans(), st.data())
+    def test_matches_per_block_sums(self, tree, axis, weighted, data):
+        t = data.draw(st.integers(0, tree.T - 1))
+        blocks = tree.stage_blocks(t)
+        n = tree.stage_nodes(t + 1).shape[0]
+        width = data.draw(st.integers(1, 3))
+        shape = {"1-D": (n,), 0: (n, width), 1: (width, n)}[axis]
+        floats = st.floats(-1e3, 1e3, allow_subnormal=False)
+        values = np.array(data.draw(st.lists(floats, min_size=math.prod(shape),
+                                             max_size=math.prod(shape)))).reshape(shape)
+        weights = (np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=blocks.local.size,
+                                               max_size=blocks.local.size)))
+                   if weighted else None)
+
+        axis = 0 if axis == "1-D" else axis
+        moved = np.moveaxis(values, axis, -1)
+        w = np.ones(blocks.local.size) if weights is None else weights
+        expected = np.moveaxis(np.stack([
+            np.sum(moved[..., blocks.children(k)] * w[blocks.ptr[k]:blocks.ptr[k + 1]], axis=-1)
+            for k in range(blocks.ptr.size - 1)], axis=-1), -1, axis)
+        got = blocks.sums(values, axis=axis, weights=weights)
+        assert got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize("parent", [[-1, 0, 0, 2], [-1, 0, 0, 1]])
+    def test_childless_block_raises(self, parent):
+        # Stage 1 holds nodes 1 and 2, one of them a leaf: an empty first
+        # block would read its neighbour's value, an empty last one overrun.
+        tree = ScenarioTree(parent, [0, 1, 1, 2], np.zeros((4, 1)), [1.0, 0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="no children"):
+            tree.stage_blocks(1).sums(np.ones(1))
 
 
 json_values = st.recursive(
