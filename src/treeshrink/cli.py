@@ -199,26 +199,25 @@ def _bench_tree(n_subtrees, children, dim, seed):
     half = n_subtrees // 2
     branching_stage2 = [n_subtrees - half, half] if half else [n_subtrees]
     # Build per-node children counts stage by stage.
-    parent, stage, prob = [-1], [0], [1.0]
+    parent, prob = [-1], [1.0]
     rng = np.random.default_rng(rng_seed)
 
-    def expand(node_ids, counts, t):
+    def expand(node_ids, counts):
         new_ids = []
         for node, c in zip(node_ids, counts):
             raw = rng.uniform(size=c)
             cond = raw / raw.sum()
             for j in range(c):
                 parent.append(node)
-                stage.append(t)
                 prob.append(prob[node] * cond[j])
                 new_ids.append(len(parent) - 1)
         return new_ids
 
-    lvl1 = expand([0], [2], 1) if n_subtrees > 1 else expand([0], [1], 1)
-    lvl2 = expand(lvl1, branching_stage2[:len(lvl1)], 2)
-    expand(lvl2, [children] * len(lvl2), 3)
+    lvl1 = expand([0], [2]) if n_subtrees > 1 else expand([0], [1])
+    lvl2 = expand(lvl1, branching_stage2[:len(lvl1)])
+    expand(lvl2, [children] * len(lvl2))
     quantizer = rng.uniform(-10.0, 10.0, size=(len(parent), dim))
-    return ScenarioTree(np.array(parent), np.array(stage), quantizer, np.array(prob))
+    return ScenarioTree(np.array(parent), quantizer, np.array(prob))
 
 
 def build_parser():

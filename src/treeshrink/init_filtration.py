@@ -221,18 +221,16 @@ def random_init(branching, dim=1, value_range=(-10.0, 10.0), seed=0) -> Scenario
     offsets = np.concatenate(([0], np.cumsum(counts)))
     n = int(offsets[-1])
     parent = np.full(n, -1, dtype=np.int64)
-    stage = np.zeros(n, dtype=np.int64)
     prob = np.ones(n, dtype=np.float64)
     for t, b in enumerate(branching, start=1):
         lo, hi = offsets[t], offsets[t + 1]
         ids = np.arange(lo, hi)
         parent[ids] = offsets[t - 1] + (ids - lo) // b
-        stage[ids] = t
         raw = rng.uniform(size=hi - lo).reshape(-1, b)
         cond = raw / raw.sum(axis=1, keepdims=True)
         prob[ids] = prob[parent[ids]] * cond.ravel()
     quantizer = rng.uniform(value_range[0], value_range[1], size=(n, dim))
-    return ScenarioTree(parent, stage, quantizer, prob)
+    return ScenarioTree(parent, quantizer, prob)
 
 
 def merge_prefixes(tree: ScenarioTree, tol=0.0) -> ScenarioTree:
@@ -244,16 +242,15 @@ def merge_prefixes(tree: ScenarioTree, tol=0.0) -> ScenarioTree:
     scenarios sharing prefixes into a proper tree; with ``tol`` 0 only exact
     duplicates merge.
     """
-    parent_out, stage_out, quant_out, prob_out = [], [], [], []
+    parent_out, quant_out, prob_out = [], [], []
 
-    def add_node(par, t, q, p):
+    def add_node(par, q, p):
         parent_out.append(par)
-        stage_out.append(t)
         quant_out.append(q)
         prob_out.append(p)
         return len(parent_out) - 1
 
-    def recurse(group, new_parent, t):
+    def recurse(group, new_parent):
         # group: original node ids merged into new_parent; merge their children.
         kids = np.concatenate([tree.children(g) for g in group]) if group else []
         remaining = list(kids)
@@ -262,11 +259,10 @@ def merge_prefixes(tree: ScenarioTree, tol=0.0) -> ScenarioTree:
             same = [c for c in remaining
                     if np.all(np.abs(tree.quantizer[c] - tree.quantizer[head]) <= tol)]
             remaining = [c for c in remaining if c not in same]
-            node = add_node(new_parent, t + 1, tree.quantizer[head].copy(),
+            node = add_node(new_parent, tree.quantizer[head].copy(),
                             float(np.sum(tree.prob[same])))
-            recurse(same, node, t + 1)
+            recurse(same, node)
 
-    root = add_node(-1, 0, tree.quantizer[tree.root].copy(), float(tree.prob[tree.root]))
-    recurse([tree.root], root, 0)
-    return ScenarioTree(np.array(parent_out), np.array(stage_out),
-                        np.array(quant_out), np.array(prob_out))
+    root = add_node(-1, tree.quantizer[tree.root].copy(), float(tree.prob[tree.root]))
+    recurse([tree.root], root)
+    return ScenarioTree(np.array(parent_out), np.array(quant_out), np.array(prob_out))

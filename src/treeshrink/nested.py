@@ -73,7 +73,7 @@ def _branching_pairs(blocks_a, blocks_b, next_table):
             row_ptr, row_pos = blocks_a.select(row_of[lo:hi])
             col_ptr, col_pos = blocks_b.select(col_of[lo:hi])
             _, i, j = block_entries(row_ptr, col_ptr)
-            cost = next_table[blocks_a.local[row_pos[i]], blocks_b.local[col_pos[j]]]
+            cost = next_table[row_pos[i], col_pos[j]]
             values[lo:hi], _ = transport_lp(blocks_a.cond[row_pos], row_ptr,
                                             blocks_b.cond[col_pos], col_ptr, cost)
             lo = hi
@@ -85,8 +85,9 @@ def nested_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, order=2):
 
     Returns ``(nd, tables)``.  ``tables[t]`` is the dense stage-t table of
     node-pair costs, one row per stage-t node of ``tree_a`` and one column
-    per stage-t node of ``tree_b``; the leaf-stage table is the path-cost
-    table, and ``nd = tables[0][0, 0] ** (1/order)``.  ``order`` must be
+    per stage-t node of ``tree_b``, both in ``stage_nodes(t)`` order; the
+    leaf-stage table is the path-cost table (leaves in ``leaves()``
+    order), and ``nd = tables[0][0, 0] ** (1/order)``.  ``order`` must be
     finite and at least 1, and path costs that overflow at that order raise
     ``ValueError`` (:func:`path_cost_table`).
     Each stage t fills its table in two steps.  First the product plan

@@ -170,8 +170,7 @@ def init_plan(original: ScenarioTree, reduced: ScenarioTree) -> list:
     conditionals = []
     for t in range(original.T):
         rows, cols = original.stage_blocks(t), reduced.stage_blocks(t)
-        width = cols.by_child(np.repeat(cols.sizes, cols.sizes))
-        conditionals.append(rows.by_child(rows.cond)[:, None] / width[None, :])
+        conditionals.append(rows.cond[:, None] / np.repeat(cols.sizes, cols.sizes)[None, :])
     return _compose(original, reduced, conditionals)
 
 
@@ -275,17 +274,16 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
         rows = original.stage_blocks(t)
         cols = reduced.stage_blocks(t)
         next_table = tables[t + 1]
-        # C_t starts as outer(cond_a, p_bar), in stage-(t+1) node order; a
+        # C_t starts as outer(rows.cond, p_bar), in stage-(t+1) node order; a
         # solved node's columns are redone with its barycenter, and its plans
         # written over its active blocks, batch by batch.
-        cond_a = rows.by_child(rows.cond)
-        p_bar = np.ones(cols.local.shape[0])
+        p_bar = np.ones(cols.ptr[-1])
         branching = np.flatnonzero(cols.sizes > 1)
         weight = joints[t][:, branching]
         empty = ~np.any(weight > 0.0, axis=0)
         for n in branching[empty]:
             p_bar[cols.children(n)] = 1.0 / cols.sizes[n]
-        cond = cond_a[:, None] * p_bar[None, :]
+        cond = rows.cond[:, None] * p_bar[None, :]
         nodes = branching[~empty]
         # The active pairs, node by node and ascending m within a node.
         pair_node, pair_m = np.nonzero(weight[:, ~empty].T > 0.0)
@@ -300,16 +298,15 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
             node_of = pair_node[pick]
             m = pair_m[pick]
             alpha = joints[t][m, nodes[node_of]]
-            atom_ptr, pos = rows.select(m)
+            atom_ptr, atoms = rows.select(m)
             sizes = np.diff(atom_ptr)
-            atoms = rows.local[pos]
             # Support points of every atom's problem, in stage-(t+1) order.
-            points = cols.local[cols.ptr[nodes[node_of]][:, None] + np.arange(r)]
+            points = cols.ptr[nodes[node_of]][:, None] + np.arange(r)
             points = np.repeat(points, sizes, axis=0)
             mass = np.repeat(alpha, sizes)[:, None]
             block = (atoms[:, None], points)
             batch = BarycenterBatch(
-                rows.cond[pos], (mass * next_table[block]).T, alpha, atom_ptr,
+                rows.cond[atoms], (mass * next_table[block]).T, alpha, atom_ptr,
                 np.concatenate(([0], np.cumsum(measures[members]))))
             warm = (joints[t + 1][block] / mass).T if solver == "mam" else None
             start = time.perf_counter()
@@ -317,7 +314,7 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
             share = (time.perf_counter() - start) / batch.P
             p = np.maximum(solution.p, 0.0)
             cond[:, points[atom_ptr[batch.measure_ptr[:-1]]]] = (
-                cond_a[:, None, None] * (p / p.sum(axis=1, keepdims=True)))
+                rows.cond[:, None, None] * (p / p.sum(axis=1, keepdims=True)))
             cond[block] = np.maximum(solution.plans.T, 0.0)
             for k, i in enumerate(members):
                 records.append({"stage": t, "node": int(reduced.stage_nodes(t)[nodes[i]]),

@@ -1,10 +1,12 @@
 """Scenario-tree data model: storage, validation, path algebra, generation, I/O.
 
-A tree is stored as flat per-node arrays (parent index, stage, quantizer
-vector, unconditional probability) plus a CSR children index derived at
-construction time.  Per stage, :meth:`ScenarioTree.stage_blocks` gives the
-same children as blocks of the next stage's node order, with their
-conditional probabilities; the stagewise recursions of the nested distance
+A tree is stored as flat per-node arrays (parent index, quantizer vector,
+unconditional probability) plus what construction derives from the parent
+links: a CSR children index and each node's stage, its depth below the
+root, found in one breadth-first walk.  Per stage,
+:meth:`ScenarioTree.stage_blocks` gives the same children as contiguous
+blocks of the next stage's node order, with their conditional
+probabilities; the stagewise recursions of the nested distance
 and of the reduction read it.  Instances are frozen after construction: the
 arrays are marked read-only and any change goes through whole-tree
 replacement (``with_quantizer`` / ``with_prob``), so cached per-stage
@@ -18,8 +20,8 @@ On disk a tree is one JSON object (:meth:`ScenarioTree.save`,
                 "prob": float}, ...]}
 
 Ids are dense, 0..n-1, but may appear in any order; the root's parent is
-``null`` and stages are implied by the parent links (``T`` is written
-for readers; load does not read it).  Non-finite quantizers or
+``null`` and a node's stage is its depth below the root, so ``T`` must
+equal the depth of the deepest leaf.  Non-finite quantizers or
 probabilities are refused at load.  ``save`` writes the nodes in id
 order, laid out as ``json`` writes with ``indent=1``.
 """
@@ -84,53 +86,46 @@ def _concat_ranges(starts, lengths):
 class StageBlocks:
     """Stage-t nodes as CSR blocks over the stage-(t+1) node order.
 
-    Block k belongs to the k-th node of ``stage_nodes(t)``: its children sit
-    at positions ``local[ptr[k]:ptr[k+1]]`` of ``stage_nodes(t+1)``, in
+    Block k belongs to the k-th node of ``stage_nodes(t)``.  Stage t+1 lists
+    the children of stage t's nodes node by node, so block k's children are
+    the contiguous positions ``ptr[k]:ptr[k+1]`` of ``stage_nodes(t+1)``, in
     ascending-id order, with conditional probabilities
     ``cond[ptr[k]:ptr[k+1]]`` (uniform for a node without mass, as in
     :meth:`ScenarioTree.conditional_children_probs`).
     """
 
     ptr: np.ndarray
-    local: np.ndarray
     cond: np.ndarray
 
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.ptr)
 
-    def children(self, k: int) -> np.ndarray:
-        return self.local[self.ptr[k]:self.ptr[k + 1]]
+    def children(self, k: int) -> slice:
+        return slice(self.ptr[k], self.ptr[k + 1])
 
     def select(self, blocks):
         """CSR pointer and entry positions of the given blocks, in that order."""
         sizes = self.sizes[blocks]
         return np.concatenate(([0], np.cumsum(sizes))), _concat_ranges(self.ptr[blocks], sizes)
 
-    def by_child(self, values) -> np.ndarray:
-        """Per-entry ``values`` rearranged into stage-(t+1) node order."""
-        out = np.empty_like(values)
-        out[self.local] = values
-        return out
-
     def parents(self) -> np.ndarray:
         """Block of every stage-(t+1) node, in stage-(t+1) node order."""
-        return self.by_child(np.repeat(np.arange(self.sizes.shape[0]), self.sizes))
+        return np.repeat(np.arange(self.sizes.shape[0]), self.sizes)
 
     def sums(self, values, axis=0, weights=None) -> np.ndarray:
         """Sum of stage-(t+1) ``values`` over each block, along ``axis``.
 
         ``values`` runs over the stage-(t+1) nodes along ``axis``; the result
-        runs over the blocks there instead.  ``weights`` (one per entry, in
-        block order) scale each child's slice first.  A childless block
-        raises ``ValueError``, since ``np.add.reduceat`` has no empty sum.
+        runs over the blocks there instead.  ``weights`` (one per entry)
+        scale each child's slice first.  A childless block raises
+        ``ValueError``, since ``np.add.reduceat`` has no empty sum.
         """
         if not self.sizes.all():
             raise ValueError("a block has no children")
-        gathered = np.take(values, self.local, axis=axis)
         if weights is not None:
-            gathered *= weights.reshape((-1,) + (1,) * (gathered.ndim - 1 - axis))
-        return np.add.reduceat(gathered, self.ptr[:-1], axis=axis)
+            values = values * weights.reshape((-1,) + (1,) * (values.ndim - 1 - axis))
+        return np.add.reduceat(values, self.ptr[:-1], axis=axis)
 
 
 class ScenarioTree:
@@ -140,32 +135,33 @@ class ScenarioTree:
     ----------
     parent : array of int, shape (N,)
         Direct predecessor of each node, -1 for the root.
-    stage : array of int, shape (N,)
-        Time stage of each node; the root sits at stage 0 and every child is
-        one stage below its parent.
     quantizer : array of float, shape (N, d) or (N,)
         Outcome value attached to each node.
     prob : array of float, shape (N,)
         Unconditional probability of each node.
+
+    A node's stage is its depth below the root.  Stages are found by one
+    breadth-first walk: stage t+1 lists the children of stage t's nodes,
+    node by node, each node's children in ascending-id order.  A node whose
+    parent links never reach a root (it sits on or below a cycle) gets
+    stage -1 and belongs to no stage.
     """
 
-    def __init__(self, parent, stage, quantizer, prob):
+    def __init__(self, parent, quantizer, prob):
         parent = np.asarray(parent, dtype=np.int64).copy()
-        stage = np.asarray(stage, dtype=np.int64).copy()
         quantizer = np.asarray(quantizer, dtype=np.float64).copy()
         prob = np.asarray(prob, dtype=np.float64).copy()
         if quantizer.ndim == 1:
             quantizer = quantizer[:, None]
         n = parent.shape[0]
-        if not (stage.shape == (n,) and prob.shape == (n,) and quantizer.shape[0] == n):
-            raise ValueError("parent, stage, quantizer and prob must agree on node count")
+        if not (prob.shape == (n,) and quantizer.shape[0] == n):
+            raise ValueError("parent, quantizer and prob must agree on node count")
         if n == 0:
             raise ValueError("a scenario tree needs at least one node")
         if np.any((parent >= n) | (parent < -1)):
             raise ValueError("parent indices out of range")
 
         self.parent = parent
-        self.stage = stage
         self.quantizer = quantizer
         self.prob = prob
 
@@ -179,12 +175,17 @@ class ScenarioTree:
         order = nonroot[np.argsort(parent[nonroot], kind="stable")]
         self._child_idx = order
 
-        t_max = int(stage.max())
-        self._stage_nodes = [np.flatnonzero(stage == t) for t in range(t_max + 1)]
-        self._stage_blocks = [None] * t_max
+        self.stage = np.full(n, -1, dtype=np.int64)
+        self._stage_nodes = []
+        frontier = roots
+        while frontier.size:
+            self.stage[frontier] = len(self._stage_nodes)
+            self._stage_nodes.append(frontier)
+            frontier = order[_concat_ranges(self._child_ptr[frontier], counts[frontier])]
+        self._stage_blocks = [None] * self.T
 
         for arr in (self.parent, self.stage, self.quantizer, self.prob,
-                    self._child_ptr, self._child_idx):
+                    self._child_ptr, self._child_idx, *self._stage_nodes):
             arr.flags.writeable = False
 
     # -- basic accessors ---------------------------------------------------
@@ -209,22 +210,21 @@ class ScenarioTree:
         return int(self._child_ptr[node + 1] - self._child_ptr[node])
 
     def stage_nodes(self, t: int) -> np.ndarray:
+        """Stage-t nodes in breadth-first order (see the class docstring)."""
         return self._stage_nodes[t]
 
     def stage_blocks(self, t: int) -> StageBlocks:
         """Children of the stage-t nodes as one CSR block index (built once)."""
         if self._stage_blocks[t] is None:
             nodes = self._stage_nodes[t]
-            starts = self._child_ptr[nodes]
-            sizes = self._child_ptr[nodes + 1] - starts
-            ch = self._child_idx[_concat_ranges(starts, sizes)]
+            sizes = self._child_ptr[nodes + 1] - self._child_ptr[nodes]
+            ch = self._stage_nodes[t + 1]
             mass = np.repeat(self.prob[nodes], sizes)
             with np.errstate(divide="ignore", invalid="ignore"):
                 cond = np.where(mass > 0.0, self.prob[ch] / mass,
                                 1.0 / np.repeat(sizes, sizes))
-            blocks = StageBlocks(np.concatenate(([0], np.cumsum(sizes))),
-                                 np.searchsorted(self._stage_nodes[t + 1], ch), cond)
-            for arr in (blocks.ptr, blocks.local, blocks.cond):
+            blocks = StageBlocks(np.concatenate(([0], np.cumsum(sizes))), cond)
+            for arr in (blocks.ptr, blocks.cond):
                 arr.flags.writeable = False
             self._stage_blocks[t] = blocks
         return self._stage_blocks[t]
@@ -278,14 +278,8 @@ class ScenarioTree:
         roots = np.flatnonzero(self.parent < 0)
         if roots.size != 1:
             v.append(f"tree: expected exactly one root, found {roots.size}")
-        for r in roots:
-            if self.stage[r] != 0:
-                v.append(f"node {r}: root must sit at stage 0, found stage {self.stage[r]}")
-        nonroot = np.flatnonzero(self.parent >= 0)
-        bad = nonroot[self.stage[nonroot] != self.stage[self.parent[nonroot]] + 1]
-        for nd in bad:
-            v.append(f"node {nd}: stage {self.stage[nd]} is not parent stage "
-                     f"{self.stage[self.parent[nd]]} + 1")
+        for nd in np.flatnonzero(self.stage < 0):
+            v.append(f"node {nd}: not below the root (its parent links form a cycle)")
         for nd in np.flatnonzero(~np.isfinite(self.prob)):
             v.append(f"node {nd}: probability {self.prob[nd]} is not finite")
         for nd in np.flatnonzero(~np.isfinite(self.quantizer).all(axis=1)):
@@ -303,7 +297,8 @@ class ScenarioTree:
             kids = self._child_idx[self._child_ptr[nodes, None] + np.arange(n)]
             sums[nodes] = self.prob[kids].sum(axis=1)
         off_sum = ~leaf & (np.abs(sums - self.prob) > PARENT_SUM_TOL)
-        for nd in np.flatnonzero((leaf & (self.stage != self.T)) | off_sum):
+        early = leaf & (self.stage >= 0) & (self.stage != self.T)
+        for nd in np.flatnonzero(early | off_sum):
             if leaf[nd]:
                 v.append(f"node {nd}: leaf at stage {self.stage[nd]}, "
                          f"expected all leaves at stage {self.T}")
@@ -318,10 +313,10 @@ class ScenarioTree:
     # -- replacement constructors ---------------------------------------------
 
     def with_quantizer(self, quantizer) -> "ScenarioTree":
-        return ScenarioTree(self.parent, self.stage, quantizer, self.prob)
+        return ScenarioTree(self.parent, quantizer, self.prob)
 
     def with_prob(self, prob) -> "ScenarioTree":
-        return ScenarioTree(self.parent, self.stage, self.quantizer, prob)
+        return ScenarioTree(self.parent, self.quantizer, prob)
 
     # -- serialization ---------------------------------------------------------
 
@@ -375,15 +370,18 @@ class ScenarioTree:
 
         Any document either gives a valid tree or raises
         :class:`TreeFormatError` (the document does not fit the schema) or
-        :class:`TreeValidationError` (it describes no valid tree).  Ids,
-        parents and ``d`` must be integers; ids must be dense but may come
-        in any order.  The fields are checked as whole arrays, and a check
-        that fails names the first node in document order that breaks it:
-        its id, parent or quantizer length.  Every quantizer's length is
-        checked against ``d`` before an (n, d) array is trusted.
+        :class:`TreeValidationError` (it describes no valid tree).  ``T``,
+        ids, parents and ``d`` must be integers; ids must be dense but may
+        come in any order, and ``T`` must be the last stage of the valid
+        tree the parent links give.  The fields are checked as whole
+        arrays, and a check that fails names the first node in document
+        order that breaks it: its id, parent or quantizer length.  Every
+        quantizer's length is checked against ``d`` before an (n, d) array
+        is trusted.
         """
         try:
             nodes = doc["nodes"]
+            last = _integer(doc["T"], "T")
             d = _integer(doc["d"], "d")
             n = len(nodes)
             if n == 0:
@@ -406,24 +404,12 @@ class ScenarioTree:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TreeFormatError(f"malformed tree document: {exc}") from exc
-        parent, quantizer, prob = parent[order], quantizer[order], prob[order]
-
-        # Stages are implicit: depth below the root.
-        stage = np.full(n, -1, dtype=np.int64)
-        stage[parent < 0] = 0
-        for _ in range(n):
-            todo = (stage < 0) & (parent >= 0)
-            if not todo.any():
-                break
-            idx = np.flatnonzero(todo)
-            ready = idx[stage[parent[idx]] >= 0]
-            if ready.size == 0:
-                raise TreeFormatError("parent links contain a cycle")
-            stage[ready] = stage[parent[ready]] + 1
-        tree = cls(parent, stage, quantizer, prob)
+        tree = cls(parent[order], quantizer[order], prob[order])
         violations = tree.validate()
         if violations:
             raise TreeValidationError(violations)
+        if last != tree.T:
+            raise TreeFormatError(f"T is {last}, but the parent links end at stage {tree.T}")
         return tree
 
     @classmethod
@@ -523,19 +509,16 @@ def generate_random(T, branching, dim=1, value_range=(-10.0, 10.0), seed=0):
     offsets = np.concatenate(([0], np.cumsum(counts)))
     n = int(offsets[-1])
     parent = np.full(n, -1, dtype=np.int64)
-    stage = np.empty(n, dtype=np.int64)
     prob = np.empty(n, dtype=np.float64)
-    stage[0] = 0
     prob[0] = 1.0
     for t in range(1, T + 1):
         lo, hi = offsets[t], offsets[t + 1]
         ids = np.arange(lo, hi)
         parent[ids] = offsets[t - 1] + (ids - lo) // branching
-        stage[ids] = t
         prob[ids] = prob[parent[ids]] / branching
     lo, hi = value_range
     quantizer = rng.uniform(lo, hi, size=(n, dim))
-    return ScenarioTree(parent, stage, quantizer, prob)
+    return ScenarioTree(parent, quantizer, prob)
 
 
 def fan_tree(paths, prob):
@@ -556,21 +539,18 @@ def fan_tree(paths, prob):
     big_t = t_levels - 1
     n = 1 + s_count * big_t
     parent = np.empty(n, dtype=np.int64)
-    stage = np.empty(n, dtype=np.int64)
     quantizer = np.empty((n, dim), dtype=np.float64)
     p = np.empty(n, dtype=np.float64)
     parent[0] = -1
-    stage[0] = 0
     total = float(prob.sum())
     quantizer[0] = (prob / total) @ paths[:, 0, :]
     p[0] = total
     for t in range(1, big_t + 1):
         ids = 1 + (t - 1) * s_count + np.arange(s_count)
         parent[ids] = 0 if t == 1 else ids - s_count
-        stage[ids] = t
         quantizer[ids] = paths[:, t, :]
         p[ids] = prob
-    return ScenarioTree(parent, stage, quantizer, p)
+    return ScenarioTree(parent, quantizer, p)
 
 
 def read_scenarios_csv(path, dim=1):
@@ -617,7 +597,7 @@ def load_csv(path, dim=1):
 
 
 def path_cost_table(tree_a, tree_b, order=2):
-    """Dense (leaves_a x leaves_b) table of path costs, leaves in id order.
+    """Dense (leaves_a x leaves_b) table of path costs, leaves in ``leaves()`` order.
 
     For ``order`` 2 the cost of two root-to-leaf paths is the sum of their
     squared Euclidean stage distances (the squared norm of the concatenated

@@ -55,9 +55,10 @@ def lone_transport(q, q_other, D):
 def block_matrix(blocks, values):
     """Reference: the sparse (blocks x stage-(t+1) nodes) matrix of a
     :class:`~treeshrink.tree.StageBlocks` with ``values`` (one per entry, in
-    block order) at (k, child of k)."""
-    return sparse.csr_matrix((values, blocks.local, blocks.ptr),
-                             shape=(blocks.ptr.shape[0] - 1, blocks.local.shape[0]))
+    stage-(t+1) order) at (k, child of k)."""
+    size = blocks.ptr[-1]
+    return sparse.csr_matrix((values, np.arange(size), blocks.ptr),
+                             shape=(blocks.ptr.shape[0] - 1, size))
 
 
 def relabel(tree, perm):
@@ -66,9 +67,17 @@ def relabel(tree, perm):
     parent = np.full(n, -1)
     nonroot = tree.parent >= 0
     parent[perm[nonroot]] = perm[tree.parent[nonroot]]
-    stage, quantizer, prob = (np.empty_like(x) for x in (tree.stage, tree.quantizer, tree.prob))
-    stage[perm], quantizer[perm], prob[perm] = tree.stage, tree.quantizer, tree.prob
-    return ScenarioTree(parent, stage, quantizer, prob)
+    quantizer, prob = np.empty_like(tree.quantizer), np.empty_like(tree.prob)
+    quantizer[perm], prob[perm] = tree.quantizer, tree.prob
+    return ScenarioTree(parent, quantizer, prob)
+
+
+def stage_position(tree):
+    """Position of every node in its stage's node order."""
+    pos = np.empty(tree.n_nodes, dtype=int)
+    for t in range(tree.T + 1):
+        pos[tree.stage_nodes(t)] = np.arange(tree.stage_nodes(t).shape[0])
+    return pos
 
 
 def weights(draw, n):

@@ -1,4 +1,5 @@
-"""The public API: the top-level names, and no module importing what it never uses."""
+"""The public API: the top-level names, and no module of the package or of
+its tests importing what it never uses."""
 
 import ast
 from pathlib import Path
@@ -16,6 +17,7 @@ PUBLIC = [
 ]
 
 PACKAGE = Path(treeshrink.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def test_top_level_names():
@@ -40,10 +42,13 @@ def unused_imports(source):
                   if name not in read)
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
-                                          if p.name != "__init__.py"))
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("module", MODULES + sorted(TESTS.glob("*.py")),
+                         ids=lambda path: path.name)
 def test_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(module.read_text()) == []
 
 
 def test_unused_import_is_found():

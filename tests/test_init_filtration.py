@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from treeshrink import init_filtration
 from treeshrink.init_filtration import (ScenarioMatrix, _squared_distances, ffs_init,
                                         kmeans_init, merge_prefixes, random_init)
-from treeshrink.tree import ScenarioTree, fan_tree
+from treeshrink.tree import fan_tree
 
 
 def ffs_objective(scenarios, selected, order=2):

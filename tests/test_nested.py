@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from batches import block_matrix, lone_transport, relabel
+from batches import block_matrix, lone_transport, relabel, stage_position
 from treeshrink import nested, ot_core
 from treeshrink.init_filtration import random_init
 from treeshrink.nested import nested_distance
@@ -117,8 +117,7 @@ class TestErrorsAndOptions:
 
     def test_early_leaf_raises(self):
         # Node 1 ends at stage 1 although the tree has leaves at stage 2.
-        early = ScenarioTree([-1, 0, 0, 2], [0, 1, 1, 2], [0.0, 1.0, 2.0, 3.0],
-                             [1.0, 0.5, 0.5, 0.5])
+        early = ScenarioTree([-1, 0, 0, 2], [0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.5, 0.5])
         with pytest.raises(ValueError, match="no children"):
             nested_distance(early, generate_random(2, 2, seed=0))
 
@@ -159,14 +158,13 @@ def highs_transport(q, q_other, D):
 def reference_nd(tree_a, tree_b, order=2):
     """The backward recursion with one HiGHS transport LP per node pair."""
     table = path_cost_table(tree_a, tree_b, order=order)
+    pos_a, pos_b = stage_position(tree_a), stage_position(tree_b)
     for t in range(tree_a.T - 1, -1, -1):
-        next_a, next_b = tree_a.stage_nodes(t + 1), tree_b.stage_nodes(t + 1)
         table = np.array([[
             highs_transport(
                 tree_a.conditional_children_probs(m),
                 tree_b.conditional_children_probs(n),
-                table[np.ix_(np.searchsorted(next_a, tree_a.children(m)),
-                             np.searchsorted(next_b, tree_b.children(n)))])
+                table[np.ix_(pos_a[tree_a.children(m)], pos_b[tree_b.children(n)])])
             for n in tree_b.stage_nodes(t)] for m in tree_a.stage_nodes(t)])
     return float(table[0, 0]) ** (1.0 / order)
 
@@ -175,9 +173,9 @@ def reference_nd(tree_a, tree_b, order=2):
 def ragged_trees(draw, big_t, dim, children=(1, 3)):
     """Valid trees with ``children`` (least, most) children per node and some
     zero-mass subtrees."""
-    parent, stage, prob = [-1], [0], [1.0]
+    parent, prob = [-1], [1.0]
     frontier = [0]
-    for t in range(1, big_t + 1):
+    for _ in range(big_t):
         nxt = []
         for node in frontier:
             weights = np.array(draw(st.lists(st.integers(0, 3), min_size=children[0],
@@ -186,14 +184,13 @@ def ragged_trees(draw, big_t, dim, children=(1, 3)):
                 weights[0] = 1.0
             for w in weights / weights.sum():
                 parent.append(node)
-                stage.append(t)
                 prob.append(prob[node] * w)
                 nxt.append(len(parent) - 1)
         frontier = nxt
     values = draw(st.lists(st.integers(-20, 20), min_size=len(parent) * dim,
                            max_size=len(parent) * dim))
     quantizer = np.array(values, dtype=float).reshape(len(parent), dim) / 4
-    return ScenarioTree(parent, stage, quantizer, prob)
+    return ScenarioTree(parent, quantizer, prob)
 
 
 @st.composite
@@ -294,10 +291,8 @@ def test_pair_chunks_end_between_lps():
     # three: two problems of 6 rows, packed into one HiGHS LP.  Chunks of
     # 7 entries would cut that LP in two, and HiGHS then returns another
     # vertex, one ulp off (0.0625 against 0.062499999999999986).
-    a = ScenarioTree([-1, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 1, 2, 2, 2, 2, 2, 2],
-                     np.zeros(9), [1, .5, .5] + [1 / 6] * 6)
-    b = ScenarioTree([-1, 0, 1, 1, 1], [0, 1, 2, 2, 2], [0, 0, .25, .25, .25],
-                     [1, 1, .25, .25, .5])
+    a = ScenarioTree([-1, 0, 0, 1, 1, 1, 2, 2, 2], np.zeros(9), [1, .5, .5] + [1 / 6] * 6)
+    b = ScenarioTree([-1, 0, 1, 1, 1], [0, 0, .25, .25, .25], [1, 1, .25, .25, .5])
     _, tables = nested_distance(a, b)
     with mock.patch.object(nested, "_PAIR_MAX_ENTRIES", 7):
         _, chunked = nested_distance(a, b)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from batches import block_matrix, lone_transport, relabel
+from batches import block_matrix, lone_transport, relabel, stage_position
 from treeshrink import ot_core
 from treeshrink import reduce as reduce_module
 from treeshrink.init_filtration import random_init
@@ -17,23 +17,21 @@ from treeshrink.tree import ScenarioTree, generate_random, path_cost_table
 
 def two_level_tree(mid_vals, leaf_vals, mid_probs=None):
     """Root + len(mid_vals) middle nodes, each with len(leaf_vals[i]) leaves."""
-    parent, stage, quant, prob = [-1], [0], [[0.0]], [1.0]
+    parent, quant, prob = [-1], [[0.0]], [1.0]
     k = len(mid_vals)
     mid_probs = mid_probs or [1.0 / k] * k
     mids = []
     for v, p in zip(mid_vals, mid_probs):
         parent.append(0)
-        stage.append(1)
         quant.append([float(v)])
         prob.append(p)
         mids.append(len(parent) - 1)
     for i, leaves in enumerate(leaf_vals):
         for v in leaves:
             parent.append(mids[i])
-            stage.append(2)
             quant.append([float(v)])
             prob.append(prob[mids[i]] / len(leaves))
-    return ScenarioTree(parent, stage, quant, prob)
+    return ScenarioTree(parent, quant, prob)
 
 
 def separated_tree():
@@ -42,11 +40,9 @@ def separated_tree():
 
 def joint_block(joints, orig, red, t, m, n):
     """Stage-(t+1) joint block of the children of nodes m and n, and its mass."""
-    rows = np.searchsorted(orig.stage_nodes(t + 1), orig.children(m))
-    cols = np.searchsorted(red.stage_nodes(t + 1), red.children(n))
-    mi = int(np.searchsorted(orig.stage_nodes(t), m))
-    nj = int(np.searchsorted(red.stage_nodes(t), n))
-    return joints[t + 1][np.ix_(rows, cols)], joints[t][mi, nj]
+    pos_a, pos_b = stage_position(orig), stage_position(red)
+    rows, cols = pos_a[orig.children(m)], pos_b[red.children(n)]
+    return joints[t + 1][np.ix_(rows, cols)], joints[t][pos_a[m], pos_b[n]]
 
 
 def conditional_block(joints, orig, red, t, m, n):
@@ -186,7 +182,7 @@ class TestProbabilityStep:
     def test_zero_weight_measure_gets_product_with_barycenter(self):
         # Stage 1 weights put no mass on (mid 1, mid 0), so reduced node 1's
         # problem has mid 0 as its only measure; mid 1 gets q x p instead.
-        orig = ScenarioTree([-1, 0, 0, 1, 1, 2, 2], [0, 1, 1, 2, 2, 2, 2],
+        orig = ScenarioTree([-1, 0, 0, 1, 1, 2, 2],
                             [[0.0], [0.0], [10.0], [0.0], [1.0], [10.0], [11.0]],
                             [1.0, 0.5, 0.5, 0.4, 0.1, 0.25, 0.25])
         red = separated_tree()
@@ -249,10 +245,9 @@ class TestAutoSolver:
 def mixed_width_tree():
     """Root with three children; two of them have two children, one has three."""
     parent = [-1, 0, 0, 0, 1, 1, 2, 2, 3, 3, 3]
-    stage = [0, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2]
     prob = [1.0, 0.3, 0.3, 0.4, 0.1, 0.2, 0.15, 0.15, 0.1, 0.1, 0.2]
     quant = np.linspace(-3.0, 3.0, 11)[:, None]
-    return ScenarioTree(parent, stage, quant, prob)
+    return ScenarioTree(parent, quant, prob)
 
 
 class TestSolverLog:
@@ -335,6 +330,26 @@ class TestReduceTree:
         assert min(report.deltas) == pytest.approx(0.0, abs=1e-12)
         assert final.validate() == []
 
+    @pytest.mark.parametrize("solver", ["lp", "mam", "ibp"])
+    def test_invariant_to_relabelling_both_trees(self, solver):
+        # Renaming the nodes changes each stage's node order, and with it
+        # the order of every table, batch and packed LP.
+        config = ReductionConfig(solver=solver, tol=1e-12, max_outer=4,
+                                 mam_max_iter=300, ibp_max_iter=300)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            orig = generate_random(3, 4, dim=2, seed=seed)
+            red = random_init([3, 2, 2], dim=2, seed=seed + 100)
+            perm = rng.permutation(red.n_nodes)
+            final, report = reduce_tree(orig, red, config)
+            renamed, renamed_report = reduce_tree(
+                relabel(orig, rng.permutation(orig.n_nodes)), relabel(red, perm), config)
+            np.testing.assert_allclose(renamed_report.deltas, report.deltas, rtol=1e-12, atol=0)
+            scale = np.abs(final.quantizer).max()
+            np.testing.assert_allclose(renamed.quantizer[perm], final.quantizer,
+                                       rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(renamed.prob[perm], final.prob, rtol=0, atol=1e-12)
+
     def test_trace_nonincreasing_lp(self):
         orig = generate_random(3, 4, seed=4)
         red = random_init([2, 2, 2], seed=5)
@@ -371,8 +386,8 @@ class TestReduceTree:
 
     def test_invalid_tree_rejected(self):
         orig = generate_random(2, 2, seed=0)
-        bad = ScenarioTree([-1, 0, 0, 1, 1, 2, 2], [0, 1, 1, 2, 2, 2, 2],
-                           np.zeros((7, 1)), [1.0, 0.5, 0.5, 0.3, 0.3, 0.25, 0.25])
+        bad = ScenarioTree([-1, 0, 0, 1, 1, 2, 2], np.zeros((7, 1)),
+                           [1.0, 0.5, 0.5, 0.3, 0.3, 0.25, 0.25])
         with pytest.raises(Exception):
             reduce_tree(orig, bad, ReductionConfig())
 
@@ -417,9 +432,9 @@ class TestReduceTree:
 def ragged_tree(draw, stages, dim, children=(1, 3)):
     """Valid tree with ``children`` (least, most) children per node and some
     zero-mass branches."""
-    parent, stage, prob = [-1], [0], [1.0]
+    parent, prob = [-1], [1.0]
     level = [0]
-    for t in range(1, stages + 1):
+    for _ in range(stages):
         nxt = []
         for node in level:
             raw = draw(st.lists(st.integers(0, 3), min_size=children[0], max_size=children[1]))
@@ -427,14 +442,13 @@ def ragged_tree(draw, stages, dim, children=(1, 3)):
                 raw[0] = 1
             for weight in raw:
                 parent.append(node)
-                stage.append(t)
                 prob.append(prob[node] * weight / sum(raw))
                 nxt.append(len(parent) - 1)
         level = nxt
     values = st.integers(-4, 4).map(float)
     quant = draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
                           min_size=len(parent), max_size=len(parent)))
-    return ScenarioTree(parent, stage, quant, prob)
+    return ScenarioTree(parent, quant, prob)
 
 
 @st.composite
@@ -496,8 +510,8 @@ class TestJointProperties:
         conditionals = compose.call_args.args[2]
         for t in range(orig.T):
             rows, cols = orig.stage_blocks(t), red.stage_blocks(t)
-            reference = block_matrix(rows, np.ones(rows.local.size)) @ (
-                block_matrix(cols, np.ones(cols.local.size))
+            reference = block_matrix(rows, np.ones(rows.ptr[-1])) @ (
+                block_matrix(cols, np.ones(cols.ptr[-1]))
                 @ (conditionals[t] * tables[t + 1]).T).T
             np.testing.assert_allclose(tables[t], reference, rtol=1e-12, atol=0)
 
@@ -524,5 +538,5 @@ class TestJointProperties:
             for t in range(orig.T):
                 rows, cols = orig.stage_blocks(t), red.stage_blocks(t)
                 sent = cols.sums(joints[t + 1], axis=1)
-                expected = rows.by_child(rows.cond)[:, None] * joints[t][rows.parents()]
+                expected = rows.cond[:, None] * joints[t][rows.parents()]
                 assert np.max(np.abs(sent - expected)) <= 1e-12

@@ -51,12 +51,21 @@ def reference_path_cost_table(tree_a, tree_b, order=2):
 
 
 def single_node_tree():
-    return ScenarioTree([-1], [0], [[0.0]], [1.0])
+    return ScenarioTree([-1], [[0.0]], [1.0])
 
 
 def two_leaf_tree(p1=0.5, p2=0.5, root_prob=1.0):
-    return ScenarioTree([-1, 0, 0], [0, 1, 1], [[0.0], [1.0], [2.0]],
-                        [root_prob, p1, p2])
+    return ScenarioTree([-1, 0, 0], [[0.0], [1.0], [2.0]], [root_prob, p1, p2])
+
+
+def depth(tree, node):
+    """Number of parent links from ``node`` up to a root, or -1 if there is
+    none: the links then run into a cycle."""
+    for k in range(tree.n_nodes):
+        if tree.parent[node] < 0:
+            return k
+        node = tree.parent[node]
+    return -1
 
 
 def validate_reference(tree):
@@ -67,14 +76,10 @@ def validate_reference(tree):
     roots = np.flatnonzero(tree.parent < 0)
     if roots.size != 1:
         v.append(f"tree: expected exactly one root, found {roots.size}")
-    for r in roots:
-        if tree.stage[r] != 0:
-            v.append(f"node {r}: root must sit at stage 0, found stage {tree.stage[r]}")
+    stage = [depth(tree, nd) for nd in range(tree.n_nodes)]
     for nd in range(tree.n_nodes):
-        par = tree.parent[nd]
-        if par >= 0 and tree.stage[nd] != tree.stage[par] + 1:
-            v.append(f"node {nd}: stage {tree.stage[nd]} is not parent stage "
-                     f"{tree.stage[par]} + 1")
+        if stage[nd] < 0:
+            v.append(f"node {nd}: not below the root (its parent links form a cycle)")
     for nd in range(tree.n_nodes):
         if not np.isfinite(tree.prob[nd]):
             v.append(f"node {nd}: probability {tree.prob[nd]} is not finite")
@@ -86,9 +91,9 @@ def validate_reference(tree):
             v.append(f"node {nd}: negative probability {tree.prob[nd]}")
     for nd in range(tree.n_nodes):
         if tree.n_children(nd) == 0:
-            if tree.stage[nd] != tree.T:
-                v.append(f"node {nd}: leaf at stage {tree.stage[nd]}, "
-                         f"expected all leaves at stage {tree.T}")
+            if 0 <= stage[nd] != max(stage):
+                v.append(f"node {nd}: leaf at stage {stage[nd]}, "
+                         f"expected all leaves at stage {max(stage)}")
         else:
             s = float(np.sum(tree.prob[tree.children(nd)]))
             if abs(s - tree.prob[nd]) > tr.PARENT_SUM_TOL:
@@ -105,19 +110,15 @@ def broken_trees(draw):
     """A tree of up to 40 nodes that may break any rule ``validate`` checks.
 
     Parents are drawn among the earlier nodes, often the first (wide nodes,
-    leaves at every depth) and sometimes none (several roots).  Stages
-    follow the parents, a few shifted; each node's mass splits over its
-    children by integer weights; then some probabilities are nudged across
-    or onto the sum tolerances or replaced by any float, NaN included, and
-    some quantizer entries by NaN or infinities.
+    leaves at every depth) and sometimes none (extra roots).  Each node's
+    mass splits over its children by integer weights.  Then a few parents
+    are redrawn among all nodes, which may close a cycle (a node its own
+    parent included) and may leave no root; some probabilities are nudged
+    across or onto the sum tolerances or replaced by any float, NaN
+    included, and some quantizer entries by NaN or infinities.
     """
     n = draw(st.integers(1, 40))
     parent = [-1] + [draw(st.one_of(st.just(0), st.integers(-1, i - 1))) for i in range(1, n)]
-    stage = np.zeros(n, dtype=int)
-    for i in range(1, n):
-        stage[i] = 0 if parent[i] < 0 else stage[parent[i]] + 1
-    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
-        stage[i] += draw(st.sampled_from([-1, 1, 2]))
     share = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), dtype=float)
     prob = np.zeros(n)
     roots = [i for i in range(n) if parent[i] < 0]
@@ -126,6 +127,8 @@ def broken_trees(draw):
         if parent[i] >= 0:
             sibs = [j for j in range(n) if parent[j] == parent[i]]
             prob[i] = prob[parent[i]] * share[i] / share[sibs].sum()
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        parent[i] = draw(st.integers(0, n - 1))
     nudges = st.sampled_from([1e-9, -1e-9, 2e-9, 1e-12, 2e-12, -3e-12])
     for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
         if draw(st.booleans()):
@@ -137,21 +140,22 @@ def broken_trees(draw):
     for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
         quantizer[i, draw(st.integers(0, d - 1))] = draw(
             st.sampled_from([np.nan, np.inf, -np.inf]))
-    return ScenarioTree(parent, stage, quantizer, prob)
+    return ScenarioTree(parent, quantizer, prob)
 
 
 class TestValidate:
     @settings(max_examples=150, deadline=None)
     @given(broken_trees())
     def test_matches_the_node_loop(self, tree):
+        assert tree.stage.tolist() == [depth(tree, nd) for nd in range(tree.n_nodes)]
         assert tree.validate() == validate_reference(tree)
 
     def test_wide_node_sum_matches_the_node_loop(self):
         # np.sum adds 8 or more terms pairwise, not one after another.
         rng = np.random.default_rng(4)
         kids = rng.dirichlet(np.ones(37)) * (1.0 + 1.5e-9)
-        tree = ScenarioTree(np.r_[-1, np.zeros(37, dtype=int)], np.r_[0, np.ones(37)],
-                            np.zeros((38, 1)), np.r_[1.0, kids])
+        tree = ScenarioTree(np.r_[-1, np.zeros(37, dtype=int)], np.zeros((38, 1)),
+                            np.r_[1.0, kids])
         assert tree.validate() == validate_reference(tree)
         assert any(v.startswith("node 0: probability") for v in tree.validate())
 
@@ -171,17 +175,30 @@ class TestValidate:
         assert any("negative" in v for v in violations)
 
     def test_two_roots_flagged(self):
-        t = ScenarioTree([-1, -1, 0, 1], [0, 0, 1, 1], np.zeros((4, 1)),
-                         [0.5, 0.5, 0.5, 0.5])
+        t = ScenarioTree([-1, -1, 0, 1], np.zeros((4, 1)), [0.5, 0.5, 0.5, 0.5])
         assert any("root" in v for v in t.validate())
 
     def test_ragged_leaf_stages_flagged(self):
-        t = ScenarioTree([-1, 0, 0, 1], [0, 1, 1, 2], np.zeros((4, 1)),
-                         [1.0, 0.5, 0.5, 0.5])
+        t = ScenarioTree([-1, 0, 0, 1], np.zeros((4, 1)), [1.0, 0.5, 0.5, 0.5])
         assert any("leaf" in v for v in t.validate())
 
+    def test_cycle_flagged(self):
+        # Nodes 2 and 3 are each other's parent; node 4 hangs below them.
+        # Their masses balance, so the cycle is all that is wrong.
+        t = ScenarioTree([-1, 0, 3, 2, 3], np.zeros((5, 1)), [1.0, 1.0, 0.5, 0.5, 0.0])
+        assert t.T == 1 and t.stage.tolist() == [0, 1, -1, -1, -1]
+        assert t.validate() == [
+            f"node {k}: not below the root (its parent links form a cycle)" for k in (2, 3, 4)]
+
+    def test_rootless_tree_validates(self):
+        t = ScenarioTree([1, 2, 0], np.zeros((3, 1)), [1.0, 1.0, 1.0])
+        assert t.T == -1 and t.stage.tolist() == [-1, -1, -1]
+        assert t.validate() == ["tree: expected exactly one root, found 0"] + [
+            f"node {k}: not below the root (its parent links form a cycle)" for k in range(3)
+        ] + ["tree: leaf probabilities sum to 0.0, expected 1"]
+
     def test_zero_dimension_flagged(self):
-        t = ScenarioTree([-1, 0], [0, 1], np.zeros((2, 0)), [1.0, 1.0])
+        t = ScenarioTree([-1, 0], np.zeros((2, 0)), [1.0, 1.0])
         assert t.validate() == ["tree: quantizer dimension 0, expected at least 1"]
 
     def test_stage_sums_telescope(self):
@@ -198,13 +215,13 @@ class TestPathCost:
         assert path_cost(t, leaf, t, leaf) == 0.0
 
     def test_single_stage_difference(self):
-        a = ScenarioTree([-1, 0], [0, 1], [[0.0], [0.0]], [1.0, 1.0])
-        b = ScenarioTree([-1, 0], [0, 1], [[0.0], [3.0]], [1.0, 1.0])
+        a = ScenarioTree([-1, 0], [[0.0], [0.0]], [1.0, 1.0])
+        b = ScenarioTree([-1, 0], [[0.0], [3.0]], [1.0, 1.0])
         assert path_cost(a, 1, b, 1) == pytest.approx(9.0)
 
     def test_two_paths_one_coordinate_off(self):
-        a = ScenarioTree([-1, 0], [0, 1], [[0.0], [1.0]], [1.0, 1.0])
-        b = ScenarioTree([-1, 0], [0, 1], [[0.0], [2.0]], [1.0, 1.0])
+        a = ScenarioTree([-1, 0], [[0.0], [1.0]], [1.0, 1.0])
+        b = ScenarioTree([-1, 0], [[0.0], [2.0]], [1.0, 1.0])
         assert path_cost(a, 1, b, 1) == pytest.approx(1.0)
 
     def test_symmetry(self):
@@ -228,8 +245,8 @@ class TestPathCost:
                 assert table[i, j] == pytest.approx(path_cost(a, int(la), b, int(lb)))
 
     def test_non_quadratic_order(self):
-        a = ScenarioTree([-1, 0], [0, 1], [[0.0], [0.0]], [1.0, 1.0])
-        b = ScenarioTree([-1, 0], [0, 1], [[0.0], [2.0]], [1.0, 1.0])
+        a = ScenarioTree([-1, 0], [[0.0], [0.0]], [1.0, 1.0])
+        b = ScenarioTree([-1, 0], [[0.0], [2.0]], [1.0, 1.0])
         assert path_cost(a, 1, b, 1, order=1) == pytest.approx(2.0)
         assert path_cost_table(a, b, order=1)[0, 0] == pytest.approx(2.0)
 
@@ -242,8 +259,8 @@ class TestPathCost:
     @pytest.mark.parametrize("order", [2, 3])
     def test_overflowing_costs_raise(self, order):
         # One stage apart by 1e200: the squared distance overflows.
-        a = ScenarioTree([-1, 0], [0, 1], [[0.0], [0.0]], [1.0, 1.0])
-        b = ScenarioTree([-1, 0], [0, 1], [[0.0], [1e200]], [1.0, 1.0])
+        a = ScenarioTree([-1, 0], [[0.0], [0.0]], [1.0, 1.0])
+        b = ScenarioTree([-1, 0], [[0.0], [1e200]], [1.0, 1.0])
         with pytest.raises(ValueError, match="not finite"):
             path_cost_table(a, b, order=order)
 
@@ -316,20 +333,35 @@ def relabelled_trees(draw):
     """A valid tree of 1-3 stages and 1-3 children per node, its nodes renamed
     by a random permutation, so that a block's children need not be
     neighbours in their stage's node order."""
-    parent, stage, prob = [-1], [0], [1.0]
+    parent, prob = [-1], [1.0]
     level = [0]
-    for t in range(1, draw(st.integers(1, 3)) + 1):
+    for _ in range(draw(st.integers(1, 3))):
         nxt = []
         for node in level:
             k = draw(st.integers(1, 3))
             for _ in range(k):
                 parent.append(node)
-                stage.append(t)
                 prob.append(prob[node] / k)
                 nxt.append(len(parent) - 1)
         level = nxt
-    tree = ScenarioTree(parent, stage, np.zeros((len(parent), 1)), prob)
+    tree = ScenarioTree(parent, np.zeros((len(parent), 1)), prob)
     return relabel(tree, np.array(draw(st.permutations(range(tree.n_nodes)))))
+
+
+class TestStages:
+    @settings(max_examples=100, deadline=None)
+    @given(relabelled_trees())
+    def test_stages_are_depths_in_breadth_first_order(self, tree):
+        assert tree.stage.tolist() == [depth(tree, nd) for nd in range(tree.n_nodes)]
+        assert tree.stage_nodes(0).tolist() == [tree.root]
+        for t in range(tree.T):
+            parents = tree.stage_nodes(t)
+            children = tree.stage_nodes(t + 1)
+            assert children.tolist() == np.concatenate(
+                [tree.children(m) for m in parents]).tolist()
+            blocks = tree.stage_blocks(t)
+            for k, m in enumerate(parents):
+                assert children[blocks.children(k)].tolist() == tree.children(m).tolist()
 
 
 class TestStageBlockSums:
@@ -344,13 +376,12 @@ class TestStageBlockSums:
         floats = st.floats(-1e3, 1e3, allow_subnormal=False)
         values = np.array(data.draw(st.lists(floats, min_size=math.prod(shape),
                                              max_size=math.prod(shape)))).reshape(shape)
-        weights = (np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=blocks.local.size,
-                                               max_size=blocks.local.size)))
+        weights = (np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
                    if weighted else None)
 
         axis = 0 if axis == "1-D" else axis
         moved = np.moveaxis(values, axis, -1)
-        w = np.ones(blocks.local.size) if weights is None else weights
+        w = np.ones(n) if weights is None else weights
         expected = np.moveaxis(np.stack([
             np.sum(moved[..., blocks.children(k)] * w[blocks.ptr[k]:blocks.ptr[k + 1]], axis=-1)
             for k in range(blocks.ptr.size - 1)], axis=-1), -1, axis)
@@ -362,7 +393,7 @@ class TestStageBlockSums:
     def test_childless_block_raises(self, parent):
         # Stage 1 holds nodes 1 and 2, one of them a leaf: an empty first
         # block would read its neighbour's value, an empty last one overrun.
-        tree = ScenarioTree(parent, [0, 1, 1, 2], np.zeros((4, 1)), [1.0, 0.5, 0.5, 0.5])
+        tree = ScenarioTree(parent, np.zeros((4, 1)), [1.0, 0.5, 0.5, 0.5])
         with pytest.raises(ValueError, match="no children"):
             tree.stage_blocks(1).sums(np.ones(1))
 
@@ -401,6 +432,7 @@ def reference_from_json_dict(doc):
     """Reference: the parser as a loop over the nodes, one record at a time."""
     try:
         nodes = doc["nodes"]
+        last = tr._integer(doc["T"], "T")
         d = tr._integer(doc["d"], "d")
         n = len(nodes)
         if n == 0:
@@ -426,21 +458,12 @@ def reference_from_json_dict(doc):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TreeFormatError(f"malformed tree document: {exc}") from exc
     quantizer = np.array(quantizer).reshape(n, d)
-    stage = np.full(n, -1, dtype=np.int64)
-    stage[parent < 0] = 0
-    for _ in range(n):
-        todo = (stage < 0) & (parent >= 0)
-        if not todo.any():
-            break
-        idx = np.flatnonzero(todo)
-        ready = idx[stage[parent[idx]] >= 0]
-        if ready.size == 0:
-            raise TreeFormatError("parent links contain a cycle")
-        stage[ready] = stage[parent[ready]] + 1
-    tree = ScenarioTree(parent, stage, quantizer, prob)
+    tree = ScenarioTree(parent, quantizer, prob)
     violations = tree.validate()
     if violations:
         raise TreeValidationError(violations)
+    if last != max(depth(tree, nd) for nd in range(n)):
+        raise TreeFormatError(f"T is {last}, but the parent links end at stage {tree.T}")
     return tree
 
 
@@ -495,8 +518,8 @@ def single_fault_documents(draw):
 def node_trees(draw):
     """Valid trees of 1-3 stages, 1-3 children a node and d = 1-3, with any
     finite quantizers: -0.0, the least subnormal and the largest double often."""
-    parent, stage, prob, frontier = [-1], [0], [1.0], [0]
-    for t in range(1, draw(st.integers(1, 3)) + 1):
+    parent, prob, frontier = [-1], [1.0], [0]
+    for _ in range(draw(st.integers(1, 3))):
         nxt = []
         for node in frontier:
             weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
@@ -504,7 +527,6 @@ def node_trees(draw):
                 weights[0] = 1
             for w in weights:
                 parent.append(node)
-                stage.append(t)
                 prob.append(prob[node] * w / sum(weights))
                 nxt.append(len(parent) - 1)
         frontier = nxt
@@ -513,7 +535,7 @@ def node_trees(draw):
                                 -1.7976931348623157e308])
     values = st.one_of(extremes, st.floats(allow_nan=False, allow_infinity=False))
     quantizer = draw(st.lists(values, min_size=len(parent) * d, max_size=len(parent) * d))
-    return ScenarioTree(parent, stage, np.reshape(quantizer, (len(parent), d)), prob)
+    return ScenarioTree(parent, np.reshape(quantizer, (len(parent), d)), prob)
 
 
 def reference_text(tree):
@@ -598,6 +620,35 @@ class TestSerialization:
         with pytest.raises(TreeFormatError, match="at least one node"):
             ScenarioTree.from_json_dict({"T": 0, "d": 1, "nodes": []})
 
+    @pytest.mark.parametrize("value, message", [
+        (7, "^T is 7, but the parent links end at stage 1$"),
+        (0, "^T is 0, but the parent links end at stage 1$"),
+        ("x", "^T must be an integer, got 'x'$"),
+        (1.0, "^T must be an integer, got 1.0$"),
+        (True, "^T must be an integer, got True$"),
+        (None, "^T must be an integer, got None$"),
+    ])
+    def test_last_stage_must_match_the_parent_links(self, value, message):
+        doc = generate_random(1, 2, seed=0).to_json_dict()
+        doc["T"] = value
+        with pytest.raises(TreeFormatError, match=message):
+            ScenarioTree.from_json_dict(doc)
+
+    def test_missing_last_stage_rejected(self):
+        doc = generate_random(1, 2, seed=0).to_json_dict()
+        del doc["T"]
+        with pytest.raises(TreeFormatError, match="malformed tree document"):
+            ScenarioTree.from_json_dict(doc)
+
+    def test_cycle_rejected_naming_its_nodes(self):
+        # A chain 0 -> 1 -> 2 whose node 1 is moved below node 2.
+        doc = generate_random(2, 1, seed=0).to_json_dict()
+        doc["nodes"][1]["parent"] = 2
+        with pytest.raises(TreeValidationError) as err:
+            ScenarioTree.from_json_dict(doc)
+        assert err.value.violations == [
+            f"node {k}: not below the root (its parent links form a cycle)" for k in (1, 2)]
+
     def test_huge_dimension_rejected_before_allocating(self):
         doc = generate_random(1, 2, seed=0).to_json_dict()
         doc["d"] = 10 ** 12
@@ -660,9 +711,8 @@ class TestSerialization:
         assert_bitwise_equal(ScenarioTree.from_json_dict(doc), t)
 
     @settings(max_examples=200, deadline=None)
-    @example(tree=ScenarioTree([-1, 0], [0, 1], [[np.nan, 1.0], [0.0, -0.0]], [1.0, 1.0]))
-    @example(tree=ScenarioTree([-1, 0, 0], [0, 1, 1], [[np.inf], [-np.inf], [2.0]],
-                               [1.0, 0.5, 0.5]))
+    @example(tree=ScenarioTree([-1, 0], [[np.nan, 1.0], [0.0, -0.0]], [1.0, 1.0]))
+    @example(tree=ScenarioTree([-1, 0, 0], [[np.inf], [-np.inf], [2.0]], [1.0, 0.5, 0.5]))
     @given(tree=node_trees())
     def test_writer_matches_json_and_round_trips_bitwise(self, tree, tmp_path_factory):
         path = tmp_path_factory.mktemp("trees") / "tree.json"
@@ -675,8 +725,8 @@ class TestSerialization:
         assert_bitwise_equal(ScenarioTree.load(path), tree)
 
     @pytest.mark.parametrize("tree", [
-        ScenarioTree([-1, 0], [0, 1], [[np.nan], [-np.inf]], [np.inf, 1.0]),
-        ScenarioTree([-1, 0], [0, 1], np.zeros((2, 0)), [1.0, 1.0]),
+        ScenarioTree([-1, 0], [[np.nan], [-np.inf]], [np.inf, 1.0]),
+        ScenarioTree([-1, 0], np.zeros((2, 0)), [1.0, 1.0]),
     ], ids=["non-finite-prob", "zero-dimension"])
     def test_writer_matches_json_where_load_refuses(self, tree):
         assert tree.to_json_text() == json.dumps(tree.to_json_dict(), indent=1)
@@ -737,6 +787,9 @@ class TestFrozenArrays:
         t = generate_random(2, 2, seed=0)
         with pytest.raises(ValueError):
             t.prob[0] = 2.0
+        for array in (t.stage, t.stage_nodes(1), t.stage_blocks(1).ptr):
+            with pytest.raises(ValueError):
+                array[0] = 5
 
     def test_replacement_constructors(self):
         t = generate_random(2, 2, seed=0)
