@@ -88,8 +88,10 @@ def nested_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, order=2):
     per stage-t node of ``tree_b``, both in ``stage_nodes(t)`` order; the
     leaf-stage table is the path-cost table (leaves in ``leaves()``
     order), and ``nd = tables[0][0, 0] ** (1/order)``.  ``order`` must be
-    finite and at least 1, and path costs that overflow at that order raise
-    ``ValueError`` (:func:`path_cost_table`).
+    finite and at least 1.  Path costs that overflow at that order, and
+    trees that differ in stage count or dimension, raise ``ValueError``; a
+    tree with no root raises
+    :class:`~treeshrink.tree.TreeValidationError` (:func:`path_cost_table`).
     Each stage t fills its table in two steps.  First the product plan
     values: the sums of ``tables[t+1]`` over each pair's children blocks,
     weighted by both sides' conditional probabilities, rows first
@@ -98,11 +100,9 @@ def nested_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, order=2):
     nodes branch are overwritten by their optimal transport values, from
     :func:`~treeshrink.ot_core.transport_lp` (one call per chunk of pairs).
     """
-    if tree_a.T != tree_b.T or tree_a.d != tree_b.d:
-        raise ValueError("trees must share stage count and quantizer dimension")
+    leaf_table = path_cost_table(tree_a, tree_b, order=order)
     big_t = tree_a.T
-    tables = [None] * (big_t + 1)
-    tables[big_t] = path_cost_table(tree_a, tree_b, order=order)
+    tables = [None] * big_t + [leaf_table]
 
     for t in range(big_t - 1, -1, -1):
         blocks_a = tree_a.stage_blocks(t)

@@ -151,8 +151,8 @@ def _compose(original, reduced, conditionals) -> list:
     """Stage joints from the stage conditionals ``C_t``, from pi(0, 0) = 1 down."""
     joints = [np.ones((1, 1))]
     for t, cond in enumerate(conditionals):
-        rows = original.stage_blocks(t).parents()
-        cols = reduced.stage_blocks(t).parents()
+        rows = original.stage_blocks(t).parents
+        cols = reduced.stage_blocks(t).parents
         joints.append(cond * joints[t][rows][:, cols])
     return joints
 

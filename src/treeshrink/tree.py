@@ -34,6 +34,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,12 @@ def check_positive(name, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _read_only(arr):
+    """``arr``, marked read-only."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _concat_ranges(starts, lengths):
     """Concatenation of ``arange(s, s + n)`` over the pairs of the two arrays."""
     ends = np.cumsum(lengths)
@@ -91,15 +98,23 @@ class StageBlocks:
     the contiguous positions ``ptr[k]:ptr[k+1]`` of ``stage_nodes(t+1)``, in
     ascending-id order, with conditional probabilities
     ``cond[ptr[k]:ptr[k+1]]`` (uniform for a node without mass, as in
-    :meth:`ScenarioTree.conditional_children_probs`).
+    :meth:`ScenarioTree.conditional_children_probs`).  ``sizes`` and
+    ``parents`` are computed on first use and kept, read-only, with the
+    block index.
     """
 
     ptr: np.ndarray
     cond: np.ndarray
 
-    @property
+    @cached_property
     def sizes(self) -> np.ndarray:
-        return np.diff(self.ptr)
+        """Children per block: ``np.diff(ptr)``."""
+        return _read_only(np.diff(self.ptr))
+
+    @cached_property
+    def parents(self) -> np.ndarray:
+        """Block of every stage-(t+1) node, in stage-(t+1) node order."""
+        return _read_only(np.repeat(np.arange(self.sizes.shape[0]), self.sizes))
 
     def children(self, k: int) -> slice:
         return slice(self.ptr[k], self.ptr[k + 1])
@@ -108,10 +123,6 @@ class StageBlocks:
         """CSR pointer and entry positions of the given blocks, in that order."""
         sizes = self.sizes[blocks]
         return np.concatenate(([0], np.cumsum(sizes))), _concat_ranges(self.ptr[blocks], sizes)
-
-    def parents(self) -> np.ndarray:
-        """Block of every stage-(t+1) node, in stage-(t+1) node order."""
-        return np.repeat(np.arange(self.sizes.shape[0]), self.sizes)
 
     def sums(self, values, axis=0, weights=None) -> np.ndarray:
         """Sum of stage-(t+1) ``values`` over each block, along ``axis``.
@@ -223,10 +234,8 @@ class ScenarioTree:
             with np.errstate(divide="ignore", invalid="ignore"):
                 cond = np.where(mass > 0.0, self.prob[ch] / mass,
                                 1.0 / np.repeat(sizes, sizes))
-            blocks = StageBlocks(np.concatenate(([0], np.cumsum(sizes))), cond)
-            for arr in (blocks.ptr, blocks.cond):
-                arr.flags.writeable = False
-            self._stage_blocks[t] = blocks
+            self._stage_blocks[t] = StageBlocks(
+                _read_only(np.concatenate(([0], np.cumsum(sizes)))), _read_only(cond))
         return self._stage_blocks[t]
 
     def leaves(self) -> np.ndarray:
@@ -250,19 +259,14 @@ class ScenarioTree:
 
     # -- path algebra --------------------------------------------------------
 
-    def path_matrix(self) -> np.ndarray:
-        """(n_leaves, T+1) node indices of every root-to-leaf path."""
-        lv = self.leaves()
-        out = np.empty((lv.shape[0], self.T + 1), dtype=np.int64)
-        cur = lv
-        for t in range(self.T, -1, -1):
-            out[:, t] = cur
-            cur = self.parent[cur]
-        return out
-
     def path_values(self) -> np.ndarray:
         """(n_leaves, T+1, d) quantizers along every root-to-leaf path."""
-        return self.quantizer[self.path_matrix()]
+        nodes = self.leaves()
+        out = np.empty((nodes.shape[0], self.T + 1, self.d))
+        for t in range(self.T, -1, -1):
+            out[:, t] = self.quantizer[nodes]
+            nodes = self.parent[nodes]
+        return out
 
     # -- validation ----------------------------------------------------------
 
@@ -596,6 +600,21 @@ def load_csv(path, dim=1):
     return tree
 
 
+def _stage_costs(xa, xb, order):
+    """(len(xa), len(xb)) squared Euclidean distances of the rows of ``xa``
+    and ``xb``, or for ``order`` other than 2 their square roots, built in
+    place in one table (two for d > 1)."""
+    sq = np.subtract.outer(xa[:, 0], xb[:, 0])
+    np.multiply(sq, sq, out=sq)
+    if xa.shape[1] > 1:
+        diff = np.empty_like(sq)
+        for k in range(1, xa.shape[1]):
+            np.subtract.outer(xa[:, k], xb[:, k], out=diff)
+            np.multiply(diff, diff, out=diff)
+            sq += diff
+    return sq if order == 2 else np.sqrt(sq, out=sq)
+
+
 def path_cost_table(tree_a, tree_b, order=2):
     """Dense (leaves_a x leaves_b) table of path costs, leaves in ``leaves()`` order.
 
@@ -603,35 +622,46 @@ def path_cost_table(tree_a, tree_b, order=2):
     squared Euclidean stage distances (the squared norm of the concatenated
     path vectors), the form under which the mean update of the reduction
     loop is exactly optimal.  Other orders sum the per-stage Euclidean
-    distances and raise the total to ``order``.  Each stage's squared
-    distances are built in place in one scratch table (two for d > 1), so
-    the peak is two or three tables.  ``order`` must be finite and at least
-    1, and every cost finite: a table that overflows (a large ``order`` on
-    paths of cost above 1) raises ``ValueError`` before any solver sees it.
+    distances and raise the total to ``order``.  ``order`` must be finite
+    and at least 1, and every cost finite: a table that overflows (a large
+    ``order`` on paths of cost above 1) raises ``ValueError`` before any
+    solver sees it.  A tree with no root raises
+    :class:`TreeValidationError`.
+
+    The table is built forward over the stages, one entry per node pair:
+    ``table_0`` is the root pair's stage cost, and ``table_t`` is
+    ``table_{t-1}`` spread to every child pair (a gather through both
+    trees' :attr:`StageBlocks.parents`) plus the stage-t cost ``s_t`` of
+    each pair, its squared distance for order 2 and the square root of it
+    otherwise.  ``np.power`` is applied once, to the leaf table.  Every
+    leaf pair's entry is thus ``(...(s_0 + s_1) + ...) + s_T`` over its
+    path's pairs, the same additions in the same order as summing the
+    stage tables of the leaf paths, so the table is that sum bit for bit;
+    only stage T works at leaf size.  Each stage's squared distances are
+    built in place in one temporary table (two for d > 1), so the peak is two
+    or three leaf tables.
     """
+    for tree in (tree_a, tree_b):
+        if tree.T < 0:
+            raise TreeValidationError(tree.validate())
     if tree_a.T != tree_b.T or tree_a.d != tree_b.d:
         raise ValueError("trees must share stage count and quantizer dimension")
     if not 1 <= order < np.inf:
         raise ValueError(f"order must be at least 1 and finite, got {order}")
-    pa = tree_a.path_values()
-    pb = tree_b.path_values()
-    shape = (pa.shape[0], pb.shape[0])
-    acc = np.zeros(shape)
-    sq = np.empty(shape)
-    diff = np.empty(shape) if tree_a.d > 1 else None
+    table = 0.0  # stage 0 adds its costs to no earlier ones
     # Overflow is caught below, on the finished table.
     with np.errstate(over="ignore"):
         for t in range(tree_a.T + 1):
-            np.subtract(pa[:, t, 0][:, None], pb[None, :, t, 0], out=sq)
-            np.multiply(sq, sq, out=sq)
-            for k in range(1, tree_a.d):
-                np.subtract(pa[:, t, k][:, None], pb[None, :, t, k], out=diff)
-                np.multiply(diff, diff, out=diff)
-                sq += diff
-            acc += sq if order == 2 else np.sqrt(sq, out=sq)
+            if t:
+                # Columns first: their gather is the smaller one when tree_a
+                # branches wider, and the rows then copy whole rows.
+                rows, cols = tree_a.stage_blocks(t - 1), tree_b.stage_blocks(t - 1)
+                table = table.take(cols.parents, axis=1).take(rows.parents, axis=0)
+            table += _stage_costs(tree_a.quantizer[tree_a.stage_nodes(t)],
+                                  tree_b.quantizer[tree_b.stage_nodes(t)], order)
         if order != 2:
-            np.power(acc, order, out=acc)
+            np.power(table, order, out=table)
     # Every cost is >= 0 or NaN, so the maximum is finite only if all are.
-    if not np.isfinite(acc.max()):
+    if not np.isfinite(table.max()):
         raise ValueError(f"path costs of order {order} are not finite")
-    return acc
+    return table

@@ -125,3 +125,27 @@ def stack(problems):
                            np.concatenate([p.alpha for p in problems]),
                            np.concatenate(([0], np.cumsum(sizes))),
                            np.concatenate(([0], np.cumsum(counts))))
+
+
+@st.composite
+def ragged_trees(draw, big_t, dim, children=(1, 3)):
+    """Valid trees with ``children`` (least, most) children per node and some
+    zero-mass subtrees."""
+    parent, prob = [-1], [1.0]
+    frontier = [0]
+    for _ in range(big_t):
+        nxt = []
+        for node in frontier:
+            weights = np.array(draw(st.lists(st.integers(0, 3), min_size=children[0],
+                                             max_size=children[1])), dtype=float)
+            if weights.sum() == 0:
+                weights[0] = 1.0
+            for w in weights / weights.sum():
+                parent.append(node)
+                prob.append(prob[node] * w)
+                nxt.append(len(parent) - 1)
+        frontier = nxt
+    values = draw(st.lists(st.integers(-20, 20), min_size=len(parent) * dim,
+                           max_size=len(parent) * dim))
+    quantizer = np.array(values, dtype=float).reshape(len(parent), dim) / 4
+    return ScenarioTree(parent, quantizer, prob)

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from batches import block_matrix, lone_transport, relabel, stage_position
+from batches import block_matrix, lone_transport, ragged_trees, relabel, stage_position
 from treeshrink import nested, ot_core
 from treeshrink.init_filtration import random_init
 from treeshrink.nested import nested_distance
 from treeshrink.reduce import ReductionConfig, reduce_tree
-from treeshrink.tree import ScenarioTree, generate_random, fan_tree, path_cost_table
+from treeshrink.tree import (ScenarioTree, TreeValidationError, generate_random, fan_tree,
+                             path_cost_table)
 
 
 def fan(leaf_values, probs, root=0.0):
@@ -115,6 +116,15 @@ class TestErrorsAndOptions:
         with pytest.raises(ValueError):
             nested_distance(a, b)
 
+    @pytest.mark.parametrize("rootless_side", ["a", "b", "both"])
+    def test_rootless_tree_raises(self, rootless_side):
+        rootless = ScenarioTree([1, 2, 0], np.zeros((3, 1)), [1.0, 1.0, 1.0])
+        rooted = generate_random(2, 2, seed=0)
+        a = rootless if rootless_side in ("a", "both") else rooted
+        b = rootless if rootless_side in ("b", "both") else rooted
+        with pytest.raises(TreeValidationError, match="expected exactly one root, found 0"):
+            nested_distance(a, b)
+
     def test_early_leaf_raises(self):
         # Node 1 ends at stage 1 although the tree has leaves at stage 2.
         early = ScenarioTree([-1, 0, 0, 2], [0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.5, 0.5])
@@ -167,30 +177,6 @@ def reference_nd(tree_a, tree_b, order=2):
                 table[np.ix_(pos_a[tree_a.children(m)], pos_b[tree_b.children(n)])])
             for n in tree_b.stage_nodes(t)] for m in tree_a.stage_nodes(t)])
     return float(table[0, 0]) ** (1.0 / order)
-
-
-@st.composite
-def ragged_trees(draw, big_t, dim, children=(1, 3)):
-    """Valid trees with ``children`` (least, most) children per node and some
-    zero-mass subtrees."""
-    parent, prob = [-1], [1.0]
-    frontier = [0]
-    for _ in range(big_t):
-        nxt = []
-        for node in frontier:
-            weights = np.array(draw(st.lists(st.integers(0, 3), min_size=children[0],
-                                             max_size=children[1])), dtype=float)
-            if weights.sum() == 0:
-                weights[0] = 1.0
-            for w in weights / weights.sum():
-                parent.append(node)
-                prob.append(prob[node] * w)
-                nxt.append(len(parent) - 1)
-        frontier = nxt
-    values = draw(st.lists(st.integers(-20, 20), min_size=len(parent) * dim,
-                           max_size=len(parent) * dim))
-    quantizer = np.array(values, dtype=float).reshape(len(parent), dim) / 4
-    return ScenarioTree(parent, quantizer, prob)
 
 
 @st.composite

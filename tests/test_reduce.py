@@ -538,5 +538,5 @@ class TestJointProperties:
             for t in range(orig.T):
                 rows, cols = orig.stage_blocks(t), red.stage_blocks(t)
                 sent = cols.sums(joints[t + 1], axis=1)
-                expected = rows.cond[:, None] * joints[t][rows.parents()]
+                expected = rows.cond[:, None] * joints[t][rows.parents]
                 assert np.max(np.abs(sent - expected)) <= 1e-12

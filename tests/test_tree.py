@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from batches import relabel
+from batches import ragged_trees, relabel
 from treeshrink import tree as tr
 from treeshrink.init_filtration import random_init
 from treeshrink.tree import (ScenarioTree, TreeFormatError, TreeValidationError,
@@ -21,7 +21,7 @@ def leaf_path(tree, leaf):
     row = np.flatnonzero(tree.leaves() == leaf)
     if row.size == 0:
         raise ValueError("path costs are defined between leaves")
-    return tree.quantizer[tree.path_matrix()[row[0]]]
+    return tree.path_values()[row[0]]
 
 
 def path_cost(tree_a, leaf_a, tree_b, leaf_b, order=2):
@@ -270,6 +270,37 @@ class TestPathCost:
         b = random_init([3, 2, 2], dim=dim, seed=order)
         table = path_cost_table(a, b, order=order)
         assert table.tobytes() == reference_path_cost_table(a, b, order=order).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3), st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 2.5, 3]),
+           st.data())
+    def test_table_bitwise_equal_to_reference_on_ragged_trees(self, big_t, dim, order, data):
+        # Real-valued quantizers, so that the rounding of a cost depends on
+        # the order of its additions.
+        floats = st.floats(-10.0, 10.0, allow_subnormal=False)
+        a, b = (data.draw(ragged_trees(big_t, dim)) for _ in range(2))
+        a, b = (tree.with_quantizer(np.reshape(data.draw(st.lists(
+            floats, min_size=tree.quantizer.size, max_size=tree.quantizer.size)),
+            tree.quantizer.shape)) for tree in (a, b))
+        table = path_cost_table(a, b, order=order)
+        assert table.tobytes() == reference_path_cost_table(a, b, order=order).tobytes()
+        for tree in (a, b):
+            for t in range(tree.T):
+                blocks = tree.stage_blocks(t)
+                sizes, parents = blocks.sizes, blocks.parents
+                assert blocks.sizes is sizes and blocks.parents is parents
+                assert not (sizes.flags.writeable or parents.flags.writeable)
+                assert sizes.tolist() == np.diff(blocks.ptr).tolist()
+                assert parents.tolist() == np.repeat(np.arange(sizes.size), sizes).tolist()
+
+    @pytest.mark.parametrize("rootless_side", ["a", "b", "both"])
+    def test_rootless_tree_raises(self, rootless_side):
+        rootless = ScenarioTree([1, 2, 0], np.zeros((3, 1)), [1.0, 1.0, 1.0])
+        rooted = generate_random(2, 2, seed=0)
+        a = rootless if rootless_side in ("a", "both") else rooted
+        b = rootless if rootless_side in ("b", "both") else rooted
+        with pytest.raises(TreeValidationError, match="expected exactly one root, found 0"):
+            path_cost_table(a, b)
 
     def test_table_peak_memory(self):
         # 3125 x 32 leaves over 6 stages: a table is 0.8 MB.  The reference
@@ -747,6 +778,21 @@ def test_paper_scale_io(tmp_path):
     print(f"\npaper scale: save {save_s:.2f} s, load {load_s:.2f} s, peak RSS {peak_mb:.0f} MB")
     assert_bitwise_equal(back, t)
     assert path.read_text() == reference_text(t)
+
+
+@pytest.mark.slow
+def test_paper_scale_table():
+    # The paper's 78,125 leaves against a binary tree's 128: 10^7 entries.
+    a = generate_random(7, 5, seed=1)
+    b = random_init([2] * 7, seed=1)
+    tick = time.perf_counter()
+    table = path_cost_table(a, b)
+    table_s = time.perf_counter() - tick
+    tick = time.perf_counter()
+    reference = reference_path_cost_table(a, b)
+    reference_s = time.perf_counter() - tick
+    print(f"\npaper scale: table {table_s:.2f} s, stage-loop reference {reference_s:.2f} s")
+    assert table.tobytes() == reference.tobytes()
 
 
 class TestCsvIngestion:
