@@ -156,7 +156,9 @@ def cmd_reduce(args):
         with open(args.trace, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iter", "delta00", "nd", "seconds"])
-            writer.writerows(report.trace_rows())
+            # Iteration 0 is the initial plan, which takes no iteration time.
+            writer.writerows(zip(range(len(report.deltas)), report.deltas, report.nds(),
+                                 [0.0] + report.iteration_seconds))
         outputs.append(str(args.trace))
     if args.report:
         doc = report.to_json_dict()

@@ -16,8 +16,10 @@ their exact values from the batched transport solver: a pair where one node
 has two children is a fractional knapsack, solved by one sort, and the rest
 are packed into HiGHS dual-simplex solves of at most a few hundred
 constraints, run without presolve.  The pairs are built in chunks of at most
-``_PAIR_MAX_ENTRIES`` plan entries, so memory stays bounded on large trees;
-chunks end only between those HiGHS solves, so they change no value.
+``_PAIR_MAX_ENTRIES`` plan entries, so memory stays bounded on large trees:
+the runs of pairs between the cuts that split no HiGHS solve are packed
+greedily into chunks by :func:`~treeshrink.ot_core.packs`, so the chunks
+change no value.
 :func:`transport_lp` is the one transport solver; :func:`nested_distance`
 calls it once per chunk.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ot_core import block_entries, transport_lp, transport_splits
+from .ot_core import block_entries, packs, transport_lp, transport_splits
 from .tree import ScenarioTree, path_cost_table
 
 # Not called under this name: perfbench/spans.py still resolves its
@@ -48,9 +50,11 @@ def _branching_pairs(blocks_a, blocks_b, next_table):
     Returns ``(rows, cols, values)``: the pairs are ``rows x cols`` and
     ``values`` has shape (len(rows), len(cols)).  The pairs are solved in
     row-major order, in chunks of at most ``_PAIR_MAX_ENTRIES`` plan entries
-    (at least one HiGHS LP).  A chunk ends only where one call on the whole
-    stage would start a new HiGHS LP (:func:`transport_splits`), so the
-    chunks change no LP and no value.
+    (at least one HiGHS LP).  A stage that fits in one chunk is one call;
+    otherwise the stage is cut only where one call on the whole stage would
+    start a new HiGHS LP (:func:`transport_splits`), and :func:`packs` packs
+    the runs between those cuts into chunks, so the chunks change no LP and
+    no value.
     """
     rows = np.flatnonzero(blocks_a.sizes > 1)
     cols = np.flatnonzero(blocks_b.sizes > 1)
@@ -59,24 +63,18 @@ def _branching_pairs(blocks_a, blocks_b, next_table):
         row_of = np.repeat(rows, cols.shape[0])
         col_of = np.tile(cols, rows.shape[0])
         r, s = blocks_a.sizes[row_of], blocks_b.sizes[col_of]
-        ends = np.cumsum(r * s)
-        # The chunk ends that split no LP, and the plan entries before each.
-        cuts = np.array([values.size])
+        ends = np.concatenate(([0], np.cumsum(r * s)))
+        cuts = np.array([0, values.size])
         if ends[-1] > _PAIR_MAX_ENTRIES:
-            cuts = np.flatnonzero(transport_splits(r, s)[1:]) + 1
-        before = ends[cuts - 1]
-        lo = 0
-        while lo < values.size:
-            start = ends[lo - 1] if lo else 0
-            hi = cuts[max(np.searchsorted(before, start + _PAIR_MAX_ENTRIES, side="right") - 1,
-                          np.searchsorted(cuts, lo, side="right"))]
+            cuts = np.flatnonzero(transport_splits(r, s))
+            cuts = cuts[packs(np.diff(ends[cuts]), _PAIR_MAX_ENTRIES)]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
             row_ptr, row_pos = blocks_a.select(row_of[lo:hi])
             col_ptr, col_pos = blocks_b.select(col_of[lo:hi])
             _, i, j = block_entries(row_ptr, col_ptr)
             cost = next_table[row_pos[i], col_pos[j]]
             values[lo:hi], _ = transport_lp(blocks_a.cond[row_pos], row_ptr,
                                             blocks_b.cond[col_pos], col_ptr, cost)
-            lo = hi
     return rows, cols, values.reshape(rows.shape[0], cols.shape[0])
 
 
@@ -110,8 +108,8 @@ def nested_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, order=2):
         if not (blocks_a.sizes.all() and blocks_b.sizes.all()):
             raise ValueError(f"a stage-{t} node has no children, but leaves must "
                              f"sit at stage {big_t}")
-        table = blocks_b.sums(blocks_a.sums(tables[t + 1], weights=blocks_a.cond),
-                              axis=1, weights=blocks_b.cond)
+        table = blocks_b.sums(blocks_a.sums(tables[t + 1] * blocks_a.cond[:, None])
+                              * blocks_b.cond, axis=1)
         rows, cols, values = _branching_pairs(blocks_a, blocks_b, tables[t + 1])
         table[np.ix_(rows, cols)] = values
         tables[t] = table

@@ -266,18 +266,17 @@ def _two_atom(r, s):
     return (r == 2) | (s == 2)
 
 
-def _lp_packs(rows):
-    """Greedy packing of consecutive HiGHS problems of ``rows`` constraints
-    each into LPs of at most ``_LP_MAX_ROWS`` rows (a larger problem alone).
+def packs(sizes, limit):
+    """Greedy packing of consecutive items of the given ``sizes`` into runs
+    whose sizes sum to at most ``limit`` (a larger item gets a run alone).
 
-    Returns the index of every LP's first problem, then ``len(rows)``.
+    Returns the index of every run's first item, then ``len(sizes)``.
     """
-    lp_rows = np.concatenate(([0], np.cumsum(rows)))
+    ends = np.concatenate(([0], np.cumsum(sizes)))
     bounds = [0]
-    while bounds[-1] < rows.shape[0]:
+    while bounds[-1] < len(sizes):
         lo = bounds[-1]
-        bounds.append(max(lo + 1, int(np.searchsorted(lp_rows, lp_rows[lo] + _LP_MAX_ROWS,
-                                                      side="right")) - 1))
+        bounds.append(max(lo + 1, int(np.searchsorted(ends, ends[lo] + limit, side="right")) - 1))
     return np.array(bounds)
 
 
@@ -293,7 +292,7 @@ def transport_splits(r, s):
     """
     r, s = np.asarray(r), np.asarray(s)
     highs = np.flatnonzero(~_two_atom(r, s))
-    bounds = _lp_packs((r + s)[highs])
+    bounds = packs((r + s)[highs], _LP_MAX_ROWS)
     k = r.shape[0]
     inside = np.cumsum(np.bincount(highs[bounds[:-1]] + 1, minlength=k + 1)
                        - np.bincount(highs[bounds[1:] - 1] + 1, minlength=k + 1))
@@ -306,7 +305,7 @@ def _packed_lps(row_mass, row_ptr, col_mass, col_ptr, cost):
     var_ptr = np.concatenate(([0], np.cumsum(r * s)))
     values = np.empty(r.shape[0])
     x = np.empty(var_ptr[-1])
-    bounds = _lp_packs(r + s)
+    bounds = packs(r + s, _LP_MAX_ROWS)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rp, cp = row_ptr[lo:hi + 1], col_ptr[lo:hi + 1]
         values[lo:hi], x[var_ptr[lo]:var_ptr[hi]] = _block_diagonal_lp(
@@ -504,13 +503,13 @@ def barycenter_batch(batch: BarycenterBatch) -> BatchSolution:
         return two_atom_barycenter(batch)
     m_ptr = batch.measure_ptr
     a_ptr = batch.atom_ptr[m_ptr]
-    bounds = _lp_packs(np.diff(a_ptr) + batch.R * np.diff(m_ptr) + 1)
-    packs = [_highs_barycenters(BarycenterBatch(
+    bounds = packs(np.diff(a_ptr) + batch.R * np.diff(m_ptr) + 1, _LP_MAX_ROWS)
+    solved = [_highs_barycenters(BarycenterBatch(
         batch.mass[a_ptr[lo]:a_ptr[hi]], batch.cost[:, a_ptr[lo]:a_ptr[hi]],
         batch.alpha[m_ptr[lo]:m_ptr[hi]],
         batch.atom_ptr[m_ptr[lo]:m_ptr[hi] + 1] - a_ptr[lo], m_ptr[lo:hi + 1] - m_ptr[lo]))
         for lo, hi in zip(bounds[:-1], bounds[1:])]
-    objective, p, plans = zip(*packs)
+    objective, p, plans = zip(*solved)
     return BatchSolution(np.concatenate(objective), np.concatenate(p),
                          np.concatenate(plans, axis=1),
                          np.ones(batch.P, dtype=int), np.ones(batch.P, dtype=bool))

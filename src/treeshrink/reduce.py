@@ -46,7 +46,7 @@ import numpy as np
 from . import ibp, mam
 from .ibp import ibp_batch
 from .mam import mam_batch
-from .ot_core import BarycenterBatch, barycenter_batch
+from .ot_core import BarycenterBatch, barycenter_batch, packs
 from .tree import (ScenarioTree, TreeValidationError, check_count, check_positive,
                    path_cost_table)
 
@@ -127,12 +127,6 @@ class ReductionReport:
     def nds(self) -> list:
         return [d ** (1.0 / self.order) for d in self.deltas]
 
-    def trace_rows(self):
-        """Rows (iter, delta00, nd, seconds) with iteration 0 = initialization."""
-        nds = self.nds()
-        secs = [0.0] + list(self.iteration_seconds)
-        return [(k, self.deltas[k], nds[k], secs[k]) for k in range(len(self.deltas))]
-
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
@@ -153,7 +147,7 @@ def _compose(original, reduced, conditionals) -> list:
     for t, cond in enumerate(conditionals):
         rows = original.stage_blocks(t).parents
         cols = reduced.stage_blocks(t).parents
-        joints.append(cond * joints[t][rows][:, cols])
+        joints.append(cond * joints[t].take(cols, axis=1).take(rows, axis=0))
     return joints
 
 
@@ -202,17 +196,17 @@ def quantizer_step(original: ScenarioTree, reduced: ScenarioTree, joints) -> Sce
 
 
 def _batches(sizes, atoms):
-    """The nodes that share a support size R, in runs of at most
-    ``_BATCH_MAX_ATOMS`` atoms or of one node: ``[(R, [node index, ...])]``.
+    """The nodes that share a support size R, support sizes in order of
+    first appearance, each in runs of at most ``_BATCH_MAX_ATOMS`` atoms
+    or of one node (:func:`~treeshrink.ot_core.packs`):
+    ``[(R, node indices), ...]``.
     """
-    runs, load = {}, {}
-    for i, r in enumerate(sizes):
-        if r not in runs or load[r] + atoms[i] > _BATCH_MAX_ATOMS:
-            runs.setdefault(r, []).append([])
-            load[r] = 0
-        runs[r][-1].append(i)
-        load[r] += atoms[i]
-    return [(r, run) for r, group in runs.items() for run in group]
+    out = []
+    for r in dict.fromkeys(sizes.tolist()):
+        nodes = np.flatnonzero(sizes == r)
+        bounds = packs(atoms[nodes], _BATCH_MAX_ATOMS)
+        out.extend((r, nodes[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return out
 
 
 def _solve(batch, solver, config, warm):
@@ -235,9 +229,10 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
 
     * ``C_t = outer(cond_a, p_bar)`` first, where ``cond_a`` holds every
       original stage-(t+1) node's conditional probability and ``p_bar``
-      stacks, per reduced node n: 1 for a single child (the plans are
-      forced), the uniform vector when the weight column ``joints[t][:, n]``
-      is zero, and otherwise the barycenter solved for n;
+      stacks, per reduced node n, the uniform vector on its children (1 for
+      a single child, whose plans are forced); a solved node's part is then
+      replaced by its barycenter, and a node whose weight column
+      ``joints[t][:, n]`` is zero keeps the uniform vector;
     * a reduced node with at least two children and positive weight poses
       one barycenter problem over the original nodes m with weight
       alpha_m = joints[t][m, n] > 0; its plans overwrite those (m, n) blocks
@@ -274,24 +269,22 @@ def probability_step(original, reduced, joints, leaf_costs, config: ReductionCon
         rows = original.stage_blocks(t)
         cols = reduced.stage_blocks(t)
         next_table = tables[t + 1]
-        # C_t starts as outer(rows.cond, p_bar), in stage-(t+1) node order; a
-        # solved node's columns are redone with its barycenter, and its plans
-        # written over its active blocks, batch by batch.
-        p_bar = np.ones(cols.ptr[-1])
+        # C_t starts as outer(rows.cond, p_bar), p_bar uniform per reduced
+        # node, in stage-(t+1) node order; a solved node's columns are redone
+        # with its barycenter, and its plans written over its active blocks,
+        # batch by batch.
+        cond = rows.cond[:, None] * (1.0 / np.repeat(cols.sizes, cols.sizes))
         branching = np.flatnonzero(cols.sizes > 1)
-        weight = joints[t][:, branching]
-        empty = ~np.any(weight > 0.0, axis=0)
-        for n in branching[empty]:
-            p_bar[cols.children(n)] = 1.0 / cols.sizes[n]
-        cond = rows.cond[:, None] * p_bar[None, :]
-        nodes = branching[~empty]
+        active = joints[t][:, branching] > 0.0
+        solved = active.any(axis=0)
+        nodes = branching[solved]
         # The active pairs, node by node and ascending m within a node.
-        pair_node, pair_m = np.nonzero(weight[:, ~empty].T > 0.0)
+        pair_node, pair_m = np.nonzero(active[:, solved].T)
         measures = np.bincount(pair_node, minlength=nodes.shape[0])
         width = np.zeros(nodes.shape[0], dtype=int)
         np.maximum.at(width, pair_node, rows.sizes[pair_m])
         node_atoms = np.bincount(pair_node, rows.sizes[pair_m], nodes.shape[0])
-        for r, members in _batches(cols.sizes[nodes].tolist(), node_atoms):
+        for r, members in _batches(cols.sizes[nodes], node_atoms):
             pick = np.zeros(nodes.shape[0], dtype=bool)
             pick[members] = True
             pick = pick[pair_node]

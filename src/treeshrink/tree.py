@@ -97,10 +97,11 @@ class StageBlocks:
     the children of stage t's nodes node by node, so block k's children are
     the contiguous positions ``ptr[k]:ptr[k+1]`` of ``stage_nodes(t+1)``, in
     ascending-id order, with conditional probabilities
-    ``cond[ptr[k]:ptr[k+1]]`` (uniform for a node without mass, as in
-    :meth:`ScenarioTree.conditional_children_probs`).  ``sizes`` and
-    ``parents`` are computed on first use and kept, read-only, with the
-    block index.
+    ``cond[ptr[k]:ptr[k+1]]``.  A node without mass gets uniform
+    conditionals, so the transport and barycenter problems of its pairs stay
+    well posed; their values never matter, since that same zero mass weighs
+    them.  ``sizes`` and ``parents`` are computed on first use and kept,
+    read-only, with the block index.
     """
 
     ptr: np.ndarray
@@ -116,26 +117,20 @@ class StageBlocks:
         """Block of every stage-(t+1) node, in stage-(t+1) node order."""
         return _read_only(np.repeat(np.arange(self.sizes.shape[0]), self.sizes))
 
-    def children(self, k: int) -> slice:
-        return slice(self.ptr[k], self.ptr[k + 1])
-
     def select(self, blocks):
         """CSR pointer and entry positions of the given blocks, in that order."""
         sizes = self.sizes[blocks]
         return np.concatenate(([0], np.cumsum(sizes))), _concat_ranges(self.ptr[blocks], sizes)
 
-    def sums(self, values, axis=0, weights=None) -> np.ndarray:
+    def sums(self, values, axis=0) -> np.ndarray:
         """Sum of stage-(t+1) ``values`` over each block, along ``axis``.
 
         ``values`` runs over the stage-(t+1) nodes along ``axis``; the result
-        runs over the blocks there instead.  ``weights`` (one per entry)
-        scale each child's slice first.  A childless block raises
+        runs over the blocks there instead.  A childless block raises
         ``ValueError``, since ``np.add.reduceat`` has no empty sum.
         """
         if not self.sizes.all():
             raise ValueError("a block has no children")
-        if weights is not None:
-            values = values * weights.reshape((-1,) + (1,) * (values.ndim - 1 - axis))
         return np.add.reduceat(values, self.ptr[:-1], axis=axis)
 
 
@@ -217,9 +212,6 @@ class ScenarioTree:
     def children(self, node: int) -> np.ndarray:
         return self._child_idx[self._child_ptr[node]:self._child_ptr[node + 1]]
 
-    def n_children(self, node: int) -> int:
-        return int(self._child_ptr[node + 1] - self._child_ptr[node])
-
     def stage_nodes(self, t: int) -> np.ndarray:
         """Stage-t nodes in breadth-first order (see the class docstring)."""
         return self._stage_nodes[t]
@@ -240,22 +232,6 @@ class ScenarioTree:
 
     def leaves(self) -> np.ndarray:
         return self._stage_nodes[self.T]
-
-    # -- probability algebra ----------------------------------------------
-
-    def conditional_children_probs(self, node: int) -> np.ndarray:
-        """Vector (P(i|node))_{i in children(node)}.
-
-        Falls back to the uniform distribution when the node carries no mass,
-        so downstream transport problems stay well posed; the corresponding
-        entries never matter because they are weighted by that same mass.
-        """
-        ch = self.children(node)
-        mass = self.prob[node]
-        if mass <= 0.0:
-            return np.full(ch.shape[0], 1.0 / ch.shape[0])
-        q = self.prob[ch] / mass
-        return q
 
     # -- path algebra --------------------------------------------------------
 
@@ -562,8 +538,9 @@ def read_scenarios_csv(path, dim=1):
 
     One row per scenario: ``prob, x_{0,1..d}, ..., x_{T,1..d}``.  An optional
     non-numeric header row is skipped.  The stage count is inferred from the
-    column count and ``dim``.
+    column count and ``dim``, which must be an integer >= 1.
     """
+    check_count("dim", dim)
     rows = []
     with open(path, newline="") as fh:
         for rec in csv.reader(fh):

@@ -61,6 +61,63 @@ def block_matrix(blocks, values):
                              shape=(blocks.ptr.shape[0] - 1, size))
 
 
+def n_children(tree, node):
+    """Number of children of ``node``."""
+    return tree.children(node).shape[0]
+
+
+def conditional_children_probs(tree, node):
+    """Reference: (P(i|node)) over the children of ``node``, uniform when the
+    node carries no mass."""
+    ch = tree.children(node)
+    mass = tree.prob[node]
+    if mass <= 0.0:
+        return np.full(ch.shape[0], 1.0 / ch.shape[0])
+    return tree.prob[ch] / mass
+
+
+def lp_packs_reference(rows, limit):
+    """Reference: the packing of consecutive HiGHS problems into LPs, by a
+    ``searchsorted`` per LP.  Returns every LP's first index, then len(rows)."""
+    lp_rows = np.concatenate(([0], np.cumsum(rows)))
+    bounds = [0]
+    while bounds[-1] < len(rows):
+        lo = bounds[-1]
+        bounds.append(max(lo + 1, int(np.searchsorted(lp_rows, lp_rows[lo] + limit,
+                                                      side="right")) - 1))
+    return np.array(bounds)
+
+
+def batches_reference(sizes, atoms, limit):
+    """Reference: the nodes that share a support size, in runs of at most
+    ``limit`` atoms or of one node, by one pass over a dict of runs:
+    ``[(R, [node index, ...])]``."""
+    runs, load = {}, {}
+    for i, r in enumerate(sizes):
+        if r not in runs or load[r] + atoms[i] > limit:
+            runs.setdefault(r, []).append([])
+            load[r] = 0
+        runs[r][-1].append(i)
+        load[r] += atoms[i]
+    return [(r, run) for r, group in runs.items() for run in group]
+
+
+def chunks_reference(entries, cuts, limit):
+    """Reference: the chunk ends of a stage's pairs with ``entries`` plan
+    entries each, cut only at the pair indices ``cuts`` (ascending, ending
+    with len(entries)), by a ``searchsorted`` on both per chunk."""
+    ends = np.cumsum(entries)
+    cuts = np.asarray(cuts)
+    before = ends[cuts - 1]
+    out, lo = [0], 0
+    while lo < len(entries):
+        start = ends[lo - 1] if lo else 0
+        lo = cuts[max(np.searchsorted(before, start + limit, side="right") - 1,
+                      np.searchsorted(cuts, lo, side="right"))]
+        out.append(int(lo))
+    return np.array(out)
+
+
 def relabel(tree, perm):
     """The same tree with node i renamed perm[i]."""
     n = tree.n_nodes

@@ -97,6 +97,14 @@ class TestIngest:
         src.write_text("0.4,0.0,1.0\n0.4,0.0,2.0\n")
         assert run(["ingest", "-i", str(src)]) == 2
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dimension_below_one_exit_2(self, tmp_path, capsys, dim):
+        src = tmp_path / "s.csv"
+        src.write_text("0.5,0.0,1.0\n0.5,0.0,2.0\n")
+        assert run(["ingest", "-i", str(src), f"--dim={dim}"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: dim must be an integer >= 1, got {dim}")
+
 
 class TestReduce:
     def make_input(self, tmp_path):

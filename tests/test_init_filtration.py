@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from batches import n_children
 from treeshrink import init_filtration
 from treeshrink.init_filtration import (ScenarioMatrix, _squared_distances, ffs_init,
                                         kmeans_init, merge_prefixes, random_init)
@@ -408,7 +409,7 @@ class TestMergePrefixes:
         node_one = [n for n in merged.stage_nodes(1)
                     if merged.quantizer[n, 0] == 1.0][0]
         assert merged.prob[node_one] == pytest.approx(0.5)
-        assert merged.n_children(node_one) == 2
+        assert n_children(merged, node_one) == 2
 
     def test_no_merge_when_distinct(self):
         paths = np.array([[[0.0], [1.0]], [[0.0], [2.0]]])

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from batches import block_matrix, lone_transport, ragged_trees, relabel, stage_position
+from batches import (block_matrix, chunks_reference, conditional_children_probs,
+                     lone_transport, ragged_trees, relabel, stage_position)
 from treeshrink import nested, ot_core
 from treeshrink.init_filtration import random_init
 from treeshrink.nested import nested_distance
+from treeshrink.ot_core import packs
 from treeshrink.reduce import ReductionConfig, reduce_tree
 from treeshrink.tree import (ScenarioTree, TreeValidationError, generate_random, fan_tree,
                              path_cost_table)
@@ -172,8 +174,8 @@ def reference_nd(tree_a, tree_b, order=2):
     for t in range(tree_a.T - 1, -1, -1):
         table = np.array([[
             highs_transport(
-                tree_a.conditional_children_probs(m),
-                tree_b.conditional_children_probs(n),
+                conditional_children_probs(tree_a, m),
+                conditional_children_probs(tree_b, n),
                 table[np.ix_(pos_a[tree_a.children(m)], pos_b[tree_b.children(n)])])
             for n in tree_b.stage_nodes(t)] for m in tree_a.stage_nodes(t)])
     return float(table[0, 0]) ** (1.0 / order)
@@ -284,6 +286,18 @@ def test_pair_chunks_end_between_lps():
         _, chunked = nested_distance(a, b)
     for x, y in zip(tables, chunked):
         assert x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=40), st.integers(1, 40), st.data())
+def test_pair_chunks_match_the_cut_loop(entries, limit, data):
+    # _branching_pairs packs the runs of pairs between the allowed cuts.
+    k = len(entries)
+    inner = data.draw(st.lists(st.integers(1, k - 1), unique=True)) if k > 1 else []
+    cuts = np.array([0] + sorted(inner) + [k])
+    ends = np.concatenate(([0], np.cumsum(entries)))
+    chunks = cuts[packs(np.diff(ends[cuts]), limit)]
+    assert chunks.tolist() == chunks_reference(entries, cuts[1:], limit).tolist()
 
 
 def test_at_most_one_lp_per_stage(monkeypatch):

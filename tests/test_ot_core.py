@@ -10,11 +10,11 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from batches import (BarycenterProblem, barycenter_problems, costs, lone_transport,
-                     problem_lists, stack, weights)
+                     lp_packs_reference, problem_lists, stack, weights)
 from treeshrink import ot_core
 from treeshrink.ibp import ibp_batch
 from treeshrink.mam import mam_batch
-from treeshrink.ot_core import (BarycenterBatch, barycenter_batch, block_entries,
+from treeshrink.ot_core import (BarycenterBatch, barycenter_batch, block_entries, packs,
                                 project_columns_scaled_simplex, transport_lp,
                                 two_atom_barycenter)
 
@@ -337,6 +337,19 @@ class TestTransportBlocks:
         col_mass[-1] += 1e-6
         with pytest.raises(ValueError, match="different total mass"):
             transport_lp(row_mass, row_ptr, col_mass, col_ptr, cost)
+
+
+class TestPacks:
+    def test_greedy_runs(self):
+        # 5 + 3 fit in 8; 9 is over the limit and goes alone; 2 + 4 + 1 fit.
+        assert packs([5, 3, 9, 2, 4, 1], 8).tolist() == [0, 2, 3, 6]
+        assert packs(np.array([], dtype=int), 8).tolist() == [0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 30), max_size=40), st.integers(1, 20))
+    def test_matches_the_lp_packing(self, sizes, limit):
+        sizes = np.array(sizes, dtype=int)
+        assert packs(sizes, limit).tolist() == lp_packs_reference(sizes, limit).tolist()
 
 
 def random_problem(rng, m_max=4, r_max=6, s_max=6, weighted_costs=True):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from batches import block_matrix, lone_transport, relabel, stage_position
+from batches import (batches_reference, block_matrix, conditional_children_probs,
+                     lone_transport, n_children, relabel, stage_position)
 from treeshrink import ot_core
 from treeshrink import reduce as reduce_module
 from treeshrink.init_filtration import random_init
@@ -85,9 +86,9 @@ class TestInitPlan:
         joints = init_plan(orig, red)
         for t in range(orig.T):
             for m in orig.stage_nodes(t):
-                q = orig.conditional_children_probs(m)
+                q = conditional_children_probs(orig, m)
                 for n in red.stage_nodes(t):
-                    r = red.n_children(n)
+                    r = n_children(red, n)
                     block, mass = joint_block(joints, orig, red, t, m, n)
                     expected = np.repeat(q[:, None], r, axis=1) / r * mass
                     assert np.allclose(block, expected)
@@ -162,7 +163,7 @@ class TestProbabilityStep:
             red = two_level_tree([0.0], [list(rng.uniform(-5, 5, 3))])
             joints, tables, _, _ = self.run_step(orig, red)
             leaf = path_cost_table(orig, red)
-            q = orig.conditional_children_probs(1)
+            q = conditional_children_probs(orig, 1)
             oracle = float(np.sum(q * leaf.min(axis=1)))
             assert tables[0][0, 0] == pytest.approx(oracle, abs=1e-9)
             # and the per-pair value agrees with a transport solve toward p
@@ -192,7 +193,7 @@ class TestProbabilityStep:
         p = conditional_block(new_joints, orig, red, 1, 1, 1).sum(axis=0)
         assert p == pytest.approx([0.8, 0.2])
         leaf = path_cost_table(orig, red)
-        q = orig.conditional_children_probs(2)
+        q = conditional_children_probs(orig, 2)
         assert tables[1][1, 0] == pytest.approx(q @ leaf[2:, :2] @ p, abs=1e-12)
 
     @pytest.mark.parametrize("solver,tol", [("lp", 1e-9), ("mam", 1e-6), ("ibp", 1e-6)])
@@ -204,7 +205,7 @@ class TestProbabilityStep:
             joints, tables, _, _ = self.run_step(orig, red, solver=solver)
             for t in range(orig.T):
                 for m in orig.stage_nodes(t):
-                    q = orig.conditional_children_probs(m)
+                    q = conditional_children_probs(orig, m)
                     for n in red.stage_nodes(t):
                         # A pair without mass stores no plan: its block is zero.
                         block, mass = joint_block(joints, orig, red, t, m, n)
@@ -279,7 +280,7 @@ class TestSolverLog:
         # The first iteration starts from a plan with mass on every pair, so
         # every reduced node with two or more children is solved.
         for t in range(orig.T):
-            branching = [n for n in red.stage_nodes(t) if red.n_children(n) > 1]
+            branching = [n for n in red.stage_nodes(t) if n_children(red, n) > 1]
             solved = [rec["node"] for rec in log if rec["iteration"] == 1 and rec["stage"] == t]
             assert sorted(solved) == sorted(branching)
         # Stage 1 solves its two nodes with two children in one call.
@@ -301,6 +302,17 @@ class TestSolverLog:
             [rec["iterations"] for rec in whole_report.solver_log]
         assert np.max(np.abs(split.prob - whole.prob)) <= 1e-12
         assert np.max(np.abs(split.quantizer - whole.quantizer)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(2, 4), st.integers(1, 30)), max_size=40),
+           st.integers(1, 40))
+    def test_batches_match_the_dict_loop(self, nodes, limit):
+        sizes = np.array([r for r, _ in nodes], dtype=int)
+        atoms = np.array([a for _, a in nodes], dtype=float)
+        with mock.patch.object(reduce_module, "_BATCH_MAX_ATOMS", limit):
+            got = reduce_module._batches(sizes, atoms)
+        assert [(r, run.tolist()) for r, run in got] == \
+            batches_reference(sizes.tolist(), atoms.tolist(), limit)
 
     def test_exact_problems_of_a_stage_share_one_call(self, monkeypatch):
         orig = generate_random(3, 4, seed=24)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from batches import ragged_trees, relabel
+from batches import n_children, ragged_trees, relabel
 from treeshrink import tree as tr
 from treeshrink.init_filtration import random_init
 from treeshrink.tree import (ScenarioTree, TreeFormatError, TreeValidationError,
@@ -90,7 +90,7 @@ def validate_reference(tree):
         if tree.prob[nd] < 0.0:
             v.append(f"node {nd}: negative probability {tree.prob[nd]}")
     for nd in range(tree.n_nodes):
-        if tree.n_children(nd) == 0:
+        if n_children(tree, nd) == 0:
             if 0 <= stage[nd] != max(stage):
                 v.append(f"node {nd}: leaf at stage {stage[nd]}, "
                          f"expected all leaves at stage {max(stage)}")
@@ -98,7 +98,7 @@ def validate_reference(tree):
             s = float(np.sum(tree.prob[tree.children(nd)]))
             if abs(s - tree.prob[nd]) > tr.PARENT_SUM_TOL:
                 v.append(f"node {nd}: probability {tree.prob[nd]} != children sum {s}")
-    leaf_ids = np.flatnonzero([tree.n_children(nd) == 0 for nd in range(tree.n_nodes)])
+    leaf_ids = np.flatnonzero([n_children(tree, nd) == 0 for nd in range(tree.n_nodes)])
     total = float(np.sum(tree.prob[leaf_ids]))
     if abs(total - 1.0) > tr.LEAF_SUM_TOL:
         v.append(f"tree: leaf probabilities sum to {total}, expected 1")
@@ -392,13 +392,14 @@ class TestStages:
                 [tree.children(m) for m in parents]).tolist()
             blocks = tree.stage_blocks(t)
             for k, m in enumerate(parents):
-                assert children[blocks.children(k)].tolist() == tree.children(m).tolist()
+                block = children[blocks.ptr[k]:blocks.ptr[k + 1]]
+                assert block.tolist() == tree.children(m).tolist()
 
 
 class TestStageBlockSums:
     @settings(max_examples=100, deadline=None)
-    @given(relabelled_trees(), st.sampled_from(["1-D", 0, 1]), st.booleans(), st.data())
-    def test_matches_per_block_sums(self, tree, axis, weighted, data):
+    @given(relabelled_trees(), st.sampled_from(["1-D", 0, 1]), st.data())
+    def test_matches_per_block_sums(self, tree, axis, data):
         t = data.draw(st.integers(0, tree.T - 1))
         blocks = tree.stage_blocks(t)
         n = tree.stage_nodes(t + 1).shape[0]
@@ -407,16 +408,13 @@ class TestStageBlockSums:
         floats = st.floats(-1e3, 1e3, allow_subnormal=False)
         values = np.array(data.draw(st.lists(floats, min_size=math.prod(shape),
                                              max_size=math.prod(shape)))).reshape(shape)
-        weights = (np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
-                   if weighted else None)
 
         axis = 0 if axis == "1-D" else axis
         moved = np.moveaxis(values, axis, -1)
-        w = np.ones(n) if weights is None else weights
         expected = np.moveaxis(np.stack([
-            np.sum(moved[..., blocks.children(k)] * w[blocks.ptr[k]:blocks.ptr[k + 1]], axis=-1)
+            np.sum(moved[..., blocks.ptr[k]:blocks.ptr[k + 1]], axis=-1)
             for k in range(blocks.ptr.size - 1)], axis=-1), -1, axis)
-        got = blocks.sums(values, axis=axis, weights=weights)
+        got = blocks.sums(values, axis=axis)
         assert got.shape == expected.shape
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-9)
 
@@ -826,6 +824,13 @@ class TestCsvIngestion:
         path.write_text("0.4,0.0,1.0\n0.4,0.0,2.0\n")
         with pytest.raises(TreeValidationError):
             load_csv(path)
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, True])
+    def test_dimension_must_be_an_integer_from_one(self, tmp_path, dim):
+        path = tmp_path / "scen.csv"
+        path.write_text("1.0,0.0,0.0,1.0,2.0\n")
+        with pytest.raises(ValueError, match=f"dim must be an integer >= 1, got {dim!r}"):
+            tr.read_scenarios_csv(path, dim=dim)
 
 
 class TestFrozenArrays:
