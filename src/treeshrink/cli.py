@@ -186,11 +186,7 @@ def cmd_reduce(args):
 def cmd_nd(args):
     a = _load_tree(args.tree_a)
     b = _load_tree(args.tree_b)
-    try:
-        nd, _ = nested_distance(a, b, order=args.order)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    nd, _ = nested_distance(a, b, order=args.order)
     print(f"{nd:.9g}")
     return EXIT_OK
 
@@ -261,12 +257,17 @@ def build_parser():
                    "else a HiGHS LP), averaged marginals, Bregman projections, "
                    "or auto: exact, the default")
     defaults = ReductionConfig()
-    p.add_argument("--tol", type=float, default=defaults.tol)
+    p.add_argument("--tol", type=float, default=defaults.tol,
+                   help="stop once an outer iteration lowers the root cost "
+                   "nd^2 by at most TOL: an absolute drop, in the data's "
+                   "units squared")
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--lambda", type=float, default=defaults.lam)
     p.add_argument("--init", choices=["random", "kmeans", "ffs"], default="random")
     p.add_argument("--init-range", type=_parse_range, default=None, metavar="LO,HI")
-    p.add_argument("--max-iter", type=int, default=defaults.max_outer)
+    p.add_argument("--max-iter", type=int, default=defaults.max_outer,
+                   help="stop after this many outer iterations if --tol "
+                   "was not met by then (exit 3)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--trace", default=None, help="per-iteration CSV trace")
@@ -276,7 +277,8 @@ def build_parser():
     p = sub.add_parser("nd", help="exact process distance between two trees")
     p.add_argument("-a", "--tree-a", required=True)
     p.add_argument("-b", "--tree-b", required=True)
-    p.add_argument("--order", type=int, default=2)
+    p.add_argument("--order", type=float, default=2,
+                   help="order of the distance: any finite number >= 1")
     p.set_defaults(func=cmd_nd)
     return parser
 

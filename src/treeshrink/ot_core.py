@@ -10,7 +10,8 @@ vertex plan.  A barycenter with two support points minimizes a sum of such
 problems, each convex and piecewise linear in ``p_1``; the optimum sits
 where the merged slope first turns nonnegative.  Every other LP goes to
 the HiGHS dual-simplex solver through :func:`_highs`, which loads SciPy's
-HiGHS binding at the first LP: the constraint matrices are assembled in
+HiGHS extension module, and only that module, at the first LP
+(:func:`_highs_binding`): the constraint matrices are assembled in
 CSC form, consecutive independent problems share one block-diagonal LP of
 at most ``_LP_MAX_ROWS`` constraints, each problem's costs are scaled to a
 largest magnitude in [0.5, 1) and feasibility tolerances are pinned to 1e-9.
@@ -30,7 +31,12 @@ concurrently.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -398,6 +404,11 @@ def _block_diagonal_lp(row_mass, row_ptr, col_mass, col_ptr, cost):
     return np.bincount(block, cost * x, row_ptr.shape[0] - 1), x
 
 
+# _highs_binding loads the HiGHS module outside the import system, and so
+# without its per-module lock; this one takes its place.
+_BINDING_LOCK = threading.Lock()
+
+
 @functools.cache
 def _highs_binding():
     """SciPy's HiGHS binding and the options of each LP kind, loaded once.
@@ -405,23 +416,44 @@ def _highs_binding():
     Every kind runs the dual simplex with both feasibility tolerances at
     ``_FEASIBILITY_TOL``, no debugging and no output; presolve is on or off
     by ``_PRESOLVE``.  Returns the binding and a dict of ``HighsOptions`` by
-    kind.  Importing the binding imports ``scipy.optimize`` with it, so a
-    run that solves no LP never pays for that.
+    kind.
+
+    The binding is the extension module ``scipy.optimize._highspy._core``,
+    and only that file is loaded: importing it the usual way would first
+    run ``scipy.optimize``'s package ``__init__``, which loads over 300
+    modules, ``scipy.sparse`` and ``numpy.ma`` among them, that the solver
+    never uses.  A module that an earlier ``import scipy.optimize`` loaded
+    is reused.  Otherwise the file is loaded under its full dotted name and
+    entered in ``sys.modules``, so a later ``import scipy.optimize`` shares
+    it.  The full name matters: pybind11 registers the binding's types once
+    per process, so a copy under another name would fail to load.
     """
-    from scipy.optimize._highspy import _core
+    name = "scipy.optimize._highspy._core"
+    with _BINDING_LOCK:
+        core = sys.modules.get(name)
+        if core is None:
+            scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+            found = importlib.machinery.PathFinder.find_spec(
+                "_core", [os.path.join(d, "optimize", "_highspy") for d in scipy_dirs])
+            if found is None:
+                raise ImportError(f"SciPy has no extension module {name}")
+            spec = importlib.util.spec_from_file_location(name, found.origin)
+            core = importlib.util.module_from_spec(spec)
+            sys.modules[name] = core
+            spec.loader.exec_module(core)
 
     options = {}
     for kind, presolve in _PRESOLVE.items():
-        opts = options[kind] = _core.HighsOptions()
+        opts = options[kind] = core.HighsOptions()
         opts.presolve = presolve
         opts.solver = "simplex"
-        opts.simplex_strategy = int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+        opts.simplex_strategy = int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
         opts.primal_feasibility_tolerance = _FEASIBILITY_TOL
         opts.dual_feasibility_tolerance = _FEASIBILITY_TOL
-        opts.highs_debug_level = int(_core.HighsDebugLevel.kHighsDebugLevelNone)
+        opts.highs_debug_level = int(core.HighsDebugLevel.kHighsDebugLevelNone)
         opts.output_flag = False
         opts.log_to_console = False
-    return _core, options
+    return core, options
 
 
 def _highs(kind, cost, start, index, value, b_eq, var_ptr):
@@ -430,17 +462,19 @@ def _highs(kind, cost, start, index, value, b_eq, var_ptr):
     ``kind`` ("transport" or "barycenter") picks the options of the solve
     (:func:`_highs_binding`) and names the LP in errors.  ``A`` is given in
     CSC form (``start``, ``index``, ``value``, row indices ascending within
-    a column).  The model goes straight to SciPy's private binding,
-    ``scipy.optimize._highspy._core``, as a ``HighsLp`` on a fresh solver,
-    so no basis carries over between solves.  SciPy's LP front end
-    (``linprog(method="highs-ds")`` with the same presolve and tolerances)
-    makes the same solve, but around it re-validates its inputs and
-    options, re-stacks the matrix and builds bound duals in a Python loop
-    over the columns: over half of its time on the LPs of the deep-lp
-    benchmark workload.  Its checks are kept: non-finite costs or
-    right-hand sides raise ``ValueError``; the model status must be
-    optimal, ``x`` and the objective finite, and the bound and equality
-    residuals within ``_RESIDUAL_TOL``, or ``RuntimeError`` is raised.
+    a column).  The model goes straight to SciPy's private binding, the
+    extension module ``scipy.optimize._highspy._core`` that
+    :func:`_highs_binding` loads without the rest of ``scipy.optimize``, as
+    a ``HighsLp`` on a fresh solver, so no basis carries over between
+    solves.  SciPy's LP front end (``linprog(method="highs-ds")`` with the
+    same presolve and tolerances) makes the same solve, but around it
+    re-validates its inputs and options, re-stacks the matrix and builds
+    bound duals in a Python loop over the columns: over half of its time on
+    the LPs of the deep-lp benchmark workload.  Its checks are kept:
+    non-finite costs or right-hand sides raise ``ValueError``; the model
+    status must be optimal, ``x`` and the objective finite, and the bound
+    and equality residuals within ``_RESIDUAL_TOL``, or ``RuntimeError`` is
+    raised.
 
     The LP is block diagonal: block b owns the variables
     ``var_ptr[b]:var_ptr[b+1]`` and shares none with another block.

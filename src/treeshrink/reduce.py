@@ -78,7 +78,9 @@ class ReductionConfig:
     """
 
     solver: str = "auto"
-    tol: float = 0.1            # stop when the root cost improves by less
+    # Stop once an outer iteration lowers the root cost nd^ORDER by at most
+    # tol: an absolute drop, in the data's units squared at ORDER 2.
+    tol: float = 0.1
     max_outer: int = 50
     rho: float | None = None    # averaged-marginals proximal parameter
     lam: float = ibp.DEFAULT_LAMBDA  # Bregman regularization strength

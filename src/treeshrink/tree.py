@@ -640,5 +640,5 @@ def path_cost_table(tree_a, tree_b, order=2):
             np.power(table, order, out=table)
     # Every cost is >= 0 or NaN, so the maximum is finite only if all are.
     if not np.isfinite(table.max()):
-        raise ValueError(f"path costs of order {order} are not finite")
+        raise ValueError(f"path costs of order {order:g} are not finite")
     return table

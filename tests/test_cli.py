@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from treeshrink import nested_distance
 from treeshrink.cli import _bench_tree, build_parser, main
 from treeshrink.reduce import ReductionConfig
 from treeshrink.tree import ScenarioTree, generate_random
@@ -312,6 +313,24 @@ class TestNd:
         generate_random(2, 2, seed=0).save(path)
         assert run(["nd", "-a", str(path), "-b", str(path), "--order", order]) == 2
         assert capsys.readouterr().err.startswith("error: order must be at least 1")
+
+    @pytest.mark.parametrize("order", ["inf", "nan", "-inf"])
+    def test_order_not_finite_exit_2(self, tmp_path, capsys, order):
+        path = tmp_path / "t.json"
+        generate_random(2, 2, seed=0).save(path)
+        assert run(["nd", "-a", str(path), "-b", str(path), f"--order={order}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: order must be at least 1 and finite")
+
+    @pytest.mark.parametrize("order", ["1", "1.5", "2", "2.5", "3"])
+    def test_any_real_order_matches_the_library(self, tmp_path, capsys, order):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        generate_random(3, 2, seed=1).save(a)
+        generate_random(3, 2, seed=2).save(b)
+        assert run(["nd", "-a", str(a), "-b", str(b), "--order", order]) == 0
+        nd, _ = nested_distance(ScenarioTree.load(a), ScenarioTree.load(b), order=float(order))
+        assert capsys.readouterr().out == f"{nd:.9g}\n"
 
     def test_overflowing_order_exit_2(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
