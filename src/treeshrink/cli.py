@@ -261,8 +261,16 @@ def build_parser():
                    help="stop once an outer iteration lowers the root cost "
                    "nd^2 by at most TOL: an absolute drop, in the data's "
                    "units squared")
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--lambda", type=float, default=defaults.lam)
+    p.add_argument("--rho", type=float, default=None,
+                   help="proximal parameter of --solver mam; it changes only "
+                   "how fast a solve converges (default: per problem, the "
+                   "mean of its cost entries over 50)")
+    p.add_argument("--lambda", type=float, default=defaults.lam,
+                   help="entropic regularization strength of --solver ibp, "
+                   "on costs scaled to [0, 1] per problem: larger tracks the "
+                   "exact barycenter more closely and converges more slowly; "
+                   "past about 745 the kernels underflow (exit 2) "
+                   "(default: %(default)s)")
     p.add_argument("--init", choices=["random", "kmeans", "ffs"], default="random")
     p.add_argument("--init-range", type=_parse_range, default=None, metavar="LO,HI")
     p.add_argument("--max-iter", type=int, default=defaults.max_outer,

@@ -22,6 +22,25 @@ iterations, flag and plans it would get alone (up to rounding, as the
 padding changes the length of some sums).  :func:`ibp_batch` is the
 solver's one entry point.
 
+Against a binary target every barycenter has two support points (R = 2),
+and there the fixed point of the sweeps is solved for directly.  With
+``c_i`` the difference of atom i's two normalized exponents and
+``h_m = log(u^m_0 / u^m_1)``, atom i sends the share ``sigma(h_m - c_i)``
+of its mass to point 0, and the fixed point is the ``h`` with
+``f_m(h_m) = sum_i q_i sigma(h_m - c_i) = s`` for every measure and
+``sum_m w_m h_m = 0``; then ``p = (s, 1 - s)`` (the semi-dual of the
+entropic barycenter, Peyre & Cuturi, *Computational Optimal Transport*,
+sections 4 and 9.2).  Newton's method on ``logit f_m`` finds it, started
+from each measure's mean ``c`` and held by a trust radius per measure.  A
+problem it does not finish, because its residual stalls or turns
+non-finite or it runs out of steps, falls back to the sweeps from their
+usual cold start, so such a problem gets exactly what the sweeps alone
+give it.  A problem's ``iterations`` are its Newton passes if Newton
+finished it and its sweeps otherwise, and its plans' column sums match
+``q`` up to rounding either way.  Near the unregularized limit (large
+``lam``, measures whose atoms ``c_i`` lie far apart) the ``f_m`` become
+staircases and the fallback is common.
+
 Accuracy is governed by ``lam``: larger values track the exact barycenter more
 closely but sharpen the kernels.  Kernel exponents are computed on the
 range-normalized, per-measure-shifted costs, so the usable ``lam`` scale is
@@ -43,6 +62,13 @@ DEFAULT_MAX_ITER = 10000
 DEFAULT_FIXED_POINT_TOL = 1e-8
 
 _FLOOR = 1e-300  # division guard
+
+# The two-point Newton phase (``_newton``).
+_NEWTON_STEPS = 30  # passes at most, before the sweeps take over
+_NEWTON_STALL = 8  # steps the summed miss may take to halve its best value
+_NEWTON_TOL = 1e-3  # finish at this fraction of ``tol_fixed_point``
+_NEWTON_RADIUS, _NEWTON_MAX_RADIUS = 8.0, 64.0  # trust radius in h: start, cap
+_NEWTON_MARGIN = 40.0  # h stays this far from its measure's extreme c at most
 
 
 class RegularizationOverflowError(FloatingPointError):
@@ -68,9 +94,22 @@ def ibp_batch(batch: BarycenterBatch, lam=DEFAULT_LAMBDA, max_iter=DEFAULT_MAX_I
     scaling updates, so their marginal constraints hold, but are skipped in
     the geometric mean.
 
-    Returned plans reproduce the measure marginals column-wise exactly (the
-    sweep ends on a fresh ``v`` update); their row marginals agree with the
-    returned ``p`` only up to the fixed-point tolerance.
+    At R = 2 a problem is first solved by Newton's method on its fixed
+    point (module docstring); it finishes when every measure's row sum is
+    within ``1e-3 * tol_fixed_point`` of ``p`` and ``|sum_m w_m h_m|`` is
+    too.  It is abandoned after 30 passes (or ``max_iter``, if lower), when
+    the sum of those misses over its measures has not halved within 8
+    steps, or when a miss is not finite, and then runs the sweeps as at
+    R >= 3.  The test is strict, so at ``tol_fixed_point = 0`` every
+    problem runs the sweeps.  ``iterations`` counts the Newton passes of a
+    problem Newton finished (the test of its start is the first) and the
+    sweeps of any other; Newton steps tried before a fallback are not
+    counted.  ``converged`` is True for every problem Newton finished.
+
+    Returned plans reproduce the measure marginals column-wise exactly up
+    to rounding (the sweeps end on a fresh ``v`` update; Newton's plans are
+    ``q sigma(h - c)`` and ``q sigma(c - h)``); their row marginals agree
+    with the returned ``p`` only up to the fixed-point tolerance.
     """
     check_positive("lam", lam)
     check_count("max_iter", max_iter)
@@ -101,6 +140,9 @@ def ibp_batch(batch: BarycenterBatch, lam=DEFAULT_LAMBDA, max_iter=DEFAULT_MAX_I
     np.divide(expo, scale[:, None, None, None], out=expo)
     np.copyto(expo, 0.0, where=~live)
     expo_max = expo.max(axis=(1, 2, 3))
+    # At R = 2 the plans depend on the kernels only through the per-atom
+    # exponent difference between the two support points.
+    c = expo[:, :, 0] - expo[:, :, 1] if batch.R == 2 else None
     np.exp(np.negative(expo, out=kernels), out=kernels)
     bad = ~np.all(np.isfinite(kernels) & (kernels > 0.0), axis=(1, 2, 3))
     if bad.any():
@@ -109,12 +151,32 @@ def ibp_batch(batch: BarycenterBatch, lam=DEFAULT_LAMBDA, max_iter=DEFAULT_MAX_I
         raise RegularizationOverflowError(lam, float(batch.cost[:, lo:hi].max()),
                                           float(expo_max[k]))
 
-    u, p, iterations, converged = _sweeps(kernels, q, w, max_iter, tol_fixed_point)
-    # Closing v update: column sums of diag(u) K diag(v) match q exactly.
-    v = q / np.maximum(_apply(kernels.transpose(0, 1, 3, 2), u), _FLOOR)
-    plans = np.multiply(u[..., None], kernels, out=kernels)
-    plans *= v[:, :, None, :]
-    plans = batch.unpad(plans)
+    p = np.empty((batch.P, batch.R))
+    iterations = np.empty(batch.P, dtype=int)
+    converged = np.ones(batch.P, dtype=bool)
+    rest = np.ones(batch.P, dtype=bool)
+    if c is not None:
+        done, h, logit, steps = _newton(c, q, w, live.any(axis=(2, 3)),
+                                        min(max_iter, _NEWTON_STEPS), tol_fixed_point)
+        rest[done] = False
+        iterations[done] = steps
+        p[done, 0], p[done, 1] = _sigmoids(logit)
+        # Their plans, written over their kernels.
+        up, down = _sigmoids(h[..., None] - c[done])
+        kernels[done, :, 0] = q[done] * up
+        kernels[done, :, 1] = q[done] * down
+    if rest.any():
+        whole = rest.all()
+        kern, q_r, w_r = (x if whole else x[rest] for x in (kernels, q, w))
+        u, p[rest], iterations[rest], converged[rest] = _sweeps(kern, q_r, w_r, max_iter,
+                                                               tol_fixed_point)
+        # Closing v update: column sums of diag(u) K diag(v) match q exactly.
+        v = q_r / np.maximum(_apply(kern.transpose(0, 1, 3, 2), u), _FLOOR)
+        np.multiply(u[..., None], kern, out=kern)
+        kern *= v[:, :, None, :]
+        if not whole:
+            kernels[rest] = kern
+    plans = batch.unpad(kernels)
     return BatchSolution(batch.problem_sums(batch.cost * plans),
                          p / p.sum(axis=1, keepdims=True), plans, iterations, converged)
 
@@ -168,6 +230,126 @@ def _sweeps(kernels, q, w, max_iter, tol):
                 break
     u_end[todo], p_end[todo] = u, p
     return u_end, p_end, iterations, converged
+
+
+def _newton(c, q, w, real, max_steps, tol):
+    """Safeguarded Newton solve of every two-point problem's fixed point.
+
+    The unknowns are the potentials ``h`` (P, M_max), one per measure, with
+    the per-atom exponent differences ``c`` and masses ``q`` (P, M_max,
+    S_max); ``real`` marks the measures that are not padding.  A problem
+    finishes once every real measure's share ``f_m(h_m)`` of point 0 is
+    within ``_NEWTON_TOL * tol`` of the common share ``sigma(L)`` and
+    the drift ``|sum_m w_m h_m|`` is below that too; then ``sigma(L)`` and
+    the plans are within three times that of the fixed point's, since
+    every ``f_m`` is increasing.  It is abandoned when that residual is not
+    finite, when the summed miss ``sum_m |f_m(h_m) - sigma(L)|`` plus the
+    drift has not halved within ``_NEWTON_STALL`` steps, or when it is
+    still open after ``max_steps`` passes.  Either way it leaves the
+    working arrays, so its steps do not depend on the rest of the batch.
+
+    Returns the indices of the finished problems, their ``h``, their
+    ``L = logit(s)`` and the pass each finished on (the test of the start
+    is pass 1).
+    """
+    n_prob, m_max, s_max = c.shape
+    ones = np.ones(s_max)  # atom sums as matrix-vector products
+    # A padded measure becomes one unit atom at c = 0: its arithmetic stays
+    # finite, it has no weight and the residual skips it.
+    q = q.copy()
+    q[~real, 0] = 1.0
+    held = q > 0
+    lo = np.min(c, axis=2, where=held, initial=np.inf) - _NEWTON_MARGIN
+    hi = np.max(c, axis=2, where=held, initial=-np.inf) + _NEWTON_MARGIN
+    done = np.zeros(n_prob, dtype=bool)
+    h_end = np.zeros((n_prob, m_max))
+    logit_end = np.zeros(n_prob)
+    steps = np.zeros(n_prob, dtype=int)
+    todo = np.arange(n_prob)
+    # The start solves the problem exactly when every measure has one atom.
+    h = np.sum(q * c, axis=2)
+    h -= np.sum(w * h, axis=1, keepdims=True)
+    radius = np.full((n_prob, m_max), _NEWTON_RADIUS)
+    step = np.zeros((n_prob, m_max))
+    gap_prev = np.zeros((n_prob, m_max))  # no doubling before the first step
+    best = np.full(n_prob, np.inf)
+    best_pass = np.zeros(n_prob, dtype=int)
+    # A saturated measure (f_m = 0 or 1) gives a non-finite residual, which
+    # abandons its problem.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, max_steps + 1):
+            up, down = _sigmoids(h[..., None] - c)
+            up *= q
+            f = up @ ones
+            g = (q * down) @ ones  # 1 - f without cancellation
+            down *= up
+            slope = (down @ ones) / (f * g)  # d logit(f) / dh
+            psi = np.log(f / g)
+            # Newton on logit(f_m) = L for all m with sum_m w_m (h_m + d_m)
+            # = 0: d_m = (L - psi_m) / slope_m, L the mean of psi under
+            # omega = w / slope (less the drift of sum_m w_m h_m).
+            omega = w / slope
+            omega_sum = omega.sum(axis=1)
+            drift = np.sum(w * h, axis=1)
+            logit = (np.sum(omega * psi, axis=1) - drift) / omega_sum
+            gap = logit[:, None] - psi
+            # A flat measure pins L whatever the drift, so the drift is
+            # tested on its own: shifting every h by it moves no f_m by
+            # more than a quarter of it.
+            drift = np.abs(drift)
+            miss = np.abs(f - (0.5 + 0.5 * np.tanh(0.5 * logit))[:, None])
+            residual = np.maximum(np.max(miss, axis=1, where=real, initial=0.0), drift)
+            # Strict, so that tol = 0 leaves every problem to the sweeps.
+            finish = residual < _NEWTON_TOL * tol
+            # Progress is the summed miss: with thousands of measures the
+            # largest one can sit still while most measures settle.
+            total = np.sum(miss, axis=1, where=real) + drift
+            halved = total <= best / 2
+            best[halved], best_pass[halved] = total[halved], it
+            leave = finish | ~np.isfinite(residual) | (it - best_pass >= _NEWTON_STALL)
+            if it == max_steps:
+                leave[:] = True
+            if leave.any():
+                ok = todo[finish]
+                done[ok], h_end[ok], logit_end[ok], steps[ok] = True, h[finish], logit[finish], it
+                keep = ~leave
+                (todo, c, q, w, real, lo, hi, h, radius, step, gap_prev, best, best_pass,
+                 gap, slope, omega_sum) = (
+                    x[keep] for x in (todo, c, q, w, real, lo, hi, h, radius, step, gap_prev,
+                                      best, best_pass, gap, slope, omega_sum))
+                if todo.size == 0:
+                    break
+            d = gap / slope
+            # Trust radius per measure: halved when the step turns, doubled
+            # when the measure's gap to L at least halved.
+            radius = np.where(d * step < 0, radius / 2,
+                              np.where(np.abs(gap) < 0.5 * gap_prev,
+                                       np.minimum(2 * radius, _NEWTON_MAX_RADIUS), radius))
+            np.clip(d, -radius, radius, out=d)
+            # Clipping breaks sum_m w_m (h_m + d_m) = 0; spread the excess as
+            # the Newton step would, in proportion to 1 / slope, but within
+            # the radius (a flat measure would take it all).  What is left
+            # is the drift the next L corrects.
+            d -= (np.sum(w * (h + d), axis=1) / omega_sum)[:, None] / slope
+            np.clip(d, -radius, radius, out=d)
+            np.clip(h + d, lo, hi, out=h)
+            step, gap_prev = d, np.abs(gap)
+    return np.flatnonzero(done), h_end[done], logit_end[done], steps[done]
+
+
+def _sigmoids(z):
+    """``(sigma(z), sigma(-z))`` elementwise, as ``exp(min(z, 0))`` and
+    ``exp(-max(z, 0))`` over their sum: one of the two is 1, so nothing
+    overflows and both tails keep their relative accuracy."""
+    low = np.minimum(z, 0.0)
+    high = np.subtract(low, z)
+    np.exp(low, out=low)
+    np.exp(high, out=high)
+    total = low + high
+    np.reciprocal(total, out=total)
+    low *= total
+    high *= total
+    return low, high
 
 
 def _apply(kernels, x):

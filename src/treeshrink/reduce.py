@@ -110,6 +110,10 @@ class ReductionReport:
     ``solver_log`` holds one record per solved barycenter problem: its
     ``iteration``, ``stage``, reduced ``node``, ``solver``, ``measures``,
     ``max_support``, inner ``iterations`` and whether it ``converged``.
+    Inner iterations are 1 for an exact solve and the solver's own count
+    otherwise; for IBP at two support points that is the Newton passes of a
+    problem Newton finished, else the sweeps alone, without the Newton
+    steps tried before it fell back (:func:`~treeshrink.ibp.ibp_batch`).
     The problems of one stage that share a support size are solved
     together; ``batch`` is the number of problems in that call (which
     HiGHS solves in LPs of at most ``ot_core._LP_MAX_ROWS`` rows), and
