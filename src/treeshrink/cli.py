@@ -95,6 +95,8 @@ def _emit_tree(tree, out_path, command, args, inputs, seed, seconds):
 
 
 def cmd_gen(args):
+    if args.stages < 2:
+        raise ValueError(f"--stages must be at least 2, got {args.stages}")
     tick = time.perf_counter()
     tree = generate_random(args.stages - 1, args.branching, dim=args.dim,
                            value_range=args.range, seed=args.seed)

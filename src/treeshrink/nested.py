@@ -15,11 +15,11 @@ probabilities on both sides.  The pairs where both sides branch then get
 their exact values from the batched transport solver: a pair where one node
 has two children is a fractional knapsack, solved by one sort, and the rest
 are packed into HiGHS dual-simplex solves of at most a few hundred
-constraints, run without presolve.  The pairs are built in chunks of at most
-``_PAIR_MAX_ENTRIES`` plan entries, so memory stays bounded on large trees:
-the runs of pairs between the cuts that split no HiGHS solve are packed
-greedily into chunks by :func:`~treeshrink.ot_core.packs`, so the chunks
-change no value.
+constraints, run without presolve and with Devex pricing.  The pairs are
+built in chunks of at most ``_PAIR_MAX_ENTRIES`` plan entries, so memory
+stays bounded on large trees: the runs of pairs between the cuts that split
+no HiGHS solve are packed greedily into chunks by
+:func:`~treeshrink.ot_core.packs`, so the chunks change no value.
 :func:`transport_lp` is the one transport solver; :func:`nested_distance`
 calls it once per chunk.
 """

@@ -15,10 +15,9 @@ HiGHS extension module, and only that module, at the first LP
 CSC form, consecutive independent problems share one block-diagonal LP of
 at most ``_LP_MAX_ROWS`` constraints, each problem's costs are scaled to a
 largest magnitude in [0.5, 1) and feasibility tolerances are pinned to 1e-9.
-Transport LPs are solved without HiGHS's presolve, barycenter LPs with it
-(``_PRESOLVE``).
-Either way the returned plans are basic (vertex) solutions; on degenerate
-problems the greedy may pick another optimal vertex than HiGHS would.
+Every LP is solved with one setting: no presolve and Devex dual pricing.
+The returned plans are basic (vertex) solutions; on degenerate problems the
+greedy may pick another optimal vertex than HiGHS would.
 Each kind of problem has one entry point, which solves any number of
 independent problems at once: :func:`transport_lp` for transport problems
 and :func:`barycenter_batch` for barycenter problems, which are held in one
@@ -43,25 +42,16 @@ import numpy as np
 
 from .tree import _concat_ranges
 
-# HiGHS's presolve per LP kind that _highs solves (see _highs_binding).
-# A transport LP is a small network LP that the dual simplex solves from the
-# slack basis faster than presolve can shrink it: without presolve, scoring
-# generate_random(4, 6, dim=2) against a [3,3,3,3] tree took 0.40-0.46 s
-# instead of 0.74 s on 2 cores.  Barycenter LPs keep it: without it, the
-# exact reduction of generate_random(3, 6, dim=2) onto [3,3,3] ran 15%
-# faster, but that of generate_random(4, 6, dim=2) onto [3,3,3,3], whose
-# last-stage problems exceed _LP_MAX_ROWS, 8% slower.
-_PRESOLVE = {"transport": "off", "barycenter": "on"}
-
 # Primal and dual feasibility tolerance of every HiGHS solve.
 _FEASIBILITY_TOL = 1e-9
 
 # Constraint rows per HiGHS LP.  HiGHS's working set grows by about 2 kB
 # a row and stays with the process allocator after the solve.  Scoring
-# generate_random(4, 6, dim=2) against a [3,3,3,3] tree (last stage: 5832
-# pairs, 52488 rows) with one LP per stage peaked at 189 MB of RSS and took
-# 1.57 s on 2 cores; in LPs of at most 512 rows, 88 MB and 0.40-0.46 s
-# (256 or 1024 rows: 0.55-0.63 s; 64 rows: 0.90 s).
+# generate_random(4, 6, dim=2) against its exact [3,3,3,3] reduction (last
+# stage: 5832 pairs, 52488 rows) with one LP per stage raised the peak RSS
+# by 100 MB and took 1.15 s on 2 cores; in LPs of at most 512 rows, 0.35 s
+# (256 rows: 0.36 s, 1024: 0.38 s, 64: 0.54-0.71 s), and the deep-lp
+# reductions took the same time at 256, 512 and 1024 rows.
 _LP_MAX_ROWS = 512
 
 # SciPy's acceptance tolerance on the bound and equality residuals of a
@@ -411,12 +401,11 @@ _BINDING_LOCK = threading.Lock()
 
 @functools.cache
 def _highs_binding():
-    """SciPy's HiGHS binding and the options of each LP kind, loaded once.
+    """SciPy's HiGHS binding and the options of every solve, loaded once.
 
-    Every kind runs the dual simplex with both feasibility tolerances at
-    ``_FEASIBILITY_TOL``, no debugging and no output; presolve is on or off
-    by ``_PRESOLVE``.  Returns the binding and a dict of ``HighsOptions`` by
-    kind.
+    Every LP runs the dual simplex without presolve, with Devex pricing,
+    both feasibility tolerances at ``_FEASIBILITY_TOL``, no debugging and no
+    output.  Returns the binding and that one ``HighsOptions``.
 
     The binding is the extension module ``scipy.optimize._highspy._core``,
     and only that file is loaded: importing it the usual way would first
@@ -442,32 +431,40 @@ def _highs_binding():
             sys.modules[name] = core
             spec.loader.exec_module(core)
 
-    options = {}
-    for kind, presolve in _PRESOLVE.items():
-        opts = options[kind] = core.HighsOptions()
-        opts.presolve = presolve
-        opts.solver = "simplex"
-        opts.simplex_strategy = int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-        opts.primal_feasibility_tolerance = _FEASIBILITY_TOL
-        opts.dual_feasibility_tolerance = _FEASIBILITY_TOL
-        opts.highs_debug_level = int(core.HighsDebugLevel.kHighsDebugLevelNone)
-        opts.output_flag = False
-        opts.log_to_console = False
+    # The dual simplex takes about one iteration per row on these LPs, so
+    # the price of an iteration decides: over the 170 barycenter LPs of the
+    # deep-lp benchmark workload's seed 13, HiGHS ran 0.58 s with presolve
+    # and the default steepest-edge pricing, 0.49 s without presolve and
+    # 0.33 s without it and with Devex (9.7 instead of 14.4 us an iteration
+    # on the 325-row LPs; 2 cores).  Barycenter LPs over _LP_MAX_ROWS gain
+    # too: two outer passes of generate_random(4, 6, dim=2) onto [3,3,3,3]
+    # took 1.62 s instead of 1.94 s.
+    options = core.HighsOptions()
+    options.presolve = "off"
+    options.solver = "simplex"
+    options.simplex_strategy = int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.simplex_dual_edge_weight_strategy = int(
+        core.simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex)
+    options.primal_feasibility_tolerance = _FEASIBILITY_TOL
+    options.dual_feasibility_tolerance = _FEASIBILITY_TOL
+    options.highs_debug_level = int(core.HighsDebugLevel.kHighsDebugLevelNone)
+    options.output_flag = False
+    options.log_to_console = False
     return core, options
 
 
 def _highs(kind, cost, start, index, value, b_eq, var_ptr):
     """One HiGHS dual-simplex solve of ``min cost @ x`` over ``A x = b_eq, x >= 0``.
 
-    ``kind`` ("transport" or "barycenter") picks the options of the solve
-    (:func:`_highs_binding`) and names the LP in errors.  ``A`` is given in
+    Every solve takes the options of :func:`_highs_binding`; ``kind``
+    ("transport" or "barycenter") names the LP in errors.  ``A`` is given in
     CSC form (``start``, ``index``, ``value``, row indices ascending within
     a column).  The model goes straight to SciPy's private binding, the
     extension module ``scipy.optimize._highspy._core`` that
     :func:`_highs_binding` loads without the rest of ``scipy.optimize``, as
     a ``HighsLp`` on a fresh solver, so no basis carries over between
     solves.  SciPy's LP front end (``linprog(method="highs-ds")`` with the
-    same presolve and tolerances) makes the same solve, but around it
+    same presolve, pricing and tolerances) makes the same solve, but around it
     re-validates its inputs and options, re-stacks the matrix and builds
     bound duals in a Python loop over the columns: over half of its time on
     the LPs of the deep-lp benchmark workload.  Its checks are kept:
@@ -504,7 +501,7 @@ def _highs(kind, cost, start, index, value, b_eq, var_ptr):
     lp.a_matrix_.index_ = index.tolist()
     lp.a_matrix_.value_ = value
     highs = core._Highs()
-    highs.passOptions(options[kind])
+    highs.passOptions(options)
     ran = (highs.passModel(lp) != core.HighsStatus.kError
            and highs.run() != core.HighsStatus.kError)
     status = highs.getModelStatus()

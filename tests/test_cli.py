@@ -75,6 +75,13 @@ class TestGen:
         assert capsys.readouterr().err.startswith("error: dim must be an integer >= 1, got 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("stages", ["1", "0"])
+    def test_too_few_stages_exit_2(self, tmp_path, capsys, stages):
+        out = tmp_path / "t.json"
+        assert run(["gen", "--stages", stages, "--branching", "2", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --stages must be at least 2, got {stages}\n"
+        assert not out.exists()
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "t.json"
         run(["gen", "--stages", "2", "--branching", "2", "-o", str(out)])

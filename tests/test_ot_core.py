@@ -101,16 +101,19 @@ def highs_barycenter(q, D):
     return res.fun
 
 
-def lp_options(kind):
-    """The ``linprog`` options of the solve ``ot_core._highs`` makes for an LP kind."""
-    return {"presolve": ot_core._PRESOLVE[kind] == "on",
-            "primal_feasibility_tolerance": ot_core._FEASIBILITY_TOL,
-            "dual_feasibility_tolerance": ot_core._FEASIBILITY_TOL}
+# The ``linprog`` options of the solve ``ot_core._highs`` makes for every LP.
+LP_OPTIONS = {"presolve": False, "simplex_dual_edge_weight_strategy": "devex",
+              "primal_feasibility_tolerance": ot_core._FEASIBILITY_TOL,
+              "dual_feasibility_tolerance": ot_core._FEASIBILITY_TOL}
+
+# The same tolerances with linprog's presolve and dual pricing: another path
+# to the optimum, for references that must agree in value, not in vertex.
+PRESOLVED_OPTIONS = {**LP_OPTIONS, "presolve": True, "simplex_dual_edge_weight_strategy": None}
 
 
 def scaled_linprog(options, c, a_eq, b_eq, var_ptr=None):
     """The solve ``ot_core._highs`` makes, through scipy's public API, with the
-    given ``linprog`` options (:func:`lp_options` of the LP kind).
+    given ``linprog`` options (:data:`LP_OPTIONS` for the same solve).
 
     Each block of variables ``var_ptr[b]:var_ptr[b+1]`` (by default, all of
     them) has its costs scaled by the power of two that brings their largest
@@ -171,7 +174,7 @@ def reference_highs_barycenter(problem):
     Returns ``(objective, p, plans)`` with the plans laid out like the costs.
     """
     c, a_eq, b_eq, point, atom = reference_barycenter_lp(problem)
-    x, fun = scaled_linprog(lp_options("barycenter"), c, a_eq, b_eq)
+    x, fun = scaled_linprog(LP_OPTIONS, c, a_eq, b_eq)
     r = problem.R
     plans = np.empty((r, problem.atom_ptr[-1]))
     plans[point, atom] = x[r:]
@@ -549,12 +552,12 @@ class TestHighsSolve:
 
     @staticmethod
     def assert_matches_scipy(call, result, a_eq):
-        (kind, cost, start, index, value, b_eq, var_ptr), (x, objective) = call, result
+        (_, cost, start, index, value, b_eq, var_ptr), (x, objective) = call, result
         a_eq.sort_indices()
         assert np.array_equal(start, a_eq.indptr)
         assert np.array_equal(index, a_eq.indices)
         assert np.array_equal(value, a_eq.data)
-        ref_x, ref_objective = scaled_linprog(lp_options(kind), cost, a_eq, b_eq, var_ptr)
+        ref_x, ref_objective = scaled_linprog(LP_OPTIONS, cost, a_eq, b_eq, var_ptr)
         assert x.tobytes() == ref_x.tobytes()
         assert objective == ref_objective
 
@@ -583,22 +586,22 @@ class TestHighsSolve:
         assert np.array_equal(call[6], np.cumsum([0] + [ci.shape[0] for ci in c]))
         self.assert_matches_scipy(call, result, sparse.block_diag(a_eq, format="csc"))
 
-    def test_options_per_kind(self):
-        # Transport LPs run the dual simplex without presolve, barycenter
-        # LPs with it; everything else is the same for both.
+    def test_one_option_set(self):
+        # Every LP runs the dual simplex without presolve, with Devex pricing
+        # and both tolerances at 1e-9; LP_OPTIONS asks linprog for the same.
         core, options = ot_core._highs_binding()
-        assert set(options) == {"transport", "barycenter"}
-        dual = int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-        for kind, presolve in (("transport", "off"), ("barycenter", "on")):
-            opts = options[kind]
-            assert opts.presolve == presolve
-            assert opts.solver == "simplex" and opts.simplex_strategy == dual
-            assert opts.primal_feasibility_tolerance == 1e-9
-            assert opts.dual_feasibility_tolerance == 1e-9
-            assert not opts.output_flag and not opts.log_to_console
-        assert lp_options("transport") == {"presolve": False, "primal_feasibility_tolerance": 1e-9,
-                                           "dual_feasibility_tolerance": 1e-9}
-        assert lp_options("barycenter")["presolve"] is True
+        constants = core.simplex_constants
+        assert options.presolve == "off"
+        assert options.solver == "simplex"
+        assert options.simplex_strategy == int(constants.SimplexStrategy.kSimplexStrategyDual)
+        assert options.simplex_dual_edge_weight_strategy == int(
+            constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex)
+        assert options.primal_feasibility_tolerance == 1e-9
+        assert options.dual_feasibility_tolerance == 1e-9
+        assert not options.output_flag and not options.log_to_console
+        assert LP_OPTIONS == {"presolve": False, "simplex_dual_edge_weight_strategy": "devex",
+                              "primal_feasibility_tolerance": 1e-9,
+                              "dual_feasibility_tolerance": 1e-9}
 
     @settings(max_examples=60, deadline=None)
     @given(transport_problem_sets())
@@ -606,23 +609,35 @@ class TestHighsSolve:
               np.array([0.0] * 4 + [1e-8] + [0.0] * 12 + [8.0] + [0.0] * 2)))
     def test_transport_values_match_presolved_reference(self, case):
         # Each problem alone, scaled as _highs scales it, by linprog with
-        # presolve on.  Either solve stops at a basis whose scaled reduced
-        # costs are >= -tol, which is within tol * 2**e of the optimum for a
-        # unit mass: the two may differ by that much where costs nearly tie
-        # (the example: presolve on routes half the mass at cost 1e-8, off
-        # finds the zero-cost plan), and by no more.
+        # presolve on and its default pricing.  Either solve stops at a basis
+        # whose scaled reduced costs are >= -tol, which is within tol * 2**e
+        # of the optimum for a unit mass: the two may differ by that much
+        # where costs nearly tie (the example: presolve on routes half the
+        # mass at cost 1e-8, off finds the zero-cost plan), and by no more.
         sizes, row_mass, col_mass, cost = case
         row_ptr = np.concatenate(([0], np.cumsum([r for r, _ in sizes])))
         col_ptr = np.concatenate(([0], np.cumsum([s for _, s in sizes])))
         var_ptr = np.concatenate(([0], np.cumsum([r * s for r, s in sizes])))
         values, _ = transport_lp(row_mass, row_ptr, col_mass, col_ptr, cost)
-        presolved = {**lp_options("transport"), "presolve": True}
         for k, (r, s) in enumerate(sizes):
             c = cost[var_ptr[k]:var_ptr[k + 1]]
-            _, ref = scaled_linprog(presolved, c, transport_matrix([(r, s)]), np.concatenate(
-                [row_mass[row_ptr[k]:row_ptr[k + 1]], col_mass[col_ptr[k]:col_ptr[k + 1]]]))
+            _, ref = scaled_linprog(
+                PRESOLVED_OPTIONS, c, transport_matrix([(r, s)]), np.concatenate(
+                    [row_mass[row_ptr[k]:row_ptr[k + 1]], col_mass[col_ptr[k]:col_ptr[k + 1]]]))
             tol = math.ldexp(ot_core._FEASIBILITY_TOL, math.frexp(c.max())[1])
             assert values[k] == pytest.approx(ref, rel=1e-12, abs=tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem_lists(r_values=(3, 4, 5)))
+    def test_barycenter_values_match_presolved_reference(self, problems):
+        # As above for barycenters: every problem of a packed solve against
+        # the problem alone under the presolved reference setting.
+        sol = barycenter_batch(stack(problems))
+        for k, prob in enumerate(problems):
+            c, a_eq, b_eq, _, _ = reference_barycenter_lp(prob)
+            _, ref = scaled_linprog(PRESOLVED_OPTIONS, c, a_eq, b_eq)
+            tol = math.ldexp(ot_core._FEASIBILITY_TOL, math.frexp(c.max())[1])
+            assert sol.objective[k] == pytest.approx(ref, rel=1e-12, abs=tol)
 
     def test_infeasible_lp_raises(self):
         # One plan entry whose row sum asks for 1 and column sum for 2.

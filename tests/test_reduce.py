@@ -1,3 +1,5 @@
+import resource
+import time
 from unittest import mock
 
 import numpy as np
@@ -552,3 +554,27 @@ class TestJointProperties:
                 sent = cols.sums(joints[t + 1], axis=1)
                 expected = rows.cond[:, None] * joints[t][rows.parents]
                 assert np.max(np.abs(sent - expected)) <= 1e-12
+
+
+@pytest.mark.slow
+def test_exact_reduction_beyond_the_lp_row_limit():
+    # 1,555 nodes onto [3,3,3,3]: a last-stage barycenter problem has up to
+    # 216 measures of 6 atoms, more rows than ot_core._LP_MAX_ROWS, so it
+    # is a HiGHS LP of its own.
+    a = generate_random(4, 6, dim=2, seed=1)
+    b = random_init([3, 3, 3, 3], dim=2, seed=1)
+    rows, real = [], ot_core._highs
+
+    def recording(*args):
+        rows.append(args[5].shape[0])
+        return real(*args)
+
+    with mock.patch.object(ot_core, "_highs", recording):
+        tick = time.perf_counter()
+        final, report = reduce_tree(a, b, ReductionConfig(solver="lp", max_outer=2))
+        seconds = time.perf_counter() - tick
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"\nrow limit: two LP passes to final_nd {report.final_nd:.6f} in {seconds:.2f} s, "
+          f"largest LP {max(rows)} rows, peak RSS {peak_mb:.0f} MB")
+    assert max(rows) > ot_core._LP_MAX_ROWS
+    assert nested_distance(a, final)[0] <= report.final_nd * (1 + 1e-9)
