@@ -18,13 +18,12 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .ibp import RegularizationOverflowError
 from .init_filtration import ScenarioMatrix, ffs_init, kmeans_init, random_init
 from .nested import nested_distance
-from .reduce import ReductionConfig, reduce_tree
+from .reduce import SOLVERS, ReductionConfig, reduce_tree
 from .tree import (ScenarioTree, TreeFormatError, TreeValidationError,
                    generate_random, load_csv)
 
@@ -60,6 +59,10 @@ def _glue_range_values(argv):
 
 
 def _write_manifest(path, command, args, inputs, outputs, seed, seconds):
+    # SciPy is imported here alone, for its version: importing it at module
+    # level would load it into every process that imports the CLI.
+    import scipy
+
     doc = {
         "command": command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
@@ -121,6 +124,8 @@ def cmd_ingest(args):
 
 
 def _initial_reduced(args, original):
+    if args.target_branching < 1:
+        raise ValueError(f"--target-branching must be at least 1, got {args.target_branching}")
     big_t = original.T
     if args.init == "random":
         lo = float(original.quantizer.min())
@@ -254,7 +259,7 @@ def build_parser():
     p.add_argument("--target-branching", type=int, default=2)
     p.add_argument("--target-scenarios", type=int, default=None,
                    help="branch count for kmeans/ffs fan initializations")
-    p.add_argument("--solver", choices=["lp", "mam", "ibp", "auto"], default="auto",
+    p.add_argument("--solver", choices=SOLVERS, default="auto",
                    help="barycenter solver: exact (closed form at two children, "
                    "else a HiGHS LP), averaged marginals, Bregman projections, "
                    "or auto: exact, the default")

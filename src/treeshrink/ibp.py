@@ -44,9 +44,7 @@ staircases and the fallback is common.
 Accuracy is governed by ``lam``: larger values track the exact barycenter more
 closely but sharpen the kernels.  Kernel exponents are computed on the
 range-normalized, per-measure-shifted costs, so the usable ``lam`` scale is
-independent of the cost magnitudes; the reported objective is the plain
-(unregularized) transport cost of the returned plans under the original
-costs.  Exponent underflow still ends the run with
+independent of the cost magnitudes.  Exponent underflow still ends the run with
 :class:`RegularizationOverflowError` rather than silently degrading.
 """
 
@@ -176,9 +174,8 @@ def ibp_batch(batch: BarycenterBatch, lam=DEFAULT_LAMBDA, max_iter=DEFAULT_MAX_I
         kern *= v[:, :, None, :]
         if not whole:
             kernels[rest] = kern
-    plans = batch.unpad(kernels)
-    return BatchSolution(batch.problem_sums(batch.cost * plans),
-                         p / p.sum(axis=1, keepdims=True), plans, iterations, converged)
+    return BatchSolution(p / p.sum(axis=1, keepdims=True), batch.unpad(kernels), iterations,
+                         converged)
 
 
 def _sweeps(kernels, q, w, max_iter, tol):

@@ -22,7 +22,7 @@ parameter, the consensus weights, the warm start and the stopping test are
 per problem: a problem that stops leaves the working arrays and is not
 moved again, so each problem gets the iterations, flag and plans it would
 get alone (up to rounding).  :func:`mam_batch` is the solver's one entry
-point.
+point; its projection kernel is :func:`project_columns_scaled_simplex`.
 
 With two support points a projected column is ``(x, q - x)``, so the same
 iterations run on row 0 of the plans and one shift per measure, with no
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ot_core import BarycenterBatch, BatchSolution, project_columns_scaled_simplex
+from .ot_core import BarycenterBatch, BatchSolution
 from .tree import check_count, check_positive
 
 DEFAULT_MAX_ITER = 5000
@@ -52,7 +52,7 @@ def default_rho(problem: BarycenterBatch) -> np.ndarray:
 
 
 def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
-              tol_marginal=DEFAULT_MARGINAL_TOL, init_plans=None):
+              tol_marginal=DEFAULT_MARGINAL_TOL, init_plans=None) -> BatchSolution:
     """Solve every barycenter problem of a batch by averaged-marginal splitting.
 
     Parameters
@@ -71,10 +71,6 @@ def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
     init_plans : array, optional
         Warm-start plans laid out like the batch's costs, (R, A); defaults
         to the product of the uniform barycenter with each marginal.
-
-    Returns ``(BatchSolution, gaps)``: row i of the (max_iter, P) array
-    ``gaps`` holds each problem's gap after iteration i + 1, up to the
-    problem's own iteration count (the rest is unset).
 
     With two support points (R = 2) the iterations run on one plan row.
     The projection of a column of mass ``q`` is ``(x, q - x)`` with ``x =
@@ -121,15 +117,11 @@ def mam_batch(batch: BarycenterBatch, rho=None, max_iter=DEFAULT_MAX_ITER,
         shadow = batch.pad_plans(init_plans)
     step = np.divide(cost, rho[:, None, None, None], out=cost)
     iterate = _iterate_one_row if batch.R == 2 else _iterate
-    plans_end, iterations, converged, gaps = iterate(shadow, step, q, live, a, max_iter,
-                                                     tol_marginal)
+    plans_end, iterations, converged = iterate(shadow, step, q, live, a, max_iter, tol_marginal)
 
     p_final = np.matmul(a[:, None, :], plans_end.sum(axis=3))[:, 0]
     p_final = p_final / p_final.sum(axis=1, keepdims=True)
-    plans = batch.unpad(plans_end)
-    solution = BatchSolution(batch.problem_sums(batch.cost * plans), p_final, plans,
-                             iterations, converged)
-    return solution, gaps
+    return BatchSolution(p_final, batch.unpad(plans_end), iterations, converged)
 
 
 def _iterate(shadow, step, q, live, a, max_iter, tol):
@@ -138,7 +130,7 @@ def _iterate(shadow, step, q, live, a, max_iter, tol):
     Takes the start ``shadow``, the steps cost / rho, the padded marginals
     ``q`` and their mask ``live``, and the (P, M_max) consensus weights
     ``a``.  Returns the padded plans every problem stopped at, its
-    iteration count, whether it converged and the (max_iter, P) gaps.
+    iteration count and whether it converged.
     """
     n_prob, r = shadow.shape[0], shadow.shape[2]
     sizes = live.sum(axis=2)
@@ -159,7 +151,6 @@ def _iterate(shadow, step, q, live, a, max_iter, tol):
     todo = np.arange(n_prob)
     iterations = np.full(n_prob, max_iter)
     converged = np.zeros(n_prob, dtype=bool)
-    gaps = np.empty((max_iter, n_prob))
     tau, live_k, a_k, size_k, real_k = (q.reshape(n_prob, -1), live, a[:, None, :], size_col,
                                         (sizes > 0)[..., None])
     p = np.matmul(a_k, shadow_marg)
@@ -179,7 +170,6 @@ def _iterate(shadow, step, q, live, a, max_iter, tol):
         p = np.matmul(a_k, shadow_marg)
         p_feas = np.matmul(a_k, feas_marg)
         gap = np.max(np.abs(feas_marg - p_feas), axis=(1, 2), where=real_k, initial=0.0)
-        gaps[it - 1, todo] = gap
         stop = gap <= tol
         if stop.any():
             done = todo[stop]
@@ -192,7 +182,7 @@ def _iterate(shadow, step, q, live, a, max_iter, tol):
             if todo.size == 0:
                 break
     plans_end[todo] = plans
-    return plans_end, iterations, converged, gaps
+    return plans_end, iterations, converged
 
 
 def _iterate_one_row(shadow, step, q, live, a, max_iter, tol):
@@ -225,13 +215,11 @@ def _iterate_one_row(shadow, step, q, live, a, max_iter, tol):
     move, half = sigma, 0.5 * sigma
 
     # As in _iterate, problems still iterating are the rows ``todo`` of the
-    # working arrays; their gaps since the last stop are rows of ``recent``.
+    # working arrays.
     x_end = np.empty(x.shape)
     todo = np.arange(n_prob)
     iterations = np.full(n_prob, max_iter)
     converged = np.zeros(n_prob, dtype=bool)
-    gaps = np.empty((max_iter, n_prob))
-    recent, first = [], 0
     q_k, ones = q, np.ones((x.shape[2], 1))
     for it in range(1, max_iter + 1):
         x -= half_c
@@ -250,10 +238,7 @@ def _iterate_one_row(shadow, step, q, live, a, max_iter, tol):
         np.abs(g, out=g)
         g += abs_half_h
         gap = g.max(axis=1)[:, 0]
-        recent.append(gap)
         if gap.min() <= tol:
-            gaps[first:it, todo] = recent
-            recent, first = [], it
             stop = gap <= tol
             done = todo[stop]
             x_end[done] = x[stop]
@@ -264,7 +249,29 @@ def _iterate_one_row(shadow, step, q, live, a, max_iter, tol):
                                         real, half, move))
             if todo.size == 0:
                 break
-    if recent:
-        gaps[first:, todo] = recent
     x_end[todo] = x
-    return np.stack([x_end, q - x_end], axis=2), iterations, converged, gaps
+    return np.stack([x_end, q - x_end], axis=2), iterations, converged
+
+
+def project_columns_scaled_simplex(Y, tau):
+    """Column-wise scaled-simplex projection: column s lands on mass tau[s].
+
+    Euclidean projection of every column of ``Y`` onto {x >= 0 : sum(x) =
+    tau[s]} by the exact sort-based algorithm, used by :func:`_iterate`,
+    where every column of every measure is projected in one call per
+    iteration; zero-mass columns come back zero.
+    """
+    tau = np.asarray(tau, dtype=np.float64)
+    if np.any(tau < 0):
+        raise ValueError("target masses must be nonnegative")
+    Y = np.asarray(Y, dtype=np.float64)
+    r = Y.shape[0]
+    u = -np.sort(-Y, axis=0)
+    css = np.cumsum(u, axis=0)
+    k = np.arange(1, r + 1)[:, None]
+    positive = u - (css - tau[None, :]) / k > 0
+    support = r - 1 - np.argmax(positive[::-1, :], axis=0)
+    theta = (css[support, np.arange(Y.shape[1])] - tau) / (support + 1.0)
+    out = np.maximum(Y - theta[None, :], 0.0)
+    out[:, tau == 0.0] = 0.0
+    return out

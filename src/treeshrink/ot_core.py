@@ -1,6 +1,5 @@
-"""Exact discrete optimal transport and barycenter LPs, plus the scaled-simplex
-projection kernel of the averaged-marginals solver at three or more support
-points.
+"""Exact discrete optimal transport and barycenter LPs, and the batch of
+barycenter problems and its solution that all three barycenter solvers share.
 
 Problems where one side has two atoms are solved in closed form.  A
 transport problem with two columns is a fractional knapsack: with
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import _concat_ranges
+from .tree import _concat_ranges, _read_only
 
 # Primal and dual feasibility tolerance of every HiGHS solve.
 _FEASIBILITY_TOL = 1e-9
@@ -107,12 +106,14 @@ class BarycenterBatch:
     def support_sizes(self) -> list:
         return np.diff(self.atom_ptr).tolist()
 
+    @functools.cached_property
     def _live(self) -> np.ndarray:
-        """(P, M_max, S_max) mask of the real atoms in the padded layout."""
+        """(P, M_max, S_max) read-only mask of the real atoms in the padded
+        layout, computed once per batch from its pointers."""
         counts = np.diff(self.measure_ptr)
         sizes = np.zeros((self.P, counts.max()), dtype=int)
         sizes[np.arange(counts.max()) < counts[:, None]] = np.diff(self.atom_ptr)
-        return np.arange(sizes.max()) < sizes[..., None]
+        return _read_only(np.arange(sizes.max()) < sizes[..., None])
 
     def padded(self):
         """The batch as dense arrays padded to M_max measures of S_max atoms.
@@ -124,7 +125,7 @@ class BarycenterBatch:
         solver that keeps their plan columns at zero can run every problem
         in one array operation; :meth:`unpad` gathers the plans back.
         """
-        live = self._live()
+        live = self._live
         q = np.zeros(live.shape)
         q[live] = self.mass
         alpha = np.zeros(live.shape[:2])
@@ -133,14 +134,14 @@ class BarycenterBatch:
 
     def pad_plans(self, plans) -> np.ndarray:
         """(R, A) plans, or costs, spread into the padded (P, M_max, R, S_max) layout."""
-        live = self._live()
+        live = self._live
         out = np.zeros(live.shape[:2] + (self.R, live.shape[2]))
         out.transpose(0, 1, 3, 2)[live] = plans.T
         return out
 
     def unpad(self, plans) -> np.ndarray:
         """Padded (P, M_max, R, S_max) plans gathered back into the (R, A) layout."""
-        return plans.transpose(0, 1, 3, 2)[self._live()].T
+        return plans.transpose(0, 1, 3, 2)[self._live].T
 
     def problem_sums(self, values) -> np.ndarray:
         """Per-problem sums of an (R, A) array laid out like ``cost``."""
@@ -179,14 +180,16 @@ class BarycenterBatch:
 
 @dataclass
 class BatchSolution:
-    """Solutions of every problem of a :class:`BarycenterBatch`.
+    """Solutions of every problem of a :class:`BarycenterBatch`, as each of
+    the three solvers (:func:`barycenter_batch`, :func:`~treeshrink.mam.mam_batch`
+    and :func:`~treeshrink.ibp.ibp_batch`) returns them.
 
-    ``plans`` is laid out like the batch's costs, (R, A); the rest holds one
-    entry per problem: its objective, its barycenter (a (P, R) array), its
-    iteration count and whether it converged (exact solves: 1 and True).
+    ``p`` holds every problem's barycenter, (P, R); ``plans`` is laid out like
+    the batch's costs, (R, A); ``iterations`` and ``converged`` hold each
+    problem's iteration count and whether it converged (exact solves: 1 and
+    True).
     """
 
-    objective: np.ndarray
     p: np.ndarray
     plans: np.ndarray
     iterations: np.ndarray
@@ -388,9 +391,9 @@ def _block_diagonal_lp(row_mass, row_ptr, col_mass, col_ptr, cost):
     block, row, col = block_entries(row_ptr, col_ptr)
     n_vars = block.shape[0]
     var_ptr = np.concatenate(([0], np.cumsum(np.diff(row_ptr) * np.diff(col_ptr))))
-    x, _ = _highs("transport", cost, np.arange(0, 2 * n_vars + 1, 2),
-                  np.column_stack([row, row_mass.shape[0] + col]).ravel(),
-                  np.ones(2 * n_vars), np.concatenate([row_mass, col_mass]), var_ptr)
+    x = _highs("transport", cost, np.arange(0, 2 * n_vars + 1, 2),
+               np.column_stack([row, row_mass.shape[0] + col]).ravel(),
+               np.ones(2 * n_vars), np.concatenate([row_mass, col_mass]), var_ptr)
     return np.bincount(block, cost * x, row_ptr.shape[0] - 1), x
 
 
@@ -469,9 +472,8 @@ def _highs(kind, cost, start, index, value, b_eq, var_ptr):
     bound duals in a Python loop over the columns: over half of its time on
     the LPs of the deep-lp benchmark workload.  Its checks are kept:
     non-finite costs or right-hand sides raise ``ValueError``; the model
-    status must be optimal, ``x`` and the objective finite, and the bound
-    and equality residuals within ``_RESIDUAL_TOL``, or ``RuntimeError`` is
-    raised.
+    status must be optimal, ``x`` finite, and the bound and equality
+    residuals within ``_RESIDUAL_TOL``, or ``RuntimeError`` is raised.
 
     The LP is block diagonal: block b owns the variables
     ``var_ptr[b]:var_ptr[b+1]`` and shares none with another block.
@@ -479,8 +481,8 @@ def _highs(kind, cost, start, index, value, b_eq, var_ptr):
     block's costs are first scaled by the power of two that brings their
     largest magnitude into [0.5, 1); every block's answer is then the same
     at any cost scale, whatever the scale of the blocks packed with it.
-    The scaling is exact.  Returns ``(x, objective)``; the objective is
-    scaled back for an LP of one block and is None for several.
+    The scaling is exact.  Returns ``x``, which is optimal for the unscaled
+    costs too.
     """
     if not (np.all(np.isfinite(cost)) and np.all(np.isfinite(b_eq))):
         raise ValueError(f"{kind} LP: costs and right-hand sides must be finite")
@@ -509,13 +511,12 @@ def _highs(kind, cost, start, index, value, b_eq, var_ptr):
         raise RuntimeError(f"{kind} LP failed: {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    objective = highs.getInfo().objective_function_value
     residual = np.abs(b_eq - np.array(solution.row_value))
-    if not (np.all(np.isfinite(x)) and math.isfinite(objective)
-            and np.all(x >= -_RESIDUAL_TOL) and np.all(residual <= _RESIDUAL_TOL)):
+    if not (np.all(np.isfinite(x)) and np.all(x >= -_RESIDUAL_TOL)
+            and np.all(residual <= _RESIDUAL_TOL)):
         raise RuntimeError(f"{kind} LP failed: the solution misses its bounds or "
                            f"constraints by more than {_RESIDUAL_TOL:.2e}")
-    return x, math.ldexp(objective, int(e[0])) if e.shape[0] == 1 else None
+    return x
 
 
 def barycenter_batch(batch: BarycenterBatch) -> BatchSolution:
@@ -540,9 +541,8 @@ def barycenter_batch(batch: BarycenterBatch) -> BatchSolution:
         batch.alpha[m_ptr[lo]:m_ptr[hi]],
         batch.atom_ptr[m_ptr[lo]:m_ptr[hi] + 1] - a_ptr[lo], m_ptr[lo:hi + 1] - m_ptr[lo]))
         for lo, hi in zip(bounds[:-1], bounds[1:])]
-    objective, p, plans = zip(*solved)
-    return BatchSolution(np.concatenate(objective), np.concatenate(p),
-                         np.concatenate(plans, axis=1),
+    p, plans = zip(*solved)
+    return BatchSolution(np.concatenate(p), np.concatenate(plans, axis=1),
                          np.ones(batch.P, dtype=int), np.ones(batch.P, dtype=bool))
 
 
@@ -554,7 +554,7 @@ def _highs_barycenters(batch: BarycenterBatch):
     (its marginal), every plan's row sums less ``p`` (zero) and the simplex
     row of ``p``.  Each problem is one block of :func:`_highs`, its costs
     scaled on their own.  A batch of one is the plain barycenter LP.
-    Returns every problem's objective, its ``p`` and the (R, A) plans.
+    Returns every problem's ``p`` and the (R, A) plans.
     """
     r, ks = batch.R, np.arange(batch.P)
     m_ptr, a_ptr = batch.measure_ptr, batch.atom_ptr[batch.measure_ptr]
@@ -563,14 +563,13 @@ def _highs_barycenters(batch: BarycenterBatch):
     block, row, atom = block_entries(r * np.arange(batch.M + 1), batch.atom_ptr)
     point = row - r * block
     of_measure = np.repeat(ks, np.diff(m_ptr))
-    k = of_measure[block]
     # Problem k's constraints follow those of the problems before it (their
     # atoms, plan rows and simplex rows), its variables their p and plans.
     atom_row = np.arange(a_ptr[-1]) + (r * m_ptr[:-1] + ks)[np.repeat(ks, np.diff(a_ptr))]
     plan_row = np.arange(r * batch.M) + np.repeat(a_ptr[1:] + ks, r * np.diff(m_ptr))
     simplex_row = a_ptr[1:] + r * m_ptr[1:] + ks
     p_var = (r * (a_ptr[:-1] + ks))[:, None] + np.arange(r)
-    var = np.arange(block.shape[0]) + r * (k + 1)
+    var = np.arange(block.shape[0]) + r * (of_measure[block] + 1)
     rows = np.concatenate([atom_row[atom], plan_row[row], plan_row, np.repeat(simplex_row, r)])
     cols = np.concatenate([var, var, p_var[of_measure].ravel(), p_var.ravel()])
     data = np.concatenate([np.ones(2 * var.shape[0]), np.full(r * batch.M, -1.0),
@@ -584,15 +583,11 @@ def _highs_barycenters(batch: BarycenterBatch):
     b_eq[simplex_row] = 1.0
     c = np.zeros(n_vars)
     c[var] = batch.cost[point, atom]
-    x, fun = _highs("barycenter", c, start, rows[order], data[order], b_eq,
-                    r * (a_ptr + np.arange(batch.P + 1)))
+    x = _highs("barycenter", c, start, rows[order], data[order], b_eq,
+               r * (a_ptr + np.arange(batch.P + 1)))
     plans = np.empty(batch.cost.shape)
     plans[point, atom] = x[var]
-    # A lone problem keeps HiGHS's own objective, which a sum over its plan
-    # can miss in the last bit.
-    objective = (np.array([fun]) if batch.P == 1
-                 else np.bincount(k, c[var] * x[var], batch.P))
-    return objective, x[p_var], plans
+    return x[p_var], plans
 
 
 def two_atom_barycenter(batch: BarycenterBatch) -> BatchSolution:
@@ -633,29 +628,5 @@ def two_atom_barycenter(batch: BarycenterBatch) -> BatchSolution:
                   np.minimum(where[np.arange(batch.P), first], 1.0), 1.0)
     to_first = _fill_first(batch.mass, batch.atom_ptr, p1[measure_problem], d)
     plans = np.stack([to_first, batch.mass - to_first])
-    return BatchSolution(batch.problem_sums(batch.cost * plans), np.column_stack([p1, 1.0 - p1]),
-                         plans, np.ones(batch.P, dtype=int), np.ones(batch.P, dtype=bool))
-
-
-def project_columns_scaled_simplex(Y, tau):
-    """Column-wise scaled-simplex projection: column s lands on mass tau[s].
-
-    Euclidean projection of every column of ``Y`` onto {x >= 0 : sum(x) =
-    tau[s]} by the exact sort-based algorithm, used by the averaged-marginals
-    inner update where every column of every measure is projected in one
-    call per iteration; zero-mass columns come back zero.
-    """
-    tau = np.asarray(tau, dtype=np.float64)
-    if np.any(tau < 0):
-        raise ValueError("target masses must be nonnegative")
-    Y = np.asarray(Y, dtype=np.float64)
-    r = Y.shape[0]
-    u = -np.sort(-Y, axis=0)
-    css = np.cumsum(u, axis=0)
-    k = np.arange(1, r + 1)[:, None]
-    positive = u - (css - tau[None, :]) / k > 0
-    support = r - 1 - np.argmax(positive[::-1, :], axis=0)
-    theta = (css[support, np.arange(Y.shape[1])] - tau) / (support + 1.0)
-    out = np.maximum(Y - theta[None, :], 0.0)
-    out[:, tau == 0.0] = 0.0
-    return out
+    return BatchSolution(np.column_stack([p1, 1.0 - p1]), plans,
+                         np.ones(batch.P, dtype=int), np.ones(batch.P, dtype=bool))

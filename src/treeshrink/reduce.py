@@ -220,8 +220,7 @@ def _solve(batch, solver, config, warm):
     if solver == "ibp":
         return ibp_batch(batch, lam=config.lam, max_iter=config.ibp_max_iter)
     if solver == "mam":
-        return mam_batch(batch, rho=config.rho, max_iter=config.mam_max_iter,
-                         init_plans=warm)[0]
+        return mam_batch(batch, rho=config.rho, max_iter=config.mam_max_iter, init_plans=warm)
     if solver != "lp":
         raise ValueError(f"unknown solver {solver!r}")
     return barycenter_batch(batch)

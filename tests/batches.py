@@ -45,6 +45,39 @@ class BarycenterProblem(BarycenterBatch):
         return self.split(self.cost)
 
 
+def project_scaled_simplex(y, tau):
+    """Reference: Euclidean projection of ``y`` onto {x >= 0 : sum(x) = tau}.
+
+    Exact finite sort-based algorithm; for ``tau`` = 0 the answer is the zero
+    vector.  Negative ``tau`` is a domain error.
+    """
+    if tau < 0:
+        raise ValueError("target mass must be nonnegative")
+    y = np.asarray(y, dtype=np.float64)
+    if tau == 0.0:
+        return np.zeros_like(y)
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u)
+    k = np.arange(1, y.shape[0] + 1)
+    support = np.flatnonzero(u - (css - tau) / k > 0)[-1]
+    theta = (css[support] - tau) / (support + 1.0)
+    return np.maximum(y - theta, 0.0)
+
+
+def plan_cost(batch, sol):
+    """Transport cost of every problem's plans in a solution of ``batch``:
+    ``sum(cost * plans)`` over each problem's atoms."""
+    return batch.problem_sums(batch.cost * sol.plans)
+
+
+def marginal_gap(batch, sol):
+    """Largest gap between a measure's plan row sums and its problem's ``p``,
+    over every measure of the batch."""
+    rows = np.add.reduceat(sol.plans, batch.atom_ptr[:-1], axis=1)
+    problem = np.repeat(np.arange(batch.P), np.diff(batch.measure_ptr))
+    return float(np.max(np.abs(rows - sol.p[problem].T)))
+
+
 def lone_transport(q, q_other, D):
     """One transport problem by :func:`transport_lp`: ``(cost, (r, s) plan)``."""
     D = np.asarray(D, dtype=np.float64)

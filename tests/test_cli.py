@@ -281,6 +281,17 @@ class TestReduce:
             f"error: --target-scenarios must be at least 1, got {value}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("init", ["random", "kmeans", "ffs"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_target_branching_below_one_exit_2(self, tmp_path, capsys, init, value):
+        src = self.make_input(tmp_path)
+        out = tmp_path / "small.json"
+        assert run(["reduce", "-i", str(src), "--init", init, "--target-branching", value,
+                    "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --target-branching must be at least 1, got {value}\n")
+        assert not out.exists()
+
     def test_run_defaults_come_from_the_config(self):
         args = build_parser().parse_args(["reduce", "-i", "t.json"])
         defaults = ReductionConfig()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batches import BarycenterProblem, problem_lists, stack
+from batches import BarycenterProblem, plan_cost, problem_lists, stack
 from treeshrink import ibp
 from treeshrink.ibp import RegularizationOverflowError, ibp_batch
 from treeshrink.init_filtration import random_init
@@ -66,7 +66,7 @@ class TestTrivialInstances:
         sol = ibp_batch(prob)
         assert sol.p[0] == pytest.approx([1.0])
         assert sol.plans.ravel() == pytest.approx([1.0])
-        assert sol.objective[0] == pytest.approx(3.5)
+        assert plan_cost(prob, sol)[0] == pytest.approx(3.5)
 
     def test_constant_costs_any_lambda(self):
         q = np.array([0.25, 0.75])
@@ -74,7 +74,7 @@ class TestTrivialInstances:
                                  alpha=np.array([1.0]))
         for lam in (1.0, 10.0, 100.0):
             sol = ibp_batch(prob, lam=lam)
-            assert sol.objective[0] == pytest.approx(1.7, abs=1e-9)
+            assert plan_cost(prob, sol)[0] == pytest.approx(1.7, abs=1e-9)
 
 
 class TestAgainstLP:
@@ -82,8 +82,8 @@ class TestAgainstLP:
         rng = np.random.default_rng(0)
         for _ in range(10):
             prob = random_problem(rng, m=2, r=2, s=2)
-            obj_lp = barycenter_batch(prob).objective[0]
-            obj = ibp_batch(prob, lam=100.0, tol_fixed_point=1e-10).objective[0]
+            obj_lp = plan_cost(prob, barycenter_batch(prob))[0]
+            obj = plan_cost(prob, ibp_batch(prob, lam=100.0, tol_fixed_point=1e-10))[0]
             assert obj <= obj_lp * 1.02 + 1e-9
             assert obj >= obj_lp - 1e-9
 
@@ -91,8 +91,8 @@ class TestAgainstLP:
         rng = np.random.default_rng(1)
         for _ in range(5):
             prob = random_problem(rng, m=3, r=4, s=4)
-            obj_lp = barycenter_batch(prob).objective[0]
-            objs = [ibp_batch(prob, lam=lam, tol_fixed_point=1e-12).objective[0]
+            obj_lp = plan_cost(prob, barycenter_batch(prob))[0]
+            objs = [plan_cost(prob, ibp_batch(prob, lam=lam, tol_fixed_point=1e-12))[0]
                     for lam in (1.0, 10.0, 100.0)]
             assert objs[0] >= objs[1] - 1e-9 >= objs[2] - 2e-9
             assert objs[2] >= obj_lp - 1e-9
@@ -113,7 +113,7 @@ class TestInvariants:
 
     def test_measure_order_invariance(self):
         # Permuting measures of unequal supports permutes the plans but leaves
-        # the barycenter and objective unchanged.
+        # the barycenter and plan cost unchanged.
         rng = np.random.default_rng(7)
         prob = random_problem(rng, r=4, s=(1, 3, 7), zero_mass=True)
         perm = [2, 0, 1]
@@ -122,7 +122,8 @@ class TestInvariants:
                                       alpha=prob.alpha[perm])
         sol = ibp_batch(prob, lam=50.0, max_iter=300, tol_fixed_point=0.0)
         sol_perm = ibp_batch(prob_perm, lam=50.0, max_iter=300, tol_fixed_point=0.0)
-        assert sol_perm.objective[0] == pytest.approx(sol.objective[0], abs=1e-12)
+        assert plan_cost(prob_perm, sol_perm)[0] == pytest.approx(plan_cost(prob, sol)[0],
+                                                                  abs=1e-12)
         assert sol_perm.p[0] == pytest.approx(sol.p[0], abs=1e-12)
         plans, plans_perm = prob.split(sol.plans), prob_perm.split(sol_perm.plans)
         for i, j in enumerate(perm):
@@ -227,7 +228,8 @@ class TestTwoPoints:
         cols = atoms_of(batch, both)
         assert np.max(np.abs(sol.p[both] - ref.p[both]), initial=0.0) <= 1e-8
         assert np.max(np.abs(sol.plans[:, cols] - ref.plans[:, cols]), initial=0.0) <= 1e-8
-        assert np.max(np.abs(sol.objective[both] - ref.objective[both]), initial=0.0) <= 1e-8
+        cost_gap = plan_cost(batch, sol)[both] - plan_cost(batch, ref)[both]
+        assert np.max(np.abs(cost_gap), initial=0.0) <= 1e-8
         assert np.max(np.abs(sol.plans.sum(axis=0) - batch.mass)) <= 1e-12
 
     def test_newton_finishes_at_moderate_lambda(self):
@@ -245,7 +247,7 @@ class TestTwoPoints:
         with sweeps_only():
             ref = ibp_batch(batch, lam=50.0, max_iter=200, tol_fixed_point=0.0)
         assert finished.size == 0
-        for field in ("p", "plans", "objective", "iterations", "converged"):
+        for field in ("p", "plans", "iterations", "converged"):
             assert np.array_equal(getattr(sol, field), getattr(ref, field))
 
     def test_fallback_problems_get_the_sweeps_results(self):

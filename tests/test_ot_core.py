@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from functools import partial
@@ -10,39 +11,20 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from batches import (BarycenterProblem, barycenter_problems, costs, lone_transport,
-                     lp_packs_reference, problem_lists, stack, weights)
+                     lp_packs_reference, plan_cost, problem_lists, project_scaled_simplex,
+                     stack, weights)
 from treeshrink import ot_core
 from treeshrink.ibp import ibp_batch
 from treeshrink.mam import mam_batch
-from treeshrink.ot_core import (BarycenterBatch, barycenter_batch, block_entries, packs,
-                                project_columns_scaled_simplex, transport_lp,
-                                two_atom_barycenter)
-
-
-def project_scaled_simplex(y, tau):
-    """Reference: Euclidean projection of ``y`` onto {x >= 0 : sum(x) = tau}.
-
-    Exact finite sort-based algorithm; for ``tau`` = 0 the answer is the zero
-    vector.  Negative ``tau`` is a domain error.
-    """
-    if tau < 0:
-        raise ValueError("target mass must be nonnegative")
-    y = np.asarray(y, dtype=np.float64)
-    if tau == 0.0:
-        return np.zeros_like(y)
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, y.shape[0] + 1)
-    support = np.flatnonzero(u - (css - tau) / k > 0)[-1]
-    theta = (css[support] - tau) / (support + 1.0)
-    return np.maximum(y - theta, 0.0)
+from treeshrink.ot_core import (BarycenterBatch, BatchSolution, barycenter_batch,
+                                block_entries, packs, transport_lp, two_atom_barycenter)
 
 
 def lone_barycenter(problem):
-    """:func:`barycenter_batch` on one problem: ``(objective, plans, p)``, one
+    """:func:`barycenter_batch` on one problem: ``(plan cost, plans, p)``, one
     (R, S^m) plan per measure."""
     sol = barycenter_batch(problem)
-    return float(sol.objective[0]), problem.split(sol.plans), sol.p[0]
+    return float(plan_cost(problem, sol)[0]), problem.split(sol.plans), sol.p[0]
 
 
 def column_marginal_error(plans, problem):
@@ -432,9 +414,8 @@ class TestBarycenterBatch:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 5).flatmap(barycenter_problems))
     def test_lone_problem_is_the_reference_lp(self, prob):
-        objective, p, plans = reference_highs_barycenter(prob)
+        _, p, plans = reference_highs_barycenter(prob)
         sol = barycenter_batch(prob)
-        assert sol.objective.tobytes() == np.array([objective]).tobytes()
         assert sol.p.tobytes() == p[None, :].tobytes()
         assert sol.plans.tobytes() == plans.tobytes()
 
@@ -503,7 +484,7 @@ class TestBarycenterBatch:
                 # mass of the optimum: M plans and p, of mass 1 each.
                 tol = math.ldexp(ot_core._FEASIBILITY_TOL * (prob.M + 1),
                                  math.frexp(prob.cost.max())[1])
-                assert sol.objective[k] == pytest.approx(obj, rel=1e-9, abs=tol)
+                assert plan_cost(batch, sol)[k] == pytest.approx(obj, rel=1e-9, abs=tol)
                 assert np.all(sol.p[k] >= 0.0) and abs(sol.p[k].sum() - 1.0) <= 1e-9
                 assert np.max(np.abs(plans.sum(axis=0) - prob.mass)) <= 1e-9
                 for plan in prob.split(plans):
@@ -514,10 +495,10 @@ class TestBarycenterBatch:
            scale=st.floats(2.0 ** -40, 2.0 ** 20))
     def test_objective_is_homogeneous_in_the_cost_scale(self, problems, scale):
         batch = stack(problems)
-        base = barycenter_batch(batch).objective
-        scaled = barycenter_batch(BarycenterBatch(
-            batch.mass, batch.cost * scale, batch.alpha, batch.atom_ptr,
-            batch.measure_ptr)).objective
+        base = plan_cost(batch, barycenter_batch(batch))
+        scaled_batch = BarycenterBatch(batch.mass, batch.cost * scale, batch.alpha,
+                                       batch.atom_ptr, batch.measure_ptr)
+        scaled = plan_cost(scaled_batch, barycenter_batch(scaled_batch))
         assert scaled / scale == pytest.approx(base, rel=1e-9)
 
 
@@ -552,14 +533,13 @@ class TestHighsSolve:
 
     @staticmethod
     def assert_matches_scipy(call, result, a_eq):
-        (_, cost, start, index, value, b_eq, var_ptr), (x, objective) = call, result
+        (_, cost, start, index, value, b_eq, var_ptr), x = call, result
         a_eq.sort_indices()
         assert np.array_equal(start, a_eq.indptr)
         assert np.array_equal(index, a_eq.indices)
         assert np.array_equal(value, a_eq.data)
-        ref_x, ref_objective = scaled_linprog(LP_OPTIONS, cost, a_eq, b_eq, var_ptr)
+        ref_x, _ = scaled_linprog(LP_OPTIONS, cost, a_eq, b_eq, var_ptr)
         assert x.tobytes() == ref_x.tobytes()
-        assert objective == ref_objective
 
     @settings(max_examples=60, deadline=None)
     @given(transport_problem_sets())
@@ -632,12 +612,13 @@ class TestHighsSolve:
     def test_barycenter_values_match_presolved_reference(self, problems):
         # As above for barycenters: every problem of a packed solve against
         # the problem alone under the presolved reference setting.
-        sol = barycenter_batch(stack(problems))
+        batch = stack(problems)
+        values = plan_cost(batch, barycenter_batch(batch))
         for k, prob in enumerate(problems):
             c, a_eq, b_eq, _, _ = reference_barycenter_lp(prob)
             _, ref = scaled_linprog(PRESOLVED_OPTIONS, c, a_eq, b_eq)
             tol = math.ldexp(ot_core._FEASIBILITY_TOL, math.frexp(c.max())[1])
-            assert sol.objective[k] == pytest.approx(ref, rel=1e-12, abs=tol)
+            assert values[k] == pytest.approx(ref, rel=1e-12, abs=tol)
 
     def test_infeasible_lp_raises(self):
         # One plan entry whose row sum asks for 1 and column sum for 2.
@@ -652,6 +633,8 @@ class TestHighsSolve:
 
 
 class TestProjection:
+    """The scalar reference projection that the MAM kernel's tests use."""
+
     def test_analytic_shift(self):
         assert project_scaled_simplex(np.array([0.2, 0.9]), 1.0) == \
             pytest.approx([0.15, 0.85])
@@ -694,20 +677,6 @@ class TestProjection:
             py = project_scaled_simplex(y, 1.0)
             pz = project_scaled_simplex(z, 1.0)
             assert np.linalg.norm(py - pz) <= np.linalg.norm(y - z) + 1e-12
-
-    def test_columns_negative_mass_rejected(self):
-        with pytest.raises(ValueError):
-            project_columns_scaled_simplex(np.zeros((2, 3)), np.array([0.5, -0.1, 0.6]))
-
-    def test_column_batch_matches_scalar(self):
-        rng = np.random.default_rng(9)
-        Y = rng.uniform(-2, 2, (5, 8))
-        tau = rng.uniform(0, 1, 8)
-        tau[3] = 0.0
-        out = project_columns_scaled_simplex(Y, tau)
-        for s in range(8):
-            assert out[:, s] == pytest.approx(
-                project_scaled_simplex(Y[:, s], tau[s]), abs=1e-12)
 
 
 class TestValidate:
@@ -786,6 +755,39 @@ class TestValidate:
         batch.alpha[:2] = 0.0
         with pytest.raises(ValueError, match="not all zero"):
             batch.validate()
+
+
+def contract_batch(r):
+    """Three problems on ``r`` support points, ragged in measures and atoms,
+    with one zero-mass atom and one zero-weight measure."""
+    rng = np.random.default_rng(r)
+    problems = []
+    for sizes, alpha in (((3,), [1.0]), ((1, 4), [0.5, 2.0]), ((2, 2, 5), [1.0, 0.0, 0.7])):
+        q = [rng.dirichlet(np.ones(n)) for n in sizes]
+        q[-1][0] = 0.0
+        q[-1] /= q[-1].sum()
+        D = [a * rng.uniform(0, 1, (r, n)) for a, n in zip(alpha, sizes)]
+        problems.append(BarycenterProblem(q=q, D=D, alpha=np.array(alpha)))
+    return stack(problems)
+
+
+@pytest.mark.parametrize("solve", [barycenter_batch, mam_batch, ibp_batch])
+@pytest.mark.parametrize("r", [2, 3])
+def test_solvers_share_one_result_contract(solve, r):
+    # The three solvers are interchangeable in the probability step: each
+    # returns the same four fields, feasible plans and barycenters.
+    batch = contract_batch(r)
+    sol = solve(batch)
+    assert type(sol) is BatchSolution
+    assert [field.name for field in dataclasses.fields(sol)] == [
+        "p", "plans", "iterations", "converged"]
+    assert sol.p.shape == (batch.P, r)
+    assert sol.plans.shape == (r, batch.atom_ptr[-1])
+    assert sol.iterations.shape == sol.converged.shape == (batch.P,)
+    assert sol.iterations.dtype.kind == "i" and sol.converged.dtype == bool
+    assert np.max(np.abs(sol.plans.sum(axis=0) - batch.mass)) <= 1e-12
+    assert np.all(sol.p >= 0.0)
+    assert np.max(np.abs(sol.p.sum(axis=1) - 1.0)) <= 1e-9
 
 
 @st.composite
@@ -894,13 +896,14 @@ class TestTwoPointBarycenter:
         # gives each problem what it gets alone, bit for bit.
         batch = stack(problems)
         sol = two_atom_barycenter(batch)
+        values = plan_cost(batch, sol)
         for k, prob in enumerate(problems):
             lo, hi = batch.atom_ptr[batch.measure_ptr[k:k + 2]]
             one = two_atom_barycenter(prob)
             assert np.array_equal(sol.p[k], one.p[0])
             assert np.array_equal(sol.plans[:, lo:hi], one.plans)
-            assert sol.objective[k] == one.objective[0]
-            assert sol.objective[k] == pytest.approx(highs_barycenter(prob.q, prob.D),
+            assert values[k] == plan_cost(prob, one)[0]
+            assert values[k] == pytest.approx(highs_barycenter(prob.q, prob.D),
                                                      rel=1e-8, abs=1e-12)
 
     def test_no_lp(self, monkeypatch):
