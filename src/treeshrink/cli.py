@@ -128,6 +128,8 @@ def _initial_reduced(args, original):
         raise ValueError(f"--target-branching must be at least 1, got {args.target_branching}")
     big_t = original.T
     if args.init == "random":
+        if args.target_scenarios is not None:
+            raise ValueError("--target-scenarios applies to --init kmeans or ffs")
         lo = float(original.quantizer.min())
         hi = float(original.quantizer.max())
         if args.init_range is not None:

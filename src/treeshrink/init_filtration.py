@@ -48,31 +48,120 @@ class ScenarioMatrix:
         return cls(tree.path_values(), tree.prob[tree.leaves()])
 
 
-# Doubles per temporary of the row-blocked pairwise distances and of the
-# row blocks that forward selection reads.
+# Doubles in the live temporaries of the row-blocked pairwise distances,
+# and in each row block that forward selection reads.
 _BLOCK_ENTRIES = 1 << 19
+
+# The ufunc buffer, in elements, while the pairwise distances and the picks
+# of forward selection run: numpy's smallest.  Over a 2-d block that is
+# strided or broadcasts one operand, numpy (2.4) copies rows through a
+# buffer that holds two rows or more, about 4 times slower than the loop
+# along each row that it runs when the buffer is shorter.  Element-wise
+# results do not depend on it.
+_ROW_BUFFER = 16
+
+# numpy's pairwise summation: a plain loop below _PW_UNROLL terms, eight
+# running sums up to _PW_BLOCK terms, and a split in two above.
+_PW_UNROLL = 8
+_PW_BLOCK = 128
+
+
+def _pairwise_split(n):
+    """Length of the first part when numpy splits a sum of n terms."""
+    half = n // 2
+    return half - half % _PW_UNROLL
+
+
+def _pairwise_buffers(n):
+    """Scratch arrays, besides the output, that ``_pairwise_sum`` of n terms uses."""
+    if n > _PW_BLOCK:
+        return 1 + _pairwise_buffers(n - _pairwise_split(n))
+    if n < _PW_UNROLL:
+        return 1 if n > 1 else 0
+    return _PW_UNROLL - 1 if n < 2 * _PW_UNROLL else _PW_UNROLL
+
+
+def _pairwise_sum(term, lo, hi, out, scratch):
+    """Sum terms ``lo:hi`` into ``out`` in the order of numpy's pairwise sum.
+
+    ``term(i, buffer)`` writes term i into ``buffer``, an array shaped like
+    ``out``; ``scratch`` holds ``_pairwise_buffers(hi - lo)`` such arrays.
+    Every entry of ``out`` is then, bit for bit, what ``np.sum`` gives over
+    a last axis holding the terms: below 8 terms a plain loop; up to 128,
+    eight running sums over strides of 8 combined as
+    ``((0+1)+(2+3))+((4+5)+(6+7))``, then the rest one by one; above 128,
+    the sum of the first ``n//2`` terms rounded down to a multiple of 8 plus
+    the sum of the others.  (numpy also adds the sum to 0.0, so where every
+    term is -0.0 it gives +0.0 and this -0.0.)  Whole arrays replace the
+    many short sums along a last axis, and no array holds every term.
+    """
+    n = hi - lo
+    if n > _PW_BLOCK:
+        n2 = _pairwise_split(n)
+        _pairwise_sum(term, lo, lo + n2, out, scratch)
+        _pairwise_sum(term, lo + n2, hi, scratch[0], scratch[1:])
+        out += scratch[0]
+        return
+    if n < _PW_UNROLL:
+        if n == 0:
+            out.fill(0.0)
+            return
+        term(lo, out)
+        for i in range(lo + 1, hi):
+            term(i, scratch[0])
+            out += scratch[0]
+        return
+    acc = [out, *scratch[:_PW_UNROLL - 1]]
+    for j, buffer in enumerate(acc):
+        term(lo + j, buffer)
+    tail = hi - n % _PW_UNROLL
+    for i in range(lo + _PW_UNROLL, tail, _PW_UNROLL):
+        for j, buffer in enumerate(acc):
+            term(i + j, scratch[_PW_UNROLL - 1])
+            buffer += scratch[_PW_UNROLL - 1]
+    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+        acc[a] += acc[b]
+    for i in range(tail, hi):
+        term(i, acc[1])
+        out += acc[1]
 
 
 def _squared_distances(flat_paths) -> np.ndarray:
     """(S, S) squared Euclidean distances, in row blocks of bounded size.
 
     Only the blocks on or above the diagonal are computed, rows
-    ``lo:lo+step`` against columns ``lo:``, in one scratch array squared in
-    place; each is mirrored below the diagonal.  ``(a - b)**2`` and
-    ``(b - a)**2`` are the same double and every entry is summed over the
-    path coordinates in the same order, so the result is exactly symmetric
-    and bitwise the one (S, S, d) broadcast, without that temporary.
+    ``lo:lo+step`` against columns ``lo:``; each is mirrored below the
+    diagonal.  A block is summed one path coordinate at a time: the term of
+    coordinate c is ``(x_c[lo:hi, None] - x_c[None, lo:])**2`` over the
+    transposed paths, and ``_pairwise_sum`` adds the terms in numpy's
+    order, with at most ``min(width, 9)`` of them (one more per split above
+    128 coordinates) alive in ``_BLOCK_ENTRIES`` doubles.  ``(a - b)**2``
+    and ``(b - a)**2`` are the same double, so the result is exactly
+    symmetric and bitwise the ``np.sum`` over one (S, S, width) broadcast,
+    without that temporary or numpy's short sums along its last axis.
+    ``TestSquaredDistances`` pins the order against numpy's, so a numpy
+    release that changes it fails there.
     """
     s_count, width = flat_paths.shape
     out = np.empty((s_count, s_count))
-    step = max(1, _BLOCK_ENTRIES // max(s_count * width, 1))
-    scratch = np.empty((min(step, s_count), s_count, width))
-    for lo in range(0, s_count, step):
-        hi = min(lo + step, s_count)
-        diff = np.subtract(flat_paths[lo:hi, None, :], flat_paths[None, lo:, :],
-                           out=scratch[:hi - lo, :s_count - lo])
-        np.sum(np.multiply(diff, diff, out=diff), axis=2, out=out[lo:hi, lo:])
-        out[hi:, lo:hi] = out[lo:hi, hi:].T
+    coords = np.ascontiguousarray(flat_paths.T)
+    buffers = _pairwise_buffers(width)
+    step = max(1, _BLOCK_ENTRIES // (s_count * (1 + buffers)))
+    scratch = np.empty((buffers, min(step, s_count) * s_count))
+
+    def term(c, buffer):
+        # Rows lo:hi against columns lo: of the block the loop below is at.
+        np.subtract(coords[c, lo:hi, None], coords[c, None, lo:], out=buffer)
+        np.square(buffer, out=buffer)
+
+    with np.errstate():
+        np.setbufsize(_ROW_BUFFER)
+        for lo in range(0, s_count, step):
+            hi = min(lo + step, s_count)
+            shape = (hi - lo, s_count - lo)
+            blocks = scratch[:, :shape[0] * shape[1]].reshape(buffers, *shape)
+            _pairwise_sum(term, 0, width, out[lo:hi, lo:], blocks)
+            out[hi:, lo:hi] = out[lo:hi, hi:].T
     return out
 
 
@@ -103,10 +192,20 @@ def kmeans_init(scenarios: ScenarioMatrix, k: int, seed=0, max_iter=300,
             centers[c] = x[rng.choice(scenarios.S, p=weights / weights.sum())]
         closest = np.minimum(closest, np.sum((x - centers[c]) ** 2, axis=1))
 
+    # Squared distances to the centers, one coordinate at a time: bitwise
+    # the sum over an (S, k, width) broadcast, without that temporary.
+    coords = np.ascontiguousarray(x.T)
+
+    def term(c, buffer):
+        np.subtract(coords[c, :, None], centers[:, c], out=buffer)
+        np.square(buffer, out=buffer)
+
+    d2 = np.empty((scenarios.S, k))
+    scratch = np.empty((_pairwise_buffers(x.shape[1]), scenarios.S, k))
     inertia = np.inf
     assign = None
     for _ in range(max_iter):
-        d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        _pairwise_sum(term, 0, x.shape[1], d2, scratch)
         assign = np.argmin(d2, axis=1)
         new_inertia = float(np.sum(w * d2[np.arange(scenarios.S), assign]))
         for c in range(k):
@@ -150,15 +249,17 @@ def ffs_init(scenarios: ScenarioMatrix, k: int, order=2) -> ScenarioTree:
     not-selected j, with ``best`` the cost to the nearest selected scenario
     (a candidate's own term is zero).  The scores are kept as running sums,
     ``cost @ p`` at the start, as in the fast forward selection of Heitsch
-    and Roemisch (2003).  A pick u* changes only the capped costs of the
-    columns j whose ``best_j`` it lowers, and removes u*'s own weight;
-    ``cost`` is symmetric, so the change to every score is a product of
-    those columns' contiguous rows, read in blocks of at most
-    ``_BLOCK_ENTRIES`` entries.  The running sums drift by rounding, so the
-    few candidates within the tie window of the lowest are scored again,
-    each as one sum over the not-selected scenarios in index order.
-    Duplicated scenarios then score exactly equal, and the lowest index
-    among the equal best wins.
+    and Roemisch (2003).  A pick u* removes its own weight and lowers
+    ``best_j`` to ``nb_j`` for some columns j; with ``c = cost[u, j]``, each
+    such column takes ``p_j clip(c - nb_j, 0, best_j - nb_j)`` off score u,
+    bit for bit ``p_j (min(c, best_j) - min(c, nb_j))``, also at the first
+    pick, where ``best_j`` is inf.  ``cost`` is symmetric, so the columns
+    are contiguous rows, read in blocks of at most ``_BLOCK_ENTRIES``
+    entries, clipped in place and weighted by one product per block.  The
+    running sums drift by rounding, so the few candidates within the tie
+    window of the lowest are scored again, each as one sum over the
+    not-selected scenarios in index order.  Duplicated scenarios then score
+    exactly equal, and the lowest index among the equal best wins.
     """
     if not 1 <= k <= scenarios.S:
         raise ValueError("need 1 <= k <= number of scenarios")
@@ -172,7 +273,7 @@ def ffs_init(scenarios: ScenarioMatrix, k: int, order=2) -> ScenarioTree:
     scores = cost @ w
     atol = _TIE_ATOL * scores.max()
     rows = max(1, _BLOCK_ENTRIES // scenarios.S)
-    capped, change = np.empty((2, min(rows, scenarios.S), scenarios.S))
+    capped = np.empty((min(rows, scenarios.S), scenarios.S))
     for _ in range(k):
         low = scores.min()
         near = np.flatnonzero(scores <= low + _TIE_RTOL * abs(low) + atol)
@@ -184,13 +285,16 @@ def ffs_init(scenarios: ScenarioMatrix, k: int, order=2) -> ScenarioTree:
         scores -= w[u_star] * np.minimum(best_dist[u_star], cost[u_star])
         new_best = np.minimum(best_dist, cost[u_star])
         lowered = np.flatnonzero((new_best < best_dist) & remaining & (w > 0.0))
-        for lo in range(0, lowered.size, rows):
-            j = lowered[lo:lo + rows]
-            # mode="clip" lets take write into its output unbuffered; j is in range.
-            block = np.take(cost, j, axis=0, out=capped[:j.size], mode="clip")
-            delta = np.minimum(block, new_best[j, None], out=change[:j.size])
-            delta -= np.minimum(block, best_dist[j, None], out=block)
-            scores += w[j] @ delta
+        gain = best_dist - new_best
+        with np.errstate():
+            np.setbufsize(_ROW_BUFFER)
+            for lo in range(0, lowered.size, rows):
+                j = lowered[lo:lo + rows]
+                # mode="clip" lets take write into its output unbuffered; j is in range.
+                block = np.take(cost, j, axis=0, out=capped[:j.size], mode="clip")
+                block -= new_best[j, None]
+                np.clip(block, 0.0, gain[j, None], out=block)
+                scores -= w[j] @ block
         best_dist = new_best
         scores[u_star] = np.inf
 

@@ -281,6 +281,16 @@ class TestReduce:
             f"error: --target-scenarios must be at least 1, got {value}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["5", "0"])
+    def test_target_scenarios_with_random_init_exit_2(self, tmp_path, capsys, value):
+        src = self.make_input(tmp_path)
+        out = tmp_path / "small.json"
+        assert run(["reduce", "-i", str(src), "--init", "random", "--target-scenarios", value,
+                    "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --target-scenarios applies to --init kmeans or ffs\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("init", ["random", "kmeans", "ffs"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_target_branching_below_one_exit_2(self, tmp_path, capsys, init, value):

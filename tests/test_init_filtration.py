@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from batches import n_children
 from treeshrink import init_filtration
-from treeshrink.init_filtration import (ScenarioMatrix, _squared_distances, ffs_init,
-                                        kmeans_init, merge_prefixes, random_init)
+from treeshrink.init_filtration import (ScenarioMatrix, _pairwise_buffers, _pairwise_sum,
+                                        _squared_distances, ffs_init, kmeans_init,
+                                        merge_prefixes, random_init)
 from treeshrink.tree import fan_tree
 
 
@@ -73,6 +74,47 @@ def ffs_reference(scenarios, k, order=2):
     return fan_tree(scenarios.paths[selected], new_w[selected])
 
 
+def kmeans_reference(scenarios, k, seed=0, max_iter=300, tol=1e-6, distances=None):
+    """Lloyd clustering with the assignment distances of one (S, k, width) broadcast.
+
+    Each step's (S, k) distances are appended to ``distances`` when given.
+    """
+    rng = np.random.default_rng(seed)
+    x = scenarios.flat()
+    w = scenarios.prob
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.choice(scenarios.S, p=w / w.sum())]
+    closest = np.sum((x - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        weights = w * closest
+        if weights.sum() <= 0:
+            centers[c] = x[int(np.argmax(closest))]
+        else:
+            centers[c] = x[rng.choice(scenarios.S, p=weights / weights.sum())]
+        closest = np.minimum(closest, np.sum((x - centers[c]) ** 2, axis=1))
+    inertia = np.inf
+    for _ in range(max_iter):
+        d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        if distances is not None:
+            distances.append(d2)
+        assign = np.argmin(d2, axis=1)
+        new_inertia = float(np.sum(w * d2[np.arange(scenarios.S), assign]))
+        for c in range(k):
+            sel = assign == c
+            mass = w[sel].sum()
+            if mass > 0:
+                centers[c] = w[sel] @ x[sel] / mass
+            else:
+                far = int(np.argmax(d2[np.arange(scenarios.S), assign]))
+                centers[c] = x[far]
+                assign[far] = c
+        if inertia - new_inertia <= tol * max(abs(inertia), 1.0):
+            break
+        inertia = new_inertia
+    masses = np.array([w[assign == c].sum() for c in range(k)])
+    return fan_tree(centers.reshape(k, *scenarios.paths.shape[1:]), masses)
+
+
 def assert_same_tree(a, b):
     assert np.array_equal(a.parent, b.parent)
     assert np.array_equal(a.quantizer, b.quantizer)
@@ -120,6 +162,22 @@ class TestKmeans:
         sm = matrix_from_values([0.0, 1.0])
         with pytest.raises(ValueError):
             kmeans_init(sm, 3)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_the_broadcast_assignment(self, monkeypatch, seed):
+        # The tree, and the distances of every Lloyd step on the way.
+        rng = np.random.default_rng(seed)
+        sm = ScenarioMatrix(rng.normal(size=(200, 5, 2)), rng.dirichlet(np.ones(200)))
+        got, want = [], []
+
+        def recorded(term, lo, hi, out, scratch):
+            _pairwise_sum(term, lo, hi, out, scratch)
+            got.append(out.copy())
+
+        monkeypatch.setattr(init_filtration, "_pairwise_sum", recorded)
+        assert_same_tree(kmeans_init(sm, 12, seed=seed),
+                         kmeans_reference(sm, 12, seed=seed, distances=want))
+        assert [d.tobytes() for d in got] == [d.tobytes() for d in want]
 
 
 class TestScenarioMatrix:
@@ -207,6 +265,14 @@ class TestFfs:
             val = ffs_objective(sm, sel)
             assert val <= prev + 1e-9
             prev = val
+
+    def test_restores_numpys_buffer_size(self):
+        # The kernels shrink numpy's ufunc buffer while they run.
+        rng = np.random.default_rng(6)
+        sm = ScenarioMatrix(rng.normal(size=(30, 3, 2)), rng.dirichlet(np.ones(30)))
+        before = np.getbufsize()
+        ffs_init(sm, 5)
+        assert np.getbufsize() == before
 
     def test_redistribution_mass_conserved(self):
         rng = np.random.default_rng(5)
@@ -326,7 +392,7 @@ class TestFfsAgainstReference:
 
     def test_peak_memory_near_one_cost_matrix(self):
         # Narrow paths: the (S, S) cost matrix is nearly all the memory, and
-        # the picks add only two row blocks of bounded size to it.
+        # the picks add only one row block of bounded size to it.
         paths, prob = self.instance(19, 1500, stages=2, dim=1)
         sm = ScenarioMatrix(paths, prob)
         tracemalloc.start()
@@ -335,20 +401,33 @@ class TestFfsAgainstReference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.6 * 1500 * 1500 * 8
+        assert peak < 1.35 * 1500 * 1500 * 8
+
+
+def test_pairwise_sum_is_numpys_order():
+    # Up to 7 terms a plain loop, up to 128 eight running sums, then splits.
+    rng = np.random.default_rng(0)
+    for n in range(1, 301):
+        stack = rng.normal(size=(5, n)) * rng.choice([1e-8, 1.0, 1e8], size=(5, n))
+        out = np.empty(5)
+        scratch = np.empty((_pairwise_buffers(n), 5))
+        _pairwise_sum(lambda i, buffer: np.copyto(buffer, stack[:, i]), 0, n, out, scratch)
+        assert out.tobytes() == np.sum(stack, axis=-1).tobytes(), n
 
 
 class TestSquaredDistances:
     """Row blocks above the diagonal, mirrored, against one (S, S, d) broadcast."""
 
-    @pytest.mark.parametrize("width", range(1, 25))
+    @pytest.mark.parametrize("width", [*range(1, 25), 129, 136, 257])
     @pytest.mark.parametrize("step", [1, 4, 37])
     def test_bitwise_the_broadcast_and_symmetric(self, monkeypatch, width, step):
         # S = 37 is no multiple of 4; with step 37 one block covers the rows.
+        # Above 128 coordinates numpy splits the sum once (129, 136) or twice (257).
         rng = np.random.default_rng(width)
         flat = rng.normal(size=(37, width)) * rng.choice([1e-3, 1.0, 1e4], size=(37, 1))
         flat[[5, 30]] = flat[12]
-        monkeypatch.setattr(init_filtration, "_BLOCK_ENTRIES", step * 37 * width)
+        live = 1 + _pairwise_buffers(width)
+        monkeypatch.setattr(init_filtration, "_BLOCK_ENTRIES", step * 37 * live)
         diff = flat[:, None, :] - flat[None, :, :]
         out = _squared_distances(flat)
         assert out.tobytes() == np.sum(diff * diff, axis=2).tobytes()
