@@ -173,8 +173,10 @@ def kmeans_init(scenarios: ScenarioMatrix, k: int, seed=0, max_iter=300,
     by scenario probability, later ones by probability times squared distance
     to the closest chosen center); centroids are probability-weighted means;
     a cluster that empties is reseeded at the point farthest from its center.
-    Returns the fan tree of the k centroid paths, each carrying its cluster's
-    mass.  Deterministic for a fixed seed.
+    Lloyd steps repeat until one lowers the weighted inertia by at most
+    ``tol`` times its new value (never on the first step), or ``max_iter``
+    steps have run.  Returns the fan tree of the k centroid paths, each
+    carrying its cluster's mass.  Deterministic for a fixed seed.
     """
     if not 1 <= k <= scenarios.S:
         raise ValueError("need 1 <= k <= number of scenarios")
@@ -217,7 +219,7 @@ def kmeans_init(scenarios: ScenarioMatrix, k: int, seed=0, max_iter=300,
                 far = int(np.argmax(d2[np.arange(scenarios.S), assign]))
                 centers[c] = x[far]
                 assign[far] = c
-        if inertia - new_inertia <= tol * max(abs(inertia), 1.0):
+        if inertia - new_inertia <= tol * max(new_inertia, 1.0):
             break
         inertia = new_inertia
 

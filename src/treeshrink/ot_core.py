@@ -14,7 +14,9 @@ HiGHS extension module, and only that module, at the first LP
 CSC form, consecutive independent problems share one block-diagonal LP of
 at most ``_LP_MAX_ROWS`` constraints, each problem's costs are scaled to a
 largest magnitude in [0.5, 1) and feasibility tolerances are pinned to 1e-9.
-Every LP is solved with one setting: no presolve and Devex dual pricing.
+Every LP is solved with one setting, no presolve and Devex dual pricing,
+and from a dual-feasible crash basis that makes each transport row's, or
+each barycenter atom's, cheapest plan entry basic.
 The returned plans are basic (vertex) solutions; on degenerate problems the
 greedy may pick another optimal vertex than HiGHS would.
 Each kind of problem has one entry point, which solves any number of
@@ -48,9 +50,11 @@ _FEASIBILITY_TOL = 1e-9
 # a row and stays with the process allocator after the solve.  Scoring
 # generate_random(4, 6, dim=2) against its exact [3,3,3,3] reduction (last
 # stage: 5832 pairs, 52488 rows) with one LP per stage raised the peak RSS
-# by 100 MB and took 1.15 s on 2 cores; in LPs of at most 512 rows, 0.35 s
-# (256 rows: 0.36 s, 1024: 0.38 s, 64: 0.54-0.71 s), and the deep-lp
-# reductions took the same time at 256, 512 and 1024 rows.
+# by 96 MB and took 0.32-0.33 s on 2 cores; in LPs of at most 512 rows,
+# 0.16-0.22 s (256 rows: 0.20-0.25 s, 1024: 0.17-0.18 s, 64: 0.41-0.45 s).
+# Over 16 runs of each, at 1024 rows the ten reductions of deep-lp seed 5
+# took 8% less time and their scoring 20% less, while that [3,3,3,3]
+# reduction and its scoring took the same time at 512 and 1024 rows.
 _LP_MAX_ROWS = 512
 
 # SciPy's acceptance tolerance on the bound and equality residuals of a
@@ -391,9 +395,14 @@ def _block_diagonal_lp(row_mass, row_ptr, col_mass, col_ptr, cost):
     block, row, col = block_entries(row_ptr, col_ptr)
     n_vars = block.shape[0]
     var_ptr = np.concatenate(([0], np.cumsum(np.diff(row_ptr) * np.diff(col_ptr))))
+    # The crash basis of _highs: every row's cheapest entry, the first on
+    # ties.  A row's entries are consecutive, and ``line`` holds the first.
+    line = np.flatnonzero(np.diff(row, prepend=-1))
+    cheapest = np.flatnonzero(cost == np.minimum.reduceat(cost, line)[row])
+    basic = cheapest[np.diff(row[cheapest], prepend=-1) > 0]
     x = _highs("transport", cost, np.arange(0, 2 * n_vars + 1, 2),
                np.column_stack([row, row_mass.shape[0] + col]).ravel(),
-               np.ones(2 * n_vars), np.concatenate([row_mass, col_mass]), var_ptr)
+               np.ones(2 * n_vars), np.concatenate([row_mass, col_mass]), var_ptr, basic)
     return np.bincount(block, cost * x, row_ptr.shape[0] - 1), x
 
 
@@ -434,14 +443,13 @@ def _highs_binding():
             sys.modules[name] = core
             spec.loader.exec_module(core)
 
-    # The dual simplex takes about one iteration per row on these LPs, so
-    # the price of an iteration decides: over the 170 barycenter LPs of the
-    # deep-lp benchmark workload's seed 13, HiGHS ran 0.58 s with presolve
-    # and the default steepest-edge pricing, 0.49 s without presolve and
-    # 0.33 s without it and with Devex (9.7 instead of 14.4 us an iteration
-    # on the 325-row LPs; 2 cores).  Barycenter LPs over _LP_MAX_ROWS gain
-    # too: two outer passes of generate_random(4, 6, dim=2) onto [3,3,3,3]
-    # took 1.62 s instead of 1.94 s.
+    # From the crash basis of _highs the dual simplex takes about one
+    # iteration per four rows on these LPs, and HiGHS skips presolve when
+    # it is given a basis.  Over the 170 barycenter LPs of the deep-lp
+    # benchmark workload's seed 13, Devex pricing took 10081 iterations and
+    # 0.13-0.14 s of HiGHS time, the default steepest edge 9558 iterations
+    # and 0.14-0.16 s (2 cores).  From the all-logical basis Devex took
+    # 0.33 s against 0.49 s for steepest edge.
     options = core.HighsOptions()
     options.presolve = "off"
     options.solver = "simplex"
@@ -456,7 +464,7 @@ def _highs_binding():
     return core, options
 
 
-def _highs(kind, cost, start, index, value, b_eq, var_ptr):
+def _highs(kind, cost, start, index, value, b_eq, var_ptr, basic):
     """One HiGHS dual-simplex solve of ``min cost @ x`` over ``A x = b_eq, x >= 0``.
 
     Every solve takes the options of :func:`_highs_binding`; ``kind``
@@ -464,47 +472,56 @@ def _highs(kind, cost, start, index, value, b_eq, var_ptr):
     CSC form (``start``, ``index``, ``value``, row indices ascending within
     a column).  The model goes straight to SciPy's private binding, the
     extension module ``scipy.optimize._highspy._core`` that
-    :func:`_highs_binding` loads without the rest of ``scipy.optimize``, as
-    a ``HighsLp`` on a fresh solver, so no basis carries over between
-    solves.  SciPy's LP front end (``linprog(method="highs-ds")`` with the
-    same presolve, pricing and tolerances) makes the same solve, but around it
-    re-validates its inputs and options, re-stacks the matrix and builds
+    :func:`_highs_binding` loads without the rest of ``scipy.optimize``:
+    as arrays, through the array overload of ``passModel``, on a fresh
+    solver per call.  SciPy's LP front end (``linprog(method="highs-ds")``)
+    would re-validate its inputs and options, re-stack the matrix and build
     bound duals in a Python loop over the columns: over half of its time on
     the LPs of the deep-lp benchmark workload.  Its checks are kept:
     non-finite costs or right-hand sides raise ``ValueError``; the model
     status must be optimal, ``x`` finite, and the bound and equality
     residuals within ``_RESIDUAL_TOL``, or ``RuntimeError`` is raised.
 
+    The solve starts from a crash basis, not from the all-logical one that
+    ``linprog`` starts from: the columns ``basic`` are basic, the first row
+    of each of them (distinct rows) has its logical nonbasic, and every
+    other row keeps its logical basic.  The callers pick, for each row that
+    gives up its logical, one of its cheapest columns whose other rows keep
+    theirs, so the basis matrix is triangular, the duals are that cost on
+    those rows and zero elsewhere, and the start is dual feasible: the dual
+    simplex then needs about a quarter of the iterations it takes from the
+    slack basis.  The optimum is the same; on a degenerate LP it may be
+    another optimal vertex than ``linprog``'s.
+
     The LP is block diagonal: block b owns the variables
     ``var_ptr[b]:var_ptr[b+1]`` and shares none with another block.
     HiGHS compares reduced costs against an absolute tolerance, so each
     block's costs are first scaled by the power of two that brings their
-    largest magnitude into [0.5, 1); every block's answer is then the same
-    at any cost scale, whatever the scale of the blocks packed with it.
-    The scaling is exact.  Returns ``x``, which is optimal for the unscaled
-    costs too.
+    largest magnitude into [0.5, 1); every block's costs then reach HiGHS
+    the same at any power-of-two cost scale, whatever the scale of the
+    blocks packed with it.  The scaling is exact.  Returns ``x``, which is
+    optimal for the unscaled costs too.
     """
     if not (np.all(np.isfinite(cost)) and np.all(np.isfinite(b_eq))):
         raise ValueError(f"{kind} LP: costs and right-hand sides must be finite")
     core, options = _highs_binding()
     e = np.frexp(np.maximum.reduceat(np.abs(cost), var_ptr[:-1]))[1]
     n, m = cost.shape[0], b_eq.shape[0]
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.col_cost_ = np.ldexp(cost, -np.repeat(e, np.diff(var_ptr)))
-    lp.col_lower_ = np.zeros(n)
-    lp.col_upper_ = np.full(n, np.inf)
-    lp.row_lower_ = lp.row_upper_ = b_eq
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    # The binding converts integer arrays entry by entry; from lists of
-    # Python ints that takes half the time it does from numpy arrays.
-    lp.a_matrix_.start_ = start.tolist()
-    lp.a_matrix_.index_ = index.tolist()
-    lp.a_matrix_.value_ = value
     highs = core._Highs()
     highs.passOptions(options)
-    ran = (highs.passModel(lp) != core.HighsStatus.kError
+    passed = highs.passModel(
+        n, m, index.shape[0], int(core.MatrixFormat.kColwise), int(core.ObjSense.kMinimize),
+        0.0, np.ldexp(cost, -np.repeat(e, np.diff(var_ptr))), np.zeros(n), np.full(n, np.inf),
+        b_eq, b_eq, start.astype(np.int32), index.astype(np.int32), value,
+        np.zeros(n, dtype=np.int32))
+    lower, basic_status = core.HighsBasisStatus.kLower, core.HighsBasisStatus.kBasic
+    col_status, row_status = [lower] * n, [basic_status] * m
+    for j, i in zip(basic.tolist(), index[start[basic]].tolist()):
+        col_status[j], row_status[i] = basic_status, lower
+    basis = core.HighsBasis()
+    basis.col_status, basis.row_status = col_status, row_status
+    ran = (passed != core.HighsStatus.kError
+           and highs.setBasis(basis) != core.HighsStatus.kError
            and highs.run() != core.HighsStatus.kError)
     status = highs.getModelStatus()
     if not ran or status != core.HighsModelStatus.kOptimal:
@@ -583,8 +600,11 @@ def _highs_barycenters(batch: BarycenterBatch):
     b_eq[simplex_row] = 1.0
     c = np.zeros(n_vars)
     c[var] = batch.cost[point, atom]
+    # The crash basis of _highs: every atom's cheapest plan entry, the first
+    # on ties.
+    basic = var[point == np.argmin(batch.cost, axis=0)[atom]]
     x = _highs("barycenter", c, start, rows[order], data[order], b_eq,
-               r * (a_ptr + np.arange(batch.P + 1)))
+               r * (a_ptr + np.arange(batch.P + 1)), basic)
     plans = np.empty(batch.cost.shape)
     plans[point, atom] = x[var]
     return x[p_var], plans

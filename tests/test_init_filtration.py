@@ -108,7 +108,7 @@ def kmeans_reference(scenarios, k, seed=0, max_iter=300, tol=1e-6, distances=Non
                 far = int(np.argmax(d2[np.arange(scenarios.S), assign]))
                 centers[c] = x[far]
                 assign[far] = c
-        if inertia - new_inertia <= tol * max(abs(inertia), 1.0):
+        if inertia - new_inertia <= tol * max(new_inertia, 1.0):
             break
         inertia = new_inertia
     masses = np.array([w[assign == c].sum() for c in range(k)])
@@ -162,6 +162,24 @@ class TestKmeans:
         sm = matrix_from_values([0.0, 1.0])
         with pytest.raises(ValueError):
             kmeans_init(sm, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 6))
+    def test_stops_at_a_lloyd_fixed_point(self, seed, k):
+        # With tol=0 the loop stops once a Lloyd step no longer lowers the
+        # inertia: every scenario sits at its nearest centroid, and every
+        # centroid is the probability-weighted mean of its cluster.
+        rng = np.random.default_rng(seed)
+        paths = rng.normal(size=(30, 3, 2))
+        paths[:, 0] = 0.0
+        sm = ScenarioMatrix(paths, rng.dirichlet(np.ones(30)))
+        fan = ScenarioMatrix.from_tree(kmeans_init(sm, k, seed=seed, tol=0.0))
+        x, centers = sm.flat(), fan.flat()
+        nearest = np.argmin(np.sum((x[:, None, :] - centers[None]) ** 2, axis=2), axis=1)
+        for c in range(k):
+            w = sm.prob[nearest == c]
+            assert fan.prob[c] == pytest.approx(w.sum(), rel=1e-12)
+            assert centers[c] == pytest.approx(w @ x[nearest == c] / w.sum(), rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bitwise_the_broadcast_assignment(self, monkeypatch, seed):

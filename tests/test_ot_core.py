@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
@@ -95,7 +96,8 @@ PRESOLVED_OPTIONS = {**LP_OPTIONS, "presolve": True, "simplex_dual_edge_weight_s
 
 def scaled_linprog(options, c, a_eq, b_eq, var_ptr=None):
     """The solve ``ot_core._highs`` makes, through scipy's public API, with the
-    given ``linprog`` options (:data:`LP_OPTIONS` for the same solve).
+    given ``linprog`` options (:data:`LP_OPTIONS` for the same options), from
+    the slack basis instead of the crash basis.
 
     Each block of variables ``var_ptr[b]:var_ptr[b+1]`` (by default, all of
     them) has its costs scaled by the power of two that brings their largest
@@ -149,18 +151,26 @@ def reference_barycenter_lp(problem):
             point, atom)
 
 
-def reference_highs_barycenter(problem):
-    """One problem's barycenter LP as a HiGHS LP of its own: the plain LP
-    that a pack of one in :func:`barycenter_batch` must reproduce.
+def assert_optimal_vertex(x, cost, a_eq, b_eq, var_ptr):
+    """``x`` is an optimal vertex of ``min cost @ x`` over ``a_eq x = b_eq, x >= 0``.
 
-    Returns ``(objective, p, plans)`` with the plans laid out like the costs.
+    Each block of variables ``var_ptr[b]:var_ptr[b+1]`` costs what it costs in
+    the solve ``linprog`` makes from the slack basis (:data:`LP_OPTIONS`),
+    within 1e-12 relative and ``tol * 2**e`` per unit of the block's mass:
+    either solve stops at a basis whose scaled reduced costs are >= -tol.  The
+    bound and equality residuals are within ``_RESIDUAL_TOL``, and the columns
+    of the nonzero entries of ``x`` are linearly independent.
     """
-    c, a_eq, b_eq, point, atom = reference_barycenter_lp(problem)
-    x, fun = scaled_linprog(LP_OPTIONS, c, a_eq, b_eq)
-    r = problem.R
-    plans = np.empty((r, problem.atom_ptr[-1]))
-    plans[point, atom] = x[r:]
-    return fun, x[:r], plans
+    ref_x, _ = scaled_linprog(LP_OPTIONS, cost, a_eq, b_eq, var_ptr)
+    for lo, hi in zip(var_ptr[:-1], var_ptr[1:]):
+        c = cost[lo:hi]
+        tol = math.ldexp(ot_core._FEASIBILITY_TOL * ref_x[lo:hi].sum(),
+                         math.frexp(float(np.max(c)))[1])
+        assert c @ x[lo:hi] == pytest.approx(c @ ref_x[lo:hi], rel=1e-12, abs=tol)
+    assert np.all(x >= -ot_core._RESIDUAL_TOL)
+    assert np.max(np.abs(a_eq @ x - b_eq)) <= ot_core._RESIDUAL_TOL
+    support = a_eq.toarray()[:, x != 0]
+    assert np.linalg.matrix_rank(support) == support.shape[1]
 
 
 def enumerate_two_column_vertices(a, target, d2):
@@ -414,10 +424,10 @@ class TestBarycenterBatch:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 5).flatmap(barycenter_problems))
     def test_lone_problem_is_the_reference_lp(self, prob):
-        _, p, plans = reference_highs_barycenter(prob)
+        c, a_eq, b_eq, point, atom = reference_barycenter_lp(prob)
         sol = barycenter_batch(prob)
-        assert sol.p.tobytes() == p[None, :].tobytes()
-        assert sol.plans.tobytes() == plans.tobytes()
+        x = np.concatenate([sol.p[0], sol.plans[point, atom]])
+        assert_optimal_vertex(x, c, a_eq, b_eq, [0, c.shape[0]])
 
     @pytest.mark.parametrize("max_rows", [512, 20])
     @settings(max_examples=60, deadline=None)
@@ -529,17 +539,16 @@ def recorded_highs_calls(solve, *args):
 
 
 class TestHighsSolve:
-    """``_highs`` against ``linprog``: same matrix, same solution."""
+    """``_highs`` against ``linprog``: same matrix, an optimal vertex of it."""
 
     @staticmethod
     def assert_matches_scipy(call, result, a_eq):
-        (_, cost, start, index, value, b_eq, var_ptr), x = call, result
+        (_, cost, start, index, value, b_eq, var_ptr, _), x = call, result
         a_eq.sort_indices()
         assert np.array_equal(start, a_eq.indptr)
         assert np.array_equal(index, a_eq.indices)
         assert np.array_equal(value, a_eq.data)
-        ref_x, _ = scaled_linprog(LP_OPTIONS, cost, a_eq, b_eq, var_ptr)
-        assert x.tobytes() == ref_x.tobytes()
+        assert_optimal_vertex(x, cost, a_eq, b_eq, var_ptr)
 
     @settings(max_examples=60, deadline=None)
     @given(transport_problem_sets())
@@ -624,12 +633,116 @@ class TestHighsSolve:
         # One plan entry whose row sum asks for 1 and column sum for 2.
         with pytest.raises(RuntimeError, match="transport LP failed"):
             ot_core._highs("transport", np.ones(1), np.array([0, 2]), np.array([0, 1]),
-                           np.ones(2), np.array([1.0, 2.0]), np.array([0, 1]))
+                           np.ones(2), np.array([1.0, 2.0]), np.array([0, 1]), np.array([0]))
 
     def test_non_finite_cost_raises(self):
         with pytest.raises(ValueError, match="must be finite"):
             ot_core._highs("transport", np.array([np.inf]), np.array([0, 2]),
-                           np.array([0, 1]), np.ones(2), np.array([1.0, 1.0]), np.array([0, 1]))
+                           np.array([0, 1]), np.ones(2), np.array([1.0, 1.0]), np.array([0, 1]),
+                           np.array([0]))
+
+
+def atom_rows(problems):
+    """The rows of every problem's atoms in the barycenter LP that packs them."""
+    offset = np.cumsum([0] + [p.atom_ptr[-1] + p.R * p.M + 1 for p in problems])
+    return np.concatenate([lo + np.arange(p.atom_ptr[-1]) for lo, p in zip(offset, problems)])
+
+
+class TestCrashBasis:
+    """The basis every HiGHS solve starts from: one cheapest column per
+    transport row or barycenter atom, every other row's logical basic."""
+
+    @staticmethod
+    def assert_crash_basis(call, crash_rows):
+        _, cost, start, index, value, b_eq, _, basic = call
+        m = b_eq.shape[0]
+        a = sparse.csc_matrix((value, index, start), shape=(m, cost.shape[0]))
+        rows = index[start[basic]]
+        assert np.array_equal(np.sort(rows), crash_rows)
+        logical = np.setdiff1d(np.arange(m), rows)
+        assert basic.shape[0] + logical.shape[0] == m
+        by_row = a.tocsr()
+        for i, j in zip(rows, basic):
+            cols = np.sort(by_row.indices[by_row.indptr[i]:by_row.indptr[i + 1]])
+            assert j == cols[np.argmin(cost[cols])]
+        basis = sparse.hstack([a[:, basic], sparse.eye(m, format="csc")[:, logical]])
+        assert np.linalg.matrix_rank(basis.toarray()) == m
+        # With the other logicals basic, the duals are each basic column's
+        # cost on its row and 0 elsewhere.
+        y = np.zeros(m)
+        y[rows] = cost[basic]
+        reduced = cost - a.T @ y
+        assert np.all(reduced >= 0.0) and np.all(reduced[basic] == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(transport_problem_sets())
+    @example(([(3, 3), (1, 4)], np.array([0.5, 0.0, 0.5, 1.0]),
+              np.array([0.0, 1.0, 0.0, 0.25, 0.25, 0.0, 0.5]), np.zeros(13)))
+    def test_transport_rows(self, case):
+        sizes, row_mass, col_mass, cost = case
+        row_ptr = np.concatenate(([0], np.cumsum([r for r, _ in sizes])))
+        col_ptr = np.concatenate(([0], np.cumsum([s for _, s in sizes])))
+        [(call, _)] = recorded_highs_calls(transport_lp, row_mass, row_ptr,
+                                           col_mass, col_ptr, cost)
+        self.assert_crash_basis(call, np.arange(row_ptr[-1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem_lists(r_values=(3, 4, 5)))
+    @example([BarycenterProblem([np.array([0.5, 0.0, 0.5]), np.array([1.0])],
+                                [np.zeros((3, 3)), np.zeros((3, 1))], np.ones(2))])
+    def test_barycenter_atoms(self, problems):
+        [(call, _)] = recorded_highs_calls(barycenter_batch, stack(problems))
+        self.assert_crash_basis(call, atom_rows(problems))
+
+    def test_halves_the_iterations_of_the_slack_start(self):
+        # One barycenter LP of the size the deep-lp benchmark workload
+        # solves: 36 measures of 6 atoms on 3 support points, 325 rows.
+        rng = np.random.default_rng(0)
+        prob = BarycenterProblem([rng.dirichlet(np.ones(6)) for _ in range(36)],
+                                 [rng.uniform(0.0, 1.0, (3, 6)) for _ in range(36)], np.ones(36))
+        [(call, _)] = recorded_highs_calls(barycenter_batch, prob)
+        assert call[5].shape == (325,)
+        core, _ = ot_core._highs_binding()
+        iterations = []
+
+        class Counting(core._Highs):
+            def run(self):
+                status = super().run()
+                iterations.append(self.getInfo().simplex_iteration_count)
+                return status
+
+        with mock.patch.object(core, "_Highs", Counting):
+            crash = ot_core._highs(*call)
+            slack = ot_core._highs(*call[:7], np.zeros(0, dtype=int))
+        assert call[1] @ crash == pytest.approx(call[1] @ slack, rel=1e-12)
+        assert 2 * iterations[0] <= iterations[1]
+
+
+def test_scipy_has_the_highs_entry_points():
+    # _highs needs two private entry points of SciPy's HiGHS binding: the
+    # 15-argument array overload of passModel and setBasis(HighsBasis).
+    # Solve min x over x = 1 through both, from the basis of x.
+    core, options = ot_core._highs_binding()
+    highs = core._Highs()
+    highs.passOptions(options)
+    one = np.ones(1)
+    try:
+        passed = highs.passModel(
+            1, 1, 1, int(core.MatrixFormat.kColwise), int(core.ObjSense.kMinimize), 0.0,
+            one, np.zeros(1), np.full(1, np.inf), one, one, np.array([0, 1], dtype=np.int32),
+            np.zeros(1, dtype=np.int32), one, np.zeros(1, dtype=np.int32))
+    except TypeError:
+        pytest.fail(f"SciPy {scipy.__version__}: its HiGHS binding has no array passModel")
+    try:
+        basis = core.HighsBasis()
+        basis.col_status = [core.HighsBasisStatus.kBasic]
+        basis.row_status = [core.HighsBasisStatus.kLower]
+        set_basis = highs.setBasis(basis)
+    except (AttributeError, TypeError):
+        pytest.fail(f"SciPy {scipy.__version__}: its HiGHS binding has no setBasis(HighsBasis)")
+    assert passed == set_basis == highs.run() == core.HighsStatus.kOk
+    assert list(highs.getSolution().col_value) == [1.0]
+    assert highs.getInfo().simplex_iteration_count == 0
 
 
 class TestProjection:
