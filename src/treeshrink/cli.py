@@ -124,8 +124,10 @@ def cmd_ingest(args):
 
 
 def _initial_reduced(args, original):
-    if args.target_branching < 1:
-        raise ValueError(f"--target-branching must be at least 1, got {args.target_branching}")
+    # Unset, --target-branching means 2.
+    branching = 2 if args.target_branching is None else args.target_branching
+    if branching < 1:
+        raise ValueError(f"--target-branching must be at least 1, got {branching}")
     big_t = original.T
     if args.init == "random":
         if args.target_scenarios is not None:
@@ -134,12 +136,15 @@ def _initial_reduced(args, original):
         hi = float(original.quantizer.max())
         if args.init_range is not None:
             lo, hi = args.init_range
-        return random_init([args.target_branching] * big_t, dim=original.d,
+        return random_init([branching] * big_t, dim=original.d,
                            value_range=(lo, hi), seed=args.seed)
     scenarios = ScenarioMatrix.from_tree(original)
     k = args.target_scenarios
     if k is None:
-        k = args.target_branching ** big_t
+        k = branching ** big_t
+    elif args.target_branching is not None:
+        raise ValueError("--init kmeans or ffs takes --target-scenarios or "
+                         "--target-branching, not both")
     elif k < 1:
         raise ValueError(f"--target-scenarios must be at least 1, got {k}")
     k = min(k, scenarios.S)
@@ -258,7 +263,10 @@ def build_parser():
                        "before meeting --tol, or an inner solve stopped on its "
                        "iteration cap (the output is still written)")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--target-branching", type=int, default=2)
+    p.add_argument("--target-branching", type=int, default=None,
+                   help="children per node of the reduced tree; under kmeans/ffs "
+                   "the fan has this to the power of the stage count branches, "
+                   "unless --target-scenarios is given (default: 2)")
     p.add_argument("--target-scenarios", type=int, default=None,
                    help="branch count for kmeans/ffs fan initializations")
     p.add_argument("--solver", choices=SOLVERS, default="auto",

@@ -14,9 +14,10 @@ value from the next table's blockwise sums, weighted by the conditional
 probabilities on both sides.  The pairs where both sides branch then get
 their exact values from the batched transport solver: a pair where one node
 has two children is a fractional knapsack, solved by one sort, and the rest
-are packed into HiGHS dual-simplex solves of at most a few hundred
-constraints, run without presolve and with Devex pricing, each from the
-dual-feasible basis of every row's cheapest plan entry.  The pairs are
+are packed into HiGHS dual-simplex solves of at most
+``ot_core._LP_MAX_ROWS`` constraints (1024), run without presolve and with
+Devex pricing, each from the dual-feasible basis of every row's cheapest
+plan entry, on the one HiGHS solver of the calling thread.  The pairs are
 built in chunks of at most ``_PAIR_MAX_ENTRIES`` plan entries, so memory
 stays bounded on large trees: the runs of pairs between the cuts that split
 no HiGHS solve are packed greedily into chunks by

@@ -15,8 +15,9 @@ CSC form, consecutive independent problems share one block-diagonal LP of
 at most ``_LP_MAX_ROWS`` constraints, each problem's costs are scaled to a
 largest magnitude in [0.5, 1) and feasibility tolerances are pinned to 1e-9.
 Every LP is solved with one setting, no presolve and Devex dual pricing,
-and from a dual-feasible crash basis that makes each transport row's, or
-each barycenter atom's, cheapest plan entry basic.
+from a dual-feasible crash basis that makes each transport row's, or
+each barycenter atom's, cheapest plan entry basic, and on one HiGHS solver
+per thread, built at the thread's first LP and cleared before each next one.
 The returned plans are basic (vertex) solutions; on degenerate problems the
 greedy may pick another optimal vertex than HiGHS would.
 Each kind of problem has one entry point, which solves any number of
@@ -24,8 +25,8 @@ independent problems at once: :func:`transport_lp` for transport problems
 and :func:`barycenter_batch` for barycenter problems, which are held in one
 container, :class:`BarycenterBatch` (problems on one support size, their
 marginals and costs concatenated).
-All functions are pure; callers may run any number of instances
-concurrently.
+All functions are pure (a thread's solver carries nothing from one LP to
+the next); callers may run any number of instances concurrently.
 """
 
 from __future__ import annotations
@@ -47,15 +48,16 @@ from .tree import _concat_ranges, _read_only
 _FEASIBILITY_TOL = 1e-9
 
 # Constraint rows per HiGHS LP.  HiGHS's working set grows by about 2 kB
-# a row and stays with the process allocator after the solve.  Scoring
+# a row and stays with the process allocator after the solve: scoring
 # generate_random(4, 6, dim=2) against its exact [3,3,3,3] reduction (last
 # stage: 5832 pairs, 52488 rows) with one LP per stage raised the peak RSS
-# by 96 MB and took 0.32-0.33 s on 2 cores; in LPs of at most 512 rows,
-# 0.16-0.22 s (256 rows: 0.20-0.25 s, 1024: 0.17-0.18 s, 64: 0.41-0.45 s).
-# Over 16 runs of each, at 1024 rows the ten reductions of deep-lp seed 5
-# took 8% less time and their scoring 20% less, while that [3,3,3,3]
-# reduction and its scoring took the same time at 512 and 1024 rows.
-_LP_MAX_ROWS = 512
+# by 96 MB.  On the reused solver of _thread_solver, an LP's fixed cost is
+# small but still pays for fewer, larger packs.  Medians of 8 alternating
+# runs at 512 and 1024 rows (2 cores): the ten reductions of deep-lp seed 5
+# took 0.259 and 0.243 s, their scoring 0.124 and 0.109 s, at a peak RSS
+# of 43.4 and 45.1 MB; that [3,3,3,3] reduction (random_init seed 1) 0.518
+# and 0.480 s, its scoring 0.185 and 0.151 s, at 53.8 and 54.7 MB.
+_LP_MAX_ROWS = 1024
 
 # SciPy's acceptance tolerance on the bound and equality residuals of a
 # HiGHS solution: sqrt(feasibility tolerance) * 10.
@@ -464,6 +466,29 @@ def _highs_binding():
     return core, options
 
 
+# The HiGHS solver of each thread (attribute ``highs``), made by
+# _thread_solver at the thread's first LP and kept for the thread's life.
+_SOLVER = threading.local()
+
+
+def _thread_solver():
+    """The binding and this thread's HiGHS solver, its model cleared.
+
+    The solver is built with the options of :func:`_highs_binding` at the
+    thread's first LP.  ``clearModel`` drops the model, basis, solution and
+    info of the last solve, whether or not it raised, and keeps the options.
+    """
+    core, options = _highs_binding()
+    highs = getattr(_SOLVER, "highs", None)
+    if highs is None:
+        highs = core._Highs()
+        highs.passOptions(options)
+        _SOLVER.highs = highs
+    else:
+        highs.clearModel()
+    return core, highs
+
+
 def _highs(kind, cost, start, index, value, b_eq, var_ptr, basic):
     """One HiGHS dual-simplex solve of ``min cost @ x`` over ``A x = b_eq, x >= 0``.
 
@@ -473,11 +498,14 @@ def _highs(kind, cost, start, index, value, b_eq, var_ptr, basic):
     a column).  The model goes straight to SciPy's private binding, the
     extension module ``scipy.optimize._highspy._core`` that
     :func:`_highs_binding` loads without the rest of ``scipy.optimize``:
-    as arrays, through the array overload of ``passModel``, on a fresh
-    solver per call.  SciPy's LP front end (``linprog(method="highs-ds")``)
-    would re-validate its inputs and options, re-stack the matrix and build
-    bound duals in a Python loop over the columns: over half of its time on
-    the LPs of the deep-lp benchmark workload.  Its checks are kept:
+    as arrays, through the array overload of ``passModel``, on this
+    thread's solver, its last model cleared (:func:`_thread_solver`); the
+    solve then returns bit for bit the ``x`` of a fresh solver, without the
+    cost of building one and passing it the options.  SciPy's LP front end
+    (``linprog(method="highs-ds")``) would re-validate its inputs and
+    options, re-stack the matrix and build bound duals in a Python loop over
+    the columns: over half of its time on the LPs of the deep-lp benchmark
+    workload.  Its checks are kept:
     non-finite costs or right-hand sides raise ``ValueError``; the model
     status must be optimal, ``x`` finite, and the bound and equality
     residuals within ``_RESIDUAL_TOL``, or ``RuntimeError`` is raised.
@@ -504,11 +532,9 @@ def _highs(kind, cost, start, index, value, b_eq, var_ptr, basic):
     """
     if not (np.all(np.isfinite(cost)) and np.all(np.isfinite(b_eq))):
         raise ValueError(f"{kind} LP: costs and right-hand sides must be finite")
-    core, options = _highs_binding()
+    core, highs = _thread_solver()
     e = np.frexp(np.maximum.reduceat(np.abs(cost), var_ptr[:-1]))[1]
     n, m = cost.shape[0], b_eq.shape[0]
-    highs = core._Highs()
-    highs.passOptions(options)
     passed = highs.passModel(
         n, m, index.shape[0], int(core.MatrixFormat.kColwise), int(core.ObjSense.kMinimize),
         0.0, np.ldexp(cost, -np.repeat(e, np.diff(var_ptr))), np.zeros(n), np.full(n, np.inf),

@@ -115,8 +115,9 @@ class ReductionReport:
     problem Newton finished, else the sweeps alone, without the Newton
     steps tried before it fell back (:func:`~treeshrink.ibp.ibp_batch`).
     The problems of one stage that share a support size are solved
-    together; ``batch`` is the number of problems in that call (which
-    HiGHS solves in LPs of at most ``ot_core._LP_MAX_ROWS`` rows), and
+    together; ``batch`` is the number of problems in that call (the exact
+    solver packs them into HiGHS LPs of at most ``ot_core._LP_MAX_ROWS``
+    rows, 1024, a larger problem in an LP of its own), and
     ``seconds`` is the record's equal share of the call's time, so the
     records of one call sum to its time.
     """

@@ -291,6 +291,19 @@ class TestReduce:
             "error: --target-scenarios applies to --init kmeans or ffs\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("init", ["kmeans", "ffs"])
+    @pytest.mark.parametrize("branching", ["2", "3"])
+    def test_target_branching_with_target_scenarios_exit_2(self, tmp_path, capsys, init,
+                                                           branching):
+        src = self.make_input(tmp_path)
+        out = tmp_path / "small.json"
+        assert run(["reduce", "-i", str(src), "--init", init, "--target-scenarios", "9",
+                    "--target-branching", branching, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --init kmeans or ffs takes --target-scenarios or "
+            "--target-branching, not both\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("init", ["random", "kmeans", "ffs"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_target_branching_below_one_exit_2(self, tmp_path, capsys, init, value):

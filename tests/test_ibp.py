@@ -282,7 +282,7 @@ def test_paper_scale_two_point_reduction():
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"\nreduce {seconds:.1f} s, {unconverged} of {len(report.solver_log)} inner solves "
           f"unconverged, final_nd {report.final_nd:.6f}, certified nd {nd:.6f}, "
-          f"peak RSS {peak_mb:.0f} MB")
+          f"process max RSS {peak_mb:.0f} MB")
     assert np.isfinite(seconds) and np.isfinite(nd) and np.isfinite(report.final_nd)
     # final_nd is the cost of the entropic plans, above the certified nd by
     # their blur at lam = 100: 6.6e-4 relative with the sweeps alone, 1.0e-3

@@ -280,6 +280,6 @@ def test_one_row_loop_at_scale():
         print(f"\n{name} loop: {seconds:.2f} s, {runs[name][0]} inner iterations, "
               f"final_nd {report.final_nd:.12f}")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"peak RSS {peak_mb:.0f} MB")
+    print(f"process max RSS {peak_mb:.0f} MB")
     assert runs["one-row"][0] == runs["general"][0]
     assert runs["one-row"][1] == pytest.approx(runs["general"][1], rel=1e-9)

@@ -367,7 +367,8 @@ def test_paper_scale_binary_scoring():
     nd, _ = nested_distance(a, b)
     seconds = time.perf_counter() - tick
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"\npaper scale: nd {nd:.6f} in {seconds:.2f} s, peak RSS {peak_mb:.0f} MB")
+    print(f"\npaper scale: nd {nd:.6f} in {seconds:.2f} s, "
+          f"process max RSS {peak_mb:.0f} MB")
     assert np.isfinite(nd) and nd > 0.0
 
 
@@ -382,7 +383,8 @@ def test_transport_scale_scoring():
     nd, _ = nested_distance(a, reduced)
     seconds = time.perf_counter() - tick
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"\ntransport scale: nd {nd:.6f} in {seconds:.2f} s, peak RSS {peak_mb:.0f} MB")
+    print(f"\ntransport scale: nd {nd:.6f} in {seconds:.2f} s, "
+          f"process max RSS {peak_mb:.0f} MB")
     assert np.isfinite(nd) and nd > 0.0
     assert nested_distance(reduced, a)[0] == pytest.approx(nd, rel=1e-12)
 
@@ -400,5 +402,5 @@ def test_paper_scale_binary_reduction():
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     nd, _ = nested_distance(a, final)
     print(f"\npaper scale: one LP pass to final_nd {report.final_nd:.6f} in {seconds:.2f} s, "
-          f"peak RSS {peak_mb:.0f} MB")
+          f"process max RSS {peak_mb:.0f} MB")
     assert nd <= report.final_nd * (1 + 1e-9)

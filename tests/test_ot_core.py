@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 from functools import partial
 from unittest import mock
 
@@ -503,13 +505,30 @@ class TestBarycenterBatch:
     @settings(max_examples=60, deadline=None)
     @given(problems=problem_lists(r_values=(3, 4, 5)),
            scale=st.floats(2.0 ** -40, 2.0 ** 20))
+    # Packed, the second problem's costs 8 and 1e-8 reach HiGHS as 0.5 and
+    # 6.25e-10 unscaled but as 0.8125 and 1.02e-9 at scale 13, on either
+    # side of the 1e-9 dual tolerance: it came back at 1e-8, and at 0 scaled.
+    @example(problems=[
+        BarycenterProblem([np.array([1.0])], [np.zeros((3, 1))], np.ones(1)),
+        BarycenterProblem([np.array([0.0, 0.0, 0.0, 1.0])],
+                          [np.pad([[8.0], [0.0], [1e-8]], ((0, 0), (3, 0)))], np.ones(1))],
+        scale=13.0)
     def test_objective_is_homogeneous_in_the_cost_scale(self, problems, scale):
         batch = stack(problems)
         base = plan_cost(batch, barycenter_batch(batch))
         scaled_batch = BarycenterBatch(batch.mass, batch.cost * scale, batch.alpha,
                                        batch.atom_ptr, batch.measure_ptr)
         scaled = plan_cost(scaled_batch, barycenter_batch(scaled_batch))
-        assert scaled / scale == pytest.approx(base, rel=1e-9)
+        for k, prob in enumerate(problems):
+            # As in test_packed_problems_match_lone_solves, each solve is
+            # within tol * 2**e per unit of variable mass (M plans and p) of
+            # the optimum, 2**e bounding its own largest cost; back at scale
+            # 1, the scaled solve's 2**e / scale may exceed the base one's.
+            top = prob.cost.max()
+            unit = max(math.ldexp(1.0, math.frexp(top)[1]),
+                       math.ldexp(1.0, math.frexp(top * scale)[1]) / scale)
+            tol = ot_core._FEASIBILITY_TOL * (prob.M + 1) * unit
+            assert scaled[k] / scale == pytest.approx(base[k], rel=1e-9, abs=tol)
 
 
 @st.composite
@@ -536,6 +555,14 @@ def recorded_highs_calls(solve, *args):
     with mock.patch.object(ot_core, "_highs", recording):
         solve(*args)
     return calls
+
+
+# min x over x = 1 and x = 2 (one plan entry, its row and column sums), and
+# a cost of inf: the first fails in HiGHS, the second before it.
+INFEASIBLE_CALL = ("transport", np.ones(1), np.array([0, 2]), np.array([0, 1]), np.ones(2),
+                   np.array([1.0, 2.0]), np.array([0, 1]), np.array([0]))
+NON_FINITE_CALL = ("transport", np.array([np.inf]), *INFEASIBLE_CALL[2:5],
+                   np.array([1.0, 1.0]), *INFEASIBLE_CALL[6:])
 
 
 class TestHighsSolve:
@@ -630,16 +657,12 @@ class TestHighsSolve:
             assert values[k] == pytest.approx(ref, rel=1e-12, abs=tol)
 
     def test_infeasible_lp_raises(self):
-        # One plan entry whose row sum asks for 1 and column sum for 2.
         with pytest.raises(RuntimeError, match="transport LP failed"):
-            ot_core._highs("transport", np.ones(1), np.array([0, 2]), np.array([0, 1]),
-                           np.ones(2), np.array([1.0, 2.0]), np.array([0, 1]), np.array([0]))
+            ot_core._highs(*INFEASIBLE_CALL)
 
     def test_non_finite_cost_raises(self):
         with pytest.raises(ValueError, match="must be finite"):
-            ot_core._highs("transport", np.array([np.inf]), np.array([0, 2]),
-                           np.array([0, 1]), np.ones(2), np.array([1.0, 1.0]), np.array([0, 1]),
-                           np.array([0]))
+            ot_core._highs(*NON_FINITE_CALL)
 
 
 def atom_rows(problems):
@@ -702,47 +725,147 @@ class TestCrashBasis:
                                  [rng.uniform(0.0, 1.0, (3, 6)) for _ in range(36)], np.ones(36))
         [(call, _)] = recorded_highs_calls(barycenter_batch, prob)
         assert call[5].shape == (325,)
-        core, _ = ot_core._highs_binding()
         iterations = []
-
-        class Counting(core._Highs):
-            def run(self):
-                status = super().run()
-                iterations.append(self.getInfo().simplex_iteration_count)
-                return status
-
-        with mock.patch.object(core, "_Highs", Counting):
-            crash = ot_core._highs(*call)
-            slack = ot_core._highs(*call[:7], np.zeros(0, dtype=int))
+        # Each solve's count stays on the thread's solver until its next LP.
+        crash = ot_core._highs(*call)
+        iterations.append(ot_core._SOLVER.highs.getInfo().simplex_iteration_count)
+        slack = ot_core._highs(*call[:7], np.zeros(0, dtype=int))
+        iterations.append(ot_core._SOLVER.highs.getInfo().simplex_iteration_count)
         assert call[1] @ crash == pytest.approx(call[1] @ slack, rel=1e-12)
         assert 2 * iterations[0] <= iterations[1]
 
 
+def transport_calls(case):
+    """The ``_highs`` calls of :func:`transport_lp` on one problem set."""
+    sizes, row_mass, col_mass, cost = case
+    row_ptr = np.concatenate(([0], np.cumsum([r for r, _ in sizes])))
+    col_ptr = np.concatenate(([0], np.cumsum([s for _, s in sizes])))
+    return [call for call, _ in recorded_highs_calls(transport_lp, row_mass, row_ptr,
+                                                     col_mass, col_ptr, cost)]
+
+
+def barycenter_calls(problems):
+    """The ``_highs`` calls of :func:`barycenter_batch` on one problem list."""
+    return [call for call, _ in recorded_highs_calls(barycenter_batch, stack(problems))]
+
+
+def random_calls(seed, count):
+    """``_highs`` calls of ``count`` random transport problem sets and
+    barycenter batches, alternating."""
+    rng = np.random.default_rng(seed)
+    calls = []
+    for k in range(count):
+        if k % 2 == 0:
+            sizes = [tuple(rng.choice([1, 3, 4, 5], 2)) for _ in range(rng.integers(1, 5))]
+            calls += transport_calls((
+                sizes, np.concatenate([rng.dirichlet(np.ones(r)) for r, _ in sizes]),
+                np.concatenate([rng.dirichlet(np.ones(s)) for _, s in sizes]),
+                rng.uniform(0.0, 1.0, sum(r * s for r, s in sizes))))
+        else:
+            r = int(rng.integers(3, 6))
+            problems = []
+            for sizes in rng.integers(1, 6, (int(rng.integers(1, 4)), 3)):
+                problems.append(BarycenterProblem([rng.dirichlet(np.ones(n)) for n in sizes],
+                                                  [rng.uniform(0.0, 1.0, (r, n)) for n in sizes],
+                                                  np.ones(len(sizes))))
+            calls += barycenter_calls(problems)
+    return calls
+
+
+def fresh_highs(call):
+    """``_highs(*call)`` on a newly built solver that no other call shares."""
+    with mock.patch.object(ot_core, "_SOLVER", threading.local()):
+        return ot_core._highs(*call)
+
+
+class TestThreadSolver:
+    """Every thread solves its LPs on one solver, which answers as a fresh one."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.one_of(transport_problem_sets().map(transport_calls),
+                              problem_lists(r_values=(3, 4, 5)).map(barycenter_calls)),
+                    min_size=2, max_size=6),
+           st.data())
+    def test_reused_solver_returns_the_fresh_solution(self, lps, data):
+        calls = [call for lp in lps for call in lp]
+        # The two failing LPs go in the middle: some LP follows each.
+        for bad in (INFEASIBLE_CALL, NON_FINITE_CALL):
+            calls.insert(data.draw(st.integers(1, len(calls) - 1)), bad)
+        for call in calls:
+            if call is INFEASIBLE_CALL:
+                with pytest.raises(RuntimeError, match="transport LP failed"):
+                    ot_core._highs(*call)
+            elif call is NON_FINITE_CALL:
+                with pytest.raises(ValueError, match="must be finite"):
+                    ot_core._highs(*call)
+            else:
+                assert np.array_equal(ot_core._highs(*call), fresh_highs(call))
+
+    def test_concurrent_threads_get_their_serial_answers(self):
+        # More threads than cores, switching often, each on its own LPs.
+        lists = [random_calls(seed, 12) for seed in range(4)]
+        serial = [[ot_core._highs(*call) for call in calls] for calls in lists]
+        results, solvers = [None] * len(lists), [None] * len(lists)
+        start = threading.Barrier(len(lists))
+
+        def solve(k):
+            start.wait(timeout=60)
+            results[k] = [ot_core._highs(*call) for call in lists[k]]
+            solvers[k] = ot_core._SOLVER.highs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(lists))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len({id(solver) for solver in solvers + [ot_core._SOLVER.highs]}) == len(lists) + 1
+        for got, want in zip(results, serial):
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_scipy_has_the_highs_entry_points():
-    # _highs needs two private entry points of SciPy's HiGHS binding: the
-    # 15-argument array overload of passModel and setBasis(HighsBasis).
-    # Solve min x over x = 1 through both, from the basis of x.
+    # _highs needs three private entry points of SciPy's HiGHS binding: the
+    # 15-argument array overload of passModel, setBasis(HighsBasis) and
+    # clearModel.  Solve min x over x = 1 through the first two, from the
+    # basis of x, twice on one solver with clearModel in between.
     core, options = ot_core._highs_binding()
     highs = core._Highs()
     highs.passOptions(options)
     one = np.ones(1)
-    try:
-        passed = highs.passModel(
-            1, 1, 1, int(core.MatrixFormat.kColwise), int(core.ObjSense.kMinimize), 0.0,
-            one, np.zeros(1), np.full(1, np.inf), one, one, np.array([0, 1], dtype=np.int32),
-            np.zeros(1, dtype=np.int32), one, np.zeros(1, dtype=np.int32))
-    except TypeError:
-        pytest.fail(f"SciPy {scipy.__version__}: its HiGHS binding has no array passModel")
-    try:
-        basis = core.HighsBasis()
-        basis.col_status = [core.HighsBasisStatus.kBasic]
-        basis.row_status = [core.HighsBasisStatus.kLower]
-        set_basis = highs.setBasis(basis)
-    except (AttributeError, TypeError):
-        pytest.fail(f"SciPy {scipy.__version__}: its HiGHS binding has no setBasis(HighsBasis)")
-    assert passed == set_basis == highs.run() == core.HighsStatus.kOk
-    assert list(highs.getSolution().col_value) == [1.0]
-    assert highs.getInfo().simplex_iteration_count == 0
+    for _ in range(2):
+        try:
+            passed = highs.passModel(
+                1, 1, 1, int(core.MatrixFormat.kColwise), int(core.ObjSense.kMinimize), 0.0,
+                one, np.zeros(1), np.full(1, np.inf), one, one, np.array([0, 1], dtype=np.int32),
+                np.zeros(1, dtype=np.int32), one, np.zeros(1, dtype=np.int32))
+        except TypeError:
+            pytest.fail(f"SciPy {scipy.__version__}: its HiGHS binding has no array passModel")
+        try:
+            basis = core.HighsBasis()
+            basis.col_status = [core.HighsBasisStatus.kBasic]
+            basis.row_status = [core.HighsBasisStatus.kLower]
+            set_basis = highs.setBasis(basis)
+        except (AttributeError, TypeError):
+            pytest.fail(f"SciPy {scipy.__version__}: its HiGHS binding has no setBasis(HighsBasis)")
+        assert passed == set_basis == highs.run() == core.HighsStatus.kOk
+        assert list(highs.getSolution().col_value) == [1.0]
+        assert highs.getInfo().simplex_iteration_count == 0
+        try:
+            cleared = highs.clearModel()
+        except AttributeError:
+            pytest.fail(f"SciPy {scipy.__version__}: its HiGHS binding has no clearModel")
+        # The model is gone and the options stay.
+        assert cleared == core.HighsStatus.kOk
+        assert highs.getNumRow() == highs.getNumCol() == 0
+        assert highs.getOptionValue("presolve")[1] == "off"
+        assert highs.getOptionValue("dual_feasibility_tolerance")[1] == ot_core._FEASIBILITY_TOL
 
 
 class TestProjection:

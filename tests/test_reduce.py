@@ -575,6 +575,6 @@ def test_exact_reduction_beyond_the_lp_row_limit():
         seconds = time.perf_counter() - tick
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"\nrow limit: two LP passes to final_nd {report.final_nd:.6f} in {seconds:.2f} s, "
-          f"largest LP {max(rows)} rows, peak RSS {peak_mb:.0f} MB")
+          f"largest LP {max(rows)} rows, process max RSS {peak_mb:.0f} MB")
     assert max(rows) > ot_core._LP_MAX_ROWS
     assert nested_distance(a, final)[0] <= report.final_nd * (1 + 1e-9)

@@ -773,7 +773,8 @@ def test_paper_scale_io(tmp_path):
     back = ScenarioTree.load(path)
     load_s = time.perf_counter() - tick
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"\npaper scale: save {save_s:.2f} s, load {load_s:.2f} s, peak RSS {peak_mb:.0f} MB")
+    print(f"\npaper scale: save {save_s:.2f} s, load {load_s:.2f} s, "
+          f"process max RSS {peak_mb:.0f} MB")
     assert_bitwise_equal(back, t)
     assert path.read_text() == reference_text(t)
 
