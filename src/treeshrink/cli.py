@@ -276,8 +276,9 @@ def build_parser():
     defaults = ReductionConfig()
     p.add_argument("--tol", type=float, default=defaults.tol,
                    help="stop once an outer iteration lowers the root cost "
-                   "nd^2 by at most TOL: an absolute drop, in the data's "
-                   "units squared")
+                   "nd^2 by at most TOL times its value before the "
+                   "iteration: a relative drop, the same at any scale of "
+                   "the data (default: %(default)s)")
     p.add_argument("--rho", type=float, default=None,
                    help="proximal parameter of --solver mam; it changes only "
                    "how fast a solve converges (default: per problem, the "

@@ -160,27 +160,30 @@ class BarycenterBatch:
         return local if self.P == 1 else f"problem {k}, {local}"
 
     def validate(self) -> None:
-        ptr, counts = self.measure_ptr, np.diff(self.measure_ptr)
-        if (ptr[0] != 0 or ptr[-1] != self.M or self.M == 0 or np.any(counts < 1)
-                or self.atom_ptr.shape != (self.M + 1,) or self.atom_ptr[0] != 0
-                or self.mass.shape != (self.atom_ptr[-1],)
-                or self.cost.shape != (self.R, self.atom_ptr[-1])):
+        ptr, atom_ptr = self.measure_ptr, self.atom_ptr
+        if (ptr[0] != 0 or ptr[-1] != self.M or self.M == 0 or (ptr[1:] <= ptr[:-1]).any()
+                or atom_ptr.shape != (self.M + 1,) or atom_ptr[0] != 0
+                or self.mass.shape != (atom_ptr[-1],)
+                or self.cost.shape != (self.R, atom_ptr[-1])):
             raise ValueError("barycenter batch arrays do not match their pointers")
-        # One pass over the concatenated marginals and costs; owner[i] is the
-        # measure of atom i.  A non-finite mass makes its measure's sum
-        # non-finite, which fails the sum test.
-        owner = np.repeat(np.arange(self.M), np.diff(self.atom_ptr))
-        bad = ~(np.abs(np.bincount(owner, self.mass, self.M) - 1.0) <= 1e-9)
-        bad[owner[self.mass < -1e-12]] = True
-        if bad.any():
+        # Whole-array tests first; the offending measure is looked for only
+        # when one fails.  owner[i] is the measure of atom i.  A non-finite
+        # mass makes its measure's sum non-finite, which fails the sum test,
+        # and a NaN fails every comparison.
+        owner = np.repeat(np.arange(self.M), atom_ptr[1:] - atom_ptr[:-1])
+        off = np.abs(np.bincount(owner, self.mass, self.M) - 1.0)
+        if not (off.max() <= 1e-9 and self.mass.min(initial=0.0) >= -1e-12):
+            bad = ~(off <= 1e-9)
+            bad[owner[self.mass < -1e-12]] = True
             raise ValueError(f"{self._name(np.argmax(bad))}: marginal is not a probability vector")
-        infinite = ~np.all(np.isfinite(self.cost), axis=0)
-        if infinite.any():
-            raise ValueError(f"{self._name(owner[np.argmax(infinite)])}: non-finite transport costs")
-        negative = np.any(self.cost < 0, axis=0)
-        if negative.any():
+        if not (self.cost.min(initial=0.0) >= 0.0 and self.cost.max(initial=0.0) < np.inf):
+            infinite = ~np.all(np.isfinite(self.cost), axis=0)
+            if infinite.any():
+                raise ValueError(
+                    f"{self._name(owner[np.argmax(infinite)])}: non-finite transport costs")
+            negative = np.any(self.cost < 0, axis=0)
             raise ValueError(f"{self._name(owner[np.argmax(negative)])}: negative transport costs")
-        if np.any(self.alpha < 0) or not np.all(np.maximum.reduceat(self.alpha, ptr[:-1]) > 0):
+        if self.alpha.min() < 0 or not (np.maximum.reduceat(self.alpha, ptr[:-1]) > 0).all():
             raise ValueError("weights must be nonnegative and not all zero")
 
 

@@ -344,6 +344,24 @@ class TestReduceTree:
         assert min(report.deltas) == pytest.approx(0.0, abs=1e-12)
         assert final.validate() == []
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(-20, 20))
+    def test_stopping_rule_is_scale_free(self, seed, k):
+        # Onto a binary tree every solve is closed form, so scaling both trees
+        # by a power of two scales every cost by its square, up to rounding,
+        # and the relative stopping rule stops at the same iteration.
+        orig = generate_random(3, 3, dim=2, seed=seed)
+        red = random_init([2, 2, 2], dim=2, seed=seed + 1)
+        scale = 2.0 ** k
+        final, report = reduce_tree(orig, red)
+        scaled_orig, scaled_red = (tree.with_quantizer(tree.quantizer * scale)
+                                   for tree in (orig, red))
+        scaled, scaled_report = reduce_tree(scaled_orig, scaled_red)
+        assert scaled_report.iterations == report.iterations
+        assert scaled_report.final_nd == pytest.approx(scale * report.final_nd, rel=1e-9)
+        assert nested_distance(scaled_orig, scaled)[0] == pytest.approx(
+            scale * nested_distance(orig, final)[0], rel=1e-9)
+
     @pytest.mark.parametrize("solver", ["lp", "mam", "ibp"])
     def test_invariant_to_relabelling_both_trees(self, solver):
         # Renaming the nodes changes each stage's node order, and with it
