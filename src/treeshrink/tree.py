@@ -270,13 +270,17 @@ class ScenarioTree:
         counts = np.diff(self._child_ptr)
         leaf = counts == 0
         # Each node's children summed in id order by one np.sum, as a row
-        # of a (nodes, n) table per child count n: rounding and all.
+        # of a (nodes, n) table per child count n: rounding and all.  Sums
+        # over infinite masses may be NaN; those nodes are already reported
+        # as not finite, and a NaN gap flags nothing more.
         sums = np.zeros(self.n_nodes)
-        for n in np.flatnonzero(np.bincount(counts[~leaf])):
-            nodes = np.flatnonzero(counts == n)
-            kids = self._child_idx[self._child_ptr[nodes, None] + np.arange(n)]
-            sums[nodes] = self.prob[kids].sum(axis=1)
-        off_sum = ~leaf & (np.abs(sums - self.prob) > PARENT_SUM_TOL)
+        with np.errstate(invalid="ignore"):
+            for n in np.flatnonzero(np.bincount(counts[~leaf])):
+                nodes = np.flatnonzero(counts == n)
+                kids = self._child_idx[self._child_ptr[nodes, None] + np.arange(n)]
+                sums[nodes] = self.prob[kids].sum(axis=1)
+            off_sum = ~leaf & (np.abs(sums - self.prob) > PARENT_SUM_TOL)
+            total = float(np.sum(self.prob[leaf]))
         early = leaf & (self.stage >= 0) & (self.stage != self.T)
         for nd in np.flatnonzero(early | off_sum):
             if leaf[nd]:
@@ -285,7 +289,6 @@ class ScenarioTree:
             else:
                 v.append(f"node {nd}: probability {self.prob[nd]} != children sum "
                          f"{float(sums[nd])}")
-        total = float(np.sum(self.prob[leaf]))
         if abs(total - 1.0) > LEAF_SUM_TOL:
             v.append(f"tree: leaf probabilities sum to {total}, expected 1")
         return v

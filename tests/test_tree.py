@@ -70,6 +70,11 @@ def depth(tree, node):
 
 def validate_reference(tree):
     """Reference: ``ScenarioTree.validate`` as a loop over the nodes."""
+    with np.errstate(invalid="ignore"):
+        return _validate_reference(tree)
+
+
+def _validate_reference(tree):
     v = []
     if tree.d < 1:
         v.append(f"tree: quantizer dimension {tree.d}, expected at least 1")
@@ -158,6 +163,16 @@ class TestValidate:
                             np.r_[1.0, kids])
         assert tree.validate() == validate_reference(tree)
         assert any(v.startswith("node 0: probability") for v in tree.validate())
+
+    @pytest.mark.parametrize("prob", [
+        [np.inf, np.inf, 0.0],           # parent and children sum both +inf
+        [1.0, np.inf, -np.inf],          # children sum is inf - inf
+        [np.inf, np.inf, -np.inf],
+    ])
+    def test_infinite_masses_match_the_node_loop(self, prob):
+        tree = ScenarioTree([-1, 0, 0], np.zeros((3, 1)), prob)
+        assert tree.validate() == validate_reference(tree)
+        assert any("is not finite" in v for v in tree.validate())
 
     def test_single_node_tree_valid(self):
         assert single_node_tree().validate() == []
